@@ -8,8 +8,11 @@ from 0; it is NOT visible in disk-local integrality of character series
 (the unit-root relation is locally integral for every ordinary curve),
 so it is computed here from honest moduli data:
 
-* [p](t), the multiplication-by-p series of the formal group, by
-  iterating the integral group law (full precision, no exp);
+* [p](t), the multiplication-by-p series of the formal group, as
+  exp(p log t): the logarithm of a short model to degree deg at R
+  digits, R covering the p-power denominators (up to deg/(p-1)) that exp
+  brings and [p] cancels; every coefficient of [p] must come out
+  integral and known mod p^(N+6), or the test raises;
 * ordinary reduction means [p]/t = t^(p-1) * unit mod p; a
   Hensel/Weierstrass factorization mod p^K splits off the distinguished
   degree-(p-1) factor whose roots are the t-coordinates of C minus O;
@@ -24,6 +27,7 @@ comparison stays an independent cross-check of the same bit.
 
 from dataclasses import dataclass
 
+from . import _intpoly
 from .context import Context
 from .padic import PadicRational
 from .series import TruncatedSeries
@@ -76,40 +80,19 @@ def _hensel_series_factor(g_ints: list[int], r: int, p: int, K: int) -> list[int
     if any(gbar[i] for i in range(r)) or gbar[r] % p == 0:
         raise ArithJetError("series is not t^r * unit mod p")
 
-    def mulmod(a, b, m):
-        out = [0] * J
-        for i, ai in enumerate(a):
-            if ai:
-                top = J - i
-                for jj, bj in enumerate(b[:top]):
-                    if bj:
-                        out[i + jj] = (out[i + jj] + ai * bj) % m
-        return out
-
-    def invert_unit_mod_p(u):
-        inv0 = pow(u[0], -1, p)
-        out = [inv0] + [0] * (J - 1)
-        for k in range(1, J):
-            acc = 0
-            for i in range(1, k + 1):
-                if i < len(u) and u[i]:
-                    acc += u[i] * out[k - i]
-            out[k] = (-inv0 * acc) % p
-        return out
-
     W = [0] * r + [1] + [0] * (J - r - 1)
     U = [(g_ints[r + i] if r + i < J else 0) % mod for i in range(J)]
     for k in range(1, K):
         pk = p ** k
-        WU = mulmod(W, U, mod)
+        WU = _intpoly.mul(W, U, J, mod)
         rdef = [(((g_ints[i] if i < J else 0) - WU[i]) % mod) // pk % p
                 for i in range(J)]
         if not any(rdef):
             continue
-        Uinv = invert_unit_mod_p([c % p for c in U])
-        s = mulmod(rdef, Uinv, p)
+        Ubar = [c % p for c in U]
+        s = _intpoly.mul(rdef, _intpoly.inverse(Ubar, J, p), J, p)
         delta = s[:r]
-        eps = mulmod(s[r:] + [0] * r, [c % p for c in U], p)
+        eps = _intpoly.mul(s[r:] + [0] * r, Ubar, J, p)
         for i, c in enumerate(delta):
             if c:
                 W[i] = (W[i] + pk * c) % mod

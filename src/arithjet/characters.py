@@ -45,7 +45,7 @@ from .formalgroup import (
     FormalGroupLaw, WeierstrassCurve, formal_group_from_curve,
     count_points_ap, ELLIPTIC, MULTIPLICATIVE,
 )
-from .jet import ghost_series, lateral_frobenius_map, psi1_series, jet_group_law
+from .jet import ghost_series, lateral_frobenius_map, psi1_series
 from .linalg import kernel_lattice, lattice_exponents, solve_padic
 from .errors import (
     PrecisionExhausted, AmbiguousRank, RankMismatch, IntegralityViolation,
@@ -134,12 +134,12 @@ def deep_tower_degree(F: FormalGroupLaw) -> int:
 
 
 def deep_log_coefficients(F: FormalGroupLaw, deg: int) -> list[PadicRational]:
-    """[b_1..b_deg] of log_G, beyond the series budget M."""
+    """[b_1..b_deg] of log_G, beyond the series budget M.  The longest
+    list computed so far is kept in F.deep_log_cache."""
     from .formalgroup import elliptic_log_coefficients, ADDITIVE
     ctx = F.ctx
-    cached = getattr(F, "_deep_log", None)
-    if cached is not None and len(cached) >= deg:
-        return cached[:deg]
+    if len(F.deep_log_cache) >= deg:
+        return F.deep_log_cache[:deg]
     if F.kind == ELLIPTIC:
         out = elliptic_log_coefficients(F.curve, deg)
     elif F.kind == MULTIPLICATIVE:
@@ -150,7 +150,7 @@ def deep_log_coefficients(F: FormalGroupLaw, deg: int) -> list[PadicRational]:
             [PadicRational.zero(ctx, ctx.N) for _ in range(deg - 1)]
     else:
         raise ArithJetError(f"no deep log for kind {F.kind!r}")
-    F._deep_log = out
+    F.deep_log_cache = out
     return out
 
 
@@ -210,12 +210,8 @@ def _canonical_bit(F: FormalGroupLaw) -> bool:
         return True
     if F.kind != ELLIPTIC:
         raise ArithJetError("CL bit defined for G_m and elliptic curves")
-    cached = getattr(F, "_cl_report", None)
-    if cached is None:
-        from .canonical import canonical_lift_test
-        cached = canonical_lift_test(F.curve)
-        F._cl_report = cached
-    return cached.is_cl
+    from .canonical import canonical_lift_test
+    return canonical_lift_test(F.curve).is_cl
 
 
 def _char_from_c(F, order, c, L, origin="solver") -> DeltaCharacter:
@@ -242,9 +238,12 @@ def _span_rank(int_vectors, p, K, slack: int = 2) -> int:
     return sum(1 for s, _ in exps if s < K - slack)
 
 
-def solve_character_lattice(F: FormalGroupLaw, n: int,
-                            stability: bool = True) -> CharacterLattice:
+def solve_character_lattice(F: FormalGroupLaw, n: int, stability: bool = True,
+                            lower: CharacterLattice | None = None
+                            ) -> CharacterLattice:
     """X_n(G) inside the K-span of {L_0..L_n}.
+
+    ``lower`` is X_(n-1) of the same group, solved here when not given.
 
     The basis is the exponent-0 directions of the integrality lattice,
     except at order 2 for an elliptic curve with rk X_1 = 0.  There the
@@ -266,7 +265,10 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
             f"order-{n} elliptic characters need M >= p^{n}+p = {p ** n + p},"
             f" have M = {ctx.M}")
 
-    lower = solve_character_lattice(F, n - 1, stability=False) if n >= 1 else None
+    if n >= 1 and lower is None:
+        lower = solve_character_lattice(F, n - 1, stability=False)
+    if lower is not None and lower.order != n - 1:
+        raise ArithJetError(f"order-{n} solve needs X_{n - 1}, got X_{lower.order}")
     L = log_projections(F, n)
 
     # budget rows: one per monomial of the u-scaled columns p^(-i) L_i
@@ -636,8 +638,8 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     """Full character-side pipeline for a 1-dimensional group."""
     ctx = F.ctx
     lat0 = solve_character_lattice(F, 0)
-    lat1 = solve_character_lattice(F, 1)
-    lat2 = solve_character_lattice(F, 2)
+    lat1 = solve_character_lattice(F, 1, lower=lat0)
+    lat2 = solve_character_lattice(F, 2, lower=lat1)
     prim = primitive_quotient([lat0, lat1, lat2], F)
     rk1, rk2 = lat1.rank, lat2.rank
     is_cl = rk1 == 1
@@ -845,107 +847,3 @@ def frob_up_matrix_identity(ga: GroupAnalysis) -> dict:
         "solve_residual": resid,
         "sign": ga.iso.sign,
     }
-
-
-# ---------------------------------------------------------------------------
-# brute-force additive-series solver (ansatz validation oracle)
-
-
-@dataclass
-class AnsatzValidation:
-    group: str
-    n_found: int
-    exponents: list[int]
-    min_span_residual: float
-    threshold: float
-
-    @property
-    def ok(self) -> bool:
-        return self.min_span_residual >= self.threshold
-
-
-def brute_force_character_search(F: FormalGroupLaw) -> AnsatzValidation:
-    """Solve for ALL additive integral series Theta(x0, x1) of the order-1
-    jet law (unknown = every monomial coefficient mod p^N, constraint =
-    additivity as a 4-variable series identity), then check each exactly
-    additive solution lies in the K-span of {L_0, L_1}.
-
-    Independent of the ansatz solver: different unknowns, different
-    constraints (group law instead of integrality).
-    """
-    ctx = F.ctx
-    p, N, M = ctx.p, ctx.N, ctx.M
-    mod = p ** N
-    J = jet_group_law(F, 1)
-    law_ints = []
-    B = M + 1
-    for comp in J.law:
-        dd = {}
-        for e, c in comp.coeffs.items():
-            if c.is_zero():
-                continue
-            if c.val < 0:
-                raise IntegralityViolation("jet law coefficient not integral")
-            key = ((e[3] * B + e[2]) * B + e[1]) * B + e[0]
-            dd[key] = (_lift_int(c, N), sum(e))
-        law_ints.append(dd)
-
-    def mul(a, b):
-        out = {}
-        for k1, (c1, d1) in a.items():
-            room = M - d1
-            for k2, (c2, d2) in b.items():
-                if d2 > room:
-                    continue
-                k = k1 + k2
-                prev = out.get(k)
-                v = c1 * c2 % mod
-                out[k] = ((prev[0] + v) % mod, d1 + d2) if prev else (v, d1 + d2)
-        return {k: v for k, v in out.items() if v[0]}
-
-    monoms = [(a, b) for tot in range(1, M + 1)
-              for a in range(tot + 1) for b in [tot - a]]
-    columns = []
-    row_ins = law_ints[1]
-    pow_b = {0: {0: (1, 0)}}
-    for b in range(1, M + 1):
-        pow_b[b] = mul(pow_b[b - 1], row_ins)
-    for a, b in monoms:
-        cur = pow_b[b]
-        for _ in range(a):
-            cur = mul(cur, law_ints[0])
-        col = dict(cur)
-        # subtract m(x) and m(y)
-        kx = a + B * b
-        ky = B * B * (a + B * b)
-        for k in (kx, ky):
-            prev = col.get(k, (0, None))[0]
-            col[k] = ((prev - 1) % mod, a + b)
-        columns.append({k: v for k, (v, _) in col.items() if v})
-
-    keys = sorted(set().union(*[c.keys() for c in columns]))
-    key_index = {k: i for i, k in enumerate(keys)}
-    rows = [[0] * len(monoms) for _ in keys]
-    for j, col in enumerate(columns):
-        for k, v in col.items():
-            rows[key_index[k]][j] = v
-
-    basis = kernel_lattice(rows, len(monoms), p, m=N, K=N)
-    exps = lattice_exponents(basis, p, N)
-    found = [col for s, col in exps if s == 0]
-
-    # ansatz span columns over 2-variable monomials
-    L = log_projections(F, 1)
-    l_cols = []
-    for Li in L:
-        l_cols.append([Li.get((a, b)) for a, b in monoms])
-    worst = _INF
-    for vec in found:
-        target = [PadicRational.from_int(ctx, v % mod, rel=N) if v % mod else
-                  PadicRational.zero(ctx, N) for v in vec]
-        _, resid = solve_padic(l_cols, target)
-        worst = min(worst, resid)
-    return AnsatzValidation(group=F.kind, n_found=len(found),
-                            exponents=[s for s, _ in exps],
-                            min_span_residual=worst,
-                            threshold=N - 3)

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import _intpoly
 from .context import Context
 from .padic import PadicRational
 from .series import TruncatedSeries
@@ -125,7 +126,9 @@ class FormalGroupLaw:
     kind in {additive, multiplicative, elliptic, kernel}.  ``law`` is
     F(t1, t2) truncated at total degree M; ``log`` satisfies
     log(F(t1,t2)) = log(t1) + log(t2) with linear coefficient 1; ``exp``
-    is its reversion (computed on demand).
+    is its reversion (computed on demand).  ``deep_log_cache`` holds the
+    longest [b_1, ...] of log coefficients computed beyond M so far (see
+    characters.deep_log_coefficients).
     """
 
     def __init__(self, ctx: Context, kind: str, law_builder, log: TruncatedSeries,
@@ -135,6 +138,7 @@ class FormalGroupLaw:
         self._law_builder = law_builder
         self.log = log
         self.curve = curve
+        self.deep_log_cache: list[PadicRational] = []
 
     @cached_property
     def law(self) -> TruncatedSeries:
@@ -187,31 +191,43 @@ class FormalGroupLaw:
 
 def _w_coefficients(E: WeierstrassCurve, deg: int,
                     mod: int | None = None) -> tuple[list[int], list[int]]:
-    """Coefficients of w(t) = t^3(1 + ...) and of w(t)^2 (mod `mod` when
-    given), via the coefficient recurrence of
+    """Coefficients [t^0..t^deg] of w(t) = t^3(1 + ...) and of w(t)^2,
+    exact, or reduced into [0, mod) when mod is given.
 
-        w = t^3 + a1 t w + a2 t^2 w + a3 w^2 + a4 t w^2 + a6 w^3.
+    w is the root of
 
-    [t^k] of w^2 and w^3 only involves w_j with j <= k-3, so each step is
-    closed.  Fast enough for the deep Frobenius tower (O(deg^2) int ops;
-    pass mod to keep the integers machine-sized at large degree).
+        Phi(w) = w - t^3 - a1 t w - a2 t^2 w - a3 w^2 - a4 t w^2 - a6 w^3,
+
+    found by Newton iteration w <- w - Phi(w)/Phi'(w) on integer
+    polynomials.  Phi'(w) has constant term 1, so the division is exact
+    over Z, and each step doubles the number of correct coefficients
+    (w = t^3 is right mod t^4).  The result is the exact w(t) mod t^(deg+1)
+    (mod `mod`), so it does not depend on how it was computed.
     """
-    w = [0] * (deg + 1)
-    w2 = [0] * (deg + 1)
-    w3 = [0] * (deg + 1)
-    if deg >= 3:
-        w[3] = 1
-    for k in range(4, deg + 1):
-        a = sum(w[i] * w[k - i] for i in range(3, k - 2))
-        b = sum(w2[i] * w[k - i] for i in range(6, k - 2))
-        c = (E.a1 * w[k - 1] + E.a2 * w[k - 2] + E.a3 * a
-             + E.a4 * w2[k - 1] + E.a6 * b)
+    n = deg + 1
+    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
+    w = [0] * min(n, 3) + [1] * (n > 3)
+    while len(w) < n:
+        j = len(w)  # w is right mod t^j (j >= 4), so Phi(w) = O(t^j)
+        k = min(2 * j, n)
+        w = w + [0] * (k - j)
+        w2 = _intpoly.mul(w, w, k, mod)
+        w3 = _intpoly.mul(w2, w, k, mod)
+        tw, t2w, tw2 = [0] + w[:-1], [0, 0] + w[:-2], [0] + w2[:-1]
+        phi = [x - a1 * y - a2 * z - a3 * u - a4 * v - a6 * s
+               for x, y, z, u, v, s in zip(w[j:], tw[j:], t2w[j:], w2[j:],
+                                           tw2[j:], w3[j:])]
+        # Phi(w)/Phi'(w) mod t^k needs Phi'(w) only mod t^(k-j)
+        dphi = [-2 * a3 * x - 2 * a4 * y - 3 * a6 * u
+                for x, y, u in zip(w[:max(k - j, 3)], tw, w2)]
+        dphi[0] += 1
+        dphi[1] -= a1
+        dphi[2] -= a2
+        step = _intpoly.mul(phi, _intpoly.inverse(dphi, k - j, mod), k - j, mod)
+        w[j:] = [x - y for x, y in zip(w[j:], step)]
         if mod is not None:
-            a %= mod
-            b %= mod
-            c %= mod
-        w2[k], w3[k], w[k] = a, b, c
-    return w, w2
+            w = [x % mod for x in w]
+    return w, _intpoly.mul(w, w, n, mod)
 
 
 def _w_series(E: WeierstrassCurve, deg: int) -> TruncatedSeries:
@@ -224,13 +240,18 @@ def _w_series(E: WeierstrassCurve, deg: int) -> TruncatedSeries:
 
 def elliptic_log_coefficients(E: WeierstrassCurve, deg: int,
                               digits: int | None = None) -> list[PadicRational]:
-    """[b_1, ..., b_deg]: coefficients of the formal logarithm, by exact
-    integer recurrences (fast enough for the deep Frobenius tower).
+    """[b_1, ..., b_deg]: coefficients of the formal logarithm, from
+    integer polynomials mod p^digits (fast enough for the deep Frobenius
+    tower).
 
     log' = P = (w - t w') / (w (-2 + a1 t + a3 w)); both sides of the
     fraction are divisible by t^3 and the shifted denominator has unit
-    constant term -2, so P comes out of a division recurrence mod
-    p^digits, and b_j = P_(j-1)/j.
+    constant term -2, so P = num * den^(-1) mod (p^digits, t^(deg+1)) with
+    a Newton inverse, and b_j = P_(j-1)/j.  P is unique mod p^digits, so
+    every b_j is P_(j-1)/j known to exactly digits absolute digits before
+    the division (relative precision digits - v(P_(j-1))), whatever
+    algorithm found P.  digits defaults to N plus the number of p-power
+    denominators j can carry.
     """
     ctx = E.ctx
     if digits is None:
@@ -246,14 +267,10 @@ def elliptic_log_coefficients(E: WeierstrassCurve, deg: int,
     # denominator w(-2 + a1 t + a3 w)/t^3
     den = [(-2 * w[k + 3] + E.a1 * w[k + 2] + E.a3 * w2[k + 3]) % mod
            for k in range(deg + 1)]
-    inv0 = pow(den[0], -1, mod)
-    P = [0] * (deg + 1)
-    for k in range(deg + 1):
-        acc = num[k] - sum(P[i] * den[k - i] for i in range(k) if den[k - i])
-        P[k] = acc * inv0 % mod
+    P = _intpoly.mul(num, _intpoly.inverse(den, deg + 1, mod), deg + 1, mod)
     out = []
     for j in range(1, deg + 1):
-        raw = P[j - 1] % mod
+        raw = P[j - 1]
         if raw == 0:
             out.append(PadicRational.zero(ctx, digits))
             continue

@@ -163,8 +163,3 @@ def solve_padic(columns, target):
             resid = min(resid, e.valuation())
     return xs, resid
 
-
-def residual_only(columns, target):
-    """Residual valuation of the best solve, discarding the coefficients."""
-    _, resid = solve_padic(columns, target)
-    return resid

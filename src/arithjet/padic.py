@@ -187,7 +187,7 @@ class PadicRational:
                 return
             unit %= ctx.pk(rel)
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "unit", unit % ctx.pk(rel))
+        object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "rel", rel)
 

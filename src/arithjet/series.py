@@ -11,7 +11,17 @@ shifts, composition (recursive Horner), reversion of a univariate series,
 substitution of zero for variables, numeric evaluation, derivative and
 termwise integration of univariate series, and residual-valuation
 comparison for budgeted identity checks.
+
+Products (and so powers, inverses, composition and reversion) run on
+integers: each operand is scaled to integers by its smallest nonzero
+valuation, monomials are packed into single ints, and only pairs within
+the degree cap are visited.  Whatever the kernel, a product coefficient
+must equal the PadicRational sum of the PadicRational pairwise products,
+value and precision alike (see TruncatedSeries.__mul__).
 """
+
+from math import gcd
+from operator import add
 
 from .context import Context
 from .padic import PadicRational, PadicScalar
@@ -34,6 +44,26 @@ def _minp(a, b):
 
 def _addp(a, k):
     return None if a is None else a + k
+
+
+def _int_terms(coeffs: dict, cap: int, base: int, p: int):
+    """([(key, degree, x, v, A, e)], m) for the coefficients of degree
+    <= cap: e is the exponent tuple and key packs it in base `base`,
+    x * p^m is the coefficient's value with m the smallest nonzero
+    valuation (x = 0 for an O(p^w) zero), v its valuation and A its
+    absprec."""
+    m = min((c.val for c in coeffs.values() if c.unit), default=0)
+    terms = []
+    for e, c in coeffs.items():
+        d = sum(e)
+        if d > cap:
+            continue
+        key = 0
+        for x in reversed(e):
+            key = key * base + x
+        x = c.unit * p ** (c.val - m) if c.unit else 0
+        terms.append((key, d, x, c.val, c.val + c.rel, e))
+    return terms, m
 
 
 class TruncatedSeries:
@@ -199,6 +229,16 @@ class TruncatedSeries:
                                _addp(self.absprec, k))
 
     def __mul__(self, other, cap=None):
+        """Product truncated at total degree cap (at most ctx.M).
+
+        Per output monomial e the loop sums the exact pairwise products
+        S_e and takes A_e = min over the pairs of min(A1 + v2, v1 + A2)
+        (v a coefficient's valuation, A its absprec; an O(p^w) zero has
+        v = A = w); the coefficient is S_e mod p^(A_e), normalised by
+        PadicRational.  PadicRational add and mul are canonical in
+        (value mod p^A, A), so this is exactly the sum of the pairwise
+        PadicRational products.  Output monomials come in first-hit order
+        of the pair loop, the shorter operand outermost."""
         if isinstance(other, (int, PadicScalar, PadicRational)):
             return self.scale(other)
         o = self._coerce(other)
@@ -209,21 +249,48 @@ class TruncatedSeries:
         t1 = None if (self.absprec is None or mvb is _INF) else self.absprec + mvb
         t2 = None if (o.absprec is None or mva is _INF) else o.absprec + mva
         absp = _minp(t1, t2)
-        a = [(e, sum(e), c) for e, c in self.coeffs.items()]
-        b = [(e, sum(e), c) for e, c in o.coeffs.items()]
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for e1, d1, c1 in a:
+        a, b = (self, o) if len(self.coeffs) <= len(o.coeffs) else (o, self)
+        p, base = self.ctx.p, cap + 1
+        ta, sa = _int_terms(a.coeffs, cap, base, p)
+        tb, sb = _int_terms(b.coeffs, cap, base, p)
+        fitting: dict = {}  # room -> the terms of tb of degree <= room, in order
+        acc: dict = {}  # packed key -> [sum, A, exponents of its first pair]
+        for k1, d1, x1, v1, A1, e1 in ta:
             room = cap - d1
-            for e2, d2, c2 in b:
-                if d2 > room:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prod = c1 * c2
-                prev = out.get(e)
-                out[e] = prod if prev is None else prev + prod
-        return TruncatedSeries(self.ctx, self.vars, out, absp)
+            partners = fitting.get(room)
+            if partners is None:
+                partners = fitting[room] = [t for t in tb if t[1] <= room]
+            for k2, _, x2, v2, A2, e2 in partners:
+                k = k1 + k2
+                prec = A1 + v2
+                if v1 + A2 < prec:
+                    prec = v1 + A2
+                entry = acc.get(k)
+                if entry is None:
+                    acc[k] = [x1 * x2, prec, e1, e2]
+                else:
+                    entry[0] += x1 * x2
+                    if prec < entry[1]:
+                        entry[1] = prec
+        # value total * p^s known mod p^A: reduce mod p^(A-s), and take
+        # the valuation from gcd(r, p^(A-s)) = p^t
+        ctx, s = self.ctx, sa + sb
+        top = max((A for total, A, _, _ in acc.values() if total), default=s) - s
+        pw = [1]
+        while len(pw) <= top:
+            pw.append(pw[-1] * p)
+        exponent = {q: i for i, q in enumerate(pw)}
+        out = {}
+        for total, A, e1, e2 in acc.values():
+            r = total % pw[A - s] if total and A > s else 0
+            if r:
+                g = gcd(r, pw[A - s])
+                t = exponent[g]
+                c = PadicRational(ctx, r // g, s + t, A - s - t)
+            else:
+                c = PadicRational.zero(ctx, A)
+            out[tuple(map(add, e1, e2))] = c
+        return TruncatedSeries(ctx, self.vars, out, absp)
 
     __rmul__ = __mul__
 

@@ -1,0 +1,205 @@
+"""Differential tests: the integer kernels against the loops they replaced.
+
+The reference implementations below are the straightforward versions: the
+per-pair PadicRational product loop of TruncatedSeries, and the O(deg^2)
+coefficient recurrences for w(t) and the elliptic logarithm.  The fast
+versions must agree with them bit for bit: the same monomials in the same
+order, the same (unit, val, rel, ctx.N) per coefficient and the same
+series absprec.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from arithjet import _intpoly
+from arithjet.canonical import short_model
+from arithjet.context import Context
+from arithjet.formalgroup import (
+    WeierstrassCurve, _w_coefficients, elliptic_log_coefficients,
+)
+from arithjet.padic import PadicRational
+from arithjet.series import TruncatedSeries, _INF, _minp
+
+# -- reference implementations ------------------------------------------------
+
+
+def reference_mul(f: TruncatedSeries, g: TruncatedSeries, cap=None):
+    """Product by the per-pair PadicRational loop."""
+    cap = f.ctx.M if cap is None else min(cap, f.ctx.M)
+    mva, mvb = f.min_valuation(), g.min_valuation()
+    t1 = None if (f.absprec is None or mvb is _INF) else f.absprec + mvb
+    t2 = None if (g.absprec is None or mva is _INF) else g.absprec + mva
+    absp = _minp(t1, t2)
+    a = [(e, sum(e), c) for e, c in f.coeffs.items()]
+    b = [(e, sum(e), c) for e, c in g.coeffs.items()]
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for e1, d1, c1 in a:
+        room = cap - d1
+        for e2, d2, c2 in b:
+            if d2 > room:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            prod = c1 * c2
+            prev = out.get(e)
+            out[e] = prod if prev is None else prev + prod
+    return TruncatedSeries(f.ctx, f.vars, out, absp)
+
+
+def reference_w(E: WeierstrassCurve, deg: int, mod=None):
+    """w(t) and w(t)^2 by the coefficient recurrence of
+    w = t^3 + a1 t w + a2 t^2 w + a3 w^2 + a4 t w^2 + a6 w^3."""
+    w = [0] * (deg + 1)
+    w2 = [0] * (deg + 1)
+    w3 = [0] * (deg + 1)
+    if deg >= 3:
+        w[3] = 1
+    for k in range(4, deg + 1):
+        a = sum(w[i] * w[k - i] for i in range(3, k - 2))
+        b = sum(w2[i] * w[k - i] for i in range(6, k - 2))
+        c = (E.a1 * w[k - 1] + E.a2 * w[k - 2] + E.a3 * a
+             + E.a4 * w2[k - 1] + E.a6 * b)
+        if mod is not None:
+            a %= mod
+            b %= mod
+            c %= mod
+        w2[k], w3[k], w[k] = a, b, c
+    return w, w2
+
+
+def reference_log(E: WeierstrassCurve, deg: int, digits: int):
+    """[b_1..b_deg] by the division recurrence for P = log'."""
+    ctx = E.ctx
+    mod = ctx.pk(digits)
+    w, w2 = reference_w(E, deg + 3, mod=mod)
+    num = [((-2 - k) * w[k + 3]) % mod for k in range(deg + 1)]
+    den = [(-2 * w[k + 3] + E.a1 * w[k + 2] + E.a3 * w2[k + 3]) % mod
+           for k in range(deg + 1)]
+    inv0 = pow(den[0], -1, mod)
+    P = [0] * (deg + 1)
+    for k in range(deg + 1):
+        acc = num[k] - sum(P[i] * den[k - i] for i in range(k) if den[k - i])
+        P[k] = acc * inv0 % mod
+    out = []
+    for j in range(1, deg + 1):
+        raw = P[j - 1] % mod
+        if raw == 0:
+            out.append(PadicRational.zero(ctx, digits))
+            continue
+        c = PadicRational.from_int(ctx, raw)
+        c = PadicRational(ctx, c.unit, c.val, digits - c.val)
+        out.append(c / PadicRational.from_int(ctx, j, rel=digits))
+    return out
+
+
+def shape(f: TruncatedSeries):
+    return ([(e, c.unit, c.val, c.rel, c.ctx.N) for e, c in f.coeffs.items()],
+            f.absprec)
+
+
+def triples(cs):
+    return [(c.unit, c.val, c.rel) for c in cs]
+
+
+# -- products -------------------------------------------------------------------
+
+
+@st.composite
+def coefficient(draw, ctx):
+    val = draw(st.integers(-3, 5))
+    if draw(st.integers(0, 4)) == 0:
+        return PadicRational.zero(ctx, val)  # O(p^val)
+    unit = draw(st.integers(1, ctx.p ** 8))
+    return PadicRational(ctx, unit, val, draw(st.integers(1, 8)))
+
+
+@st.composite
+def series_pair(draw):
+    ctx = Context(p=draw(st.sampled_from([3, 5, 7])), N=draw(st.integers(2, 8)),
+                  M=draw(st.integers(1, 9)))
+    nv = draw(st.integers(1, 4))
+    variables = tuple(f"x{i}" for i in range(nv))
+
+    def one():
+        keys = draw(st.lists(st.tuples(*[st.integers(0, ctx.M)] * nv),
+                             max_size=14, unique=True))
+        coeffs = {e: draw(coefficient(ctx)) for e in keys}
+        absprec = draw(st.one_of(st.none(), st.integers(-2, 12)))
+        return TruncatedSeries(ctx, variables, coeffs, absprec)
+
+    f, g = one(), one()
+    cap = draw(st.one_of(st.none(), st.integers(0, ctx.M)))
+    return f, g, cap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(series_pair())
+def test_product_matches_pairwise_loop(args):
+    f, g, cap = args
+    assert shape(f.__mul__(g, cap)) == shape(reference_mul(f, g, cap))
+
+
+def test_product_matches_on_dense_univariate():
+    ctx = Context(p=5, N=10, M=40)
+    rng = random.Random(7)
+    for _ in range(10):
+        f, g = (TruncatedSeries(ctx, ("t",), {
+            (k,): PadicRational(ctx, rng.randrange(1, 5 ** 12),
+                                rng.randrange(-2, 4), rng.randrange(1, 11))
+            for k in range(ctx.M + 1) if rng.random() < 0.9}) for _ in "fg")
+        for cap in (None, 17):
+            assert shape(f.__mul__(g, cap)) == shape(reference_mul(f, g, cap))
+
+
+def test_product_with_far_zero_bound():
+    # an exact series may hold the O(p^(10^9)) zero that get() returns
+    ctx = Context(p=5, N=6, M=6)
+    f = TruncatedSeries(ctx, ("t",), {(1,): PadicRational.zero(ctx, 10 ** 9),
+                                      (2,): PadicRational(ctx, 3, -1, 4)})
+    g = TruncatedSeries(ctx, ("t",), {(0,): PadicRational(ctx, 7, 2, 5),
+                                      (1,): PadicRational.zero(ctx, 10 ** 9)})
+    assert shape(f * g) == shape(reference_mul(f, g))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=12),
+       st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=12),
+       st.integers(1, 25), st.sampled_from([None, 7, 5 ** 9]))
+def test_intpoly_mul_matches_schoolbook(a, b, n, mod):
+    want = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                want[i + j] += x * y
+    if mod is not None:
+        want = [x % mod for x in want]
+    assert _intpoly.mul(a, b, n, mod) == want
+
+
+# -- w(t) and the logarithm ---------------------------------------------------
+
+
+# long forms with every a_i nonzero and good reduction at p
+LONG_CURVES = [(5, (1, 2, 3, 4, 1)), (7, (1, 2, 3, 4, 5))]
+
+
+def test_exact_w_matches_recurrence():
+    ctx5 = Context(p=5, N=6, M=12)
+    # the short model canonical_lift_test expands, with large coefficients
+    A, B = short_model(WeierstrassCurve(*LONG_CURVES[0][1], ctx=ctx5))
+    for p, a in LONG_CURVES + [(5, (0, 0, 0, 1, 1)), (5, (0, 0, 0, A, B))]:
+        E = WeierstrassCurve(*a, ctx=Context(p=p, N=6, M=12))
+        for deg in (0, 2, 3, 4, 5, 60):
+            assert _w_coefficients(E, deg) == reference_w(E, deg)
+        assert _w_coefficients(E, 61, mod=p ** 7) == reference_w(E, 61, p ** 7)
+
+
+def test_log_matches_recurrence_on_long_form_curves():
+    for p, a in LONG_CURVES:
+        E = WeierstrassCurve(*a, ctx=Context(p=p, N=6, M=12))
+        digits = 6 + 3
+        got = elliptic_log_coefficients(E, 300, digits=digits)
+        assert triples(got) == triples(reference_log(E, 300, digits))
+        assert {c.ctx.N for c in got} == {6}
