@@ -1,0 +1,3 @@
+"""arithjet: an exact p-adic toolkit for Witt vectors, arithmetic jet spaces
+J^nG (n <= 2), delta characters and the delta isocrystal of G_a, G_m and
+elliptic curves over Z_p."""

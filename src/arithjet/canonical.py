@@ -61,15 +61,6 @@ def j_invariant(A, B, ctx: Context) -> PadicRational:
     return four_a3 * 1728 / den
 
 
-def _padic_from_residue(ctx: Context, value: int, K: int) -> PadicRational:
-    """value mod p^K as a p-adic number with honest absolute precision K."""
-    value %= ctx.pk(K)
-    if value == 0:
-        return PadicRational.zero(ctx, K)
-    c = PadicRational.from_int(ctx, value)
-    return PadicRational(ctx, c.unit, c.val, K - c.val)
-
-
 def _hensel_series_factor(g_ints: list[int], r: int, p: int, K: int) -> list[int]:
     """Factor g = W * U mod (p^K, t^len(g)) with W monic distinguished of
     degree r; requires g = t^r * unit mod p.  Returns [W_0, ..., W_(r-1), 1].
@@ -173,7 +164,7 @@ def canonical_lift_test(E: WeierstrassCurve) -> CanonicalLiftReport:
 
     r = p - 1
     W = _hensel_series_factor(g, r, p, K)
-    Wc = [_padic_from_residue(ctx, W[i], K) for i in range(r)]
+    Wc = [PadicRational(ctx, W[i], 0, K) for i in range(r)]
     ps_pos = _power_sums(Wc, deg, ctx)
 
     # inverse-root power sums: reversed polynomial s^r W(1/s)/W_0 has

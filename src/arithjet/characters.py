@@ -111,14 +111,6 @@ def fundamental_character(F: FormalGroupLaw) -> KernelCharacter:
     return KernelCharacter(F, 1, psi, "fundamental")
 
 
-def log_denominator_exponent(F: FormalGroupLaw) -> int:
-    """Largest p-power denominator of log_G up to degree M."""
-    mv = F.log.min_valuation()
-    if mv is _INF:
-        return 0
-    return max(0, -int(mv))
-
-
 def deep_tower_degree(F: FormalGroupLaw) -> int:
     """Degree bound p^j for the deep pure-x0 integrality rows.
 
@@ -344,15 +336,8 @@ def solve_character_lattice(F: FormalGroupLaw, n: int, stability: bool = True,
         basis_chars.append(_honda_character(F, L, zero_vectors, deep_ints, d))
     else:
         for col in zero_vectors:
-            c = []
-            for i, ui in enumerate(col):
-                ui %= mod
-                if ui == 0:
-                    c.append(PadicRational.zero(ctx, K - i))
-                else:
-                    r = PadicRational.from_int(ctx, ui)
-                    c.append(PadicRational(ctx, r.unit, r.val - i, K - r.val))
-            c = _normalize_c(c)
+            c = _normalize_c([PadicRational(ctx, ui, -i, K)
+                              for i, ui in enumerate(col)])
             ch = _char_from_c(F, n, c, L)
             if not ch.series.is_integral():
                 raise IntegralityViolation(

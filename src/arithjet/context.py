@@ -48,9 +48,6 @@ class Context:
     def with_degree(self, M: int) -> "Context":
         return replace(self, M=M)
 
-    def with_precision(self, N: int) -> "Context":
-        return replace(self, N=N)
-
     def pk(self, k: int) -> int:
         """p^k (k >= 0)."""
         return self.p ** k

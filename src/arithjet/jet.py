@@ -3,8 +3,10 @@
 A point of J^nG near the identity has Witt coordinates (x_0,...,x_n); the
 group law is the base formal group law F evaluated through the Witt ring
 of the coordinate ring, computed here on the ghost side: apply F to each
-ghost coordinate and solve the components back (divisions by p^i are
-valuation shifts over Q_p coefficients).
+ghost coordinate and solve the components back with arithjet.ghost's
+ghost_solve (divisions by p^i are valuation shifts over Q_p
+coefficients).  Symbolic ghosts come from ghost_series, which claims
+N+i digits for w_i; numeric points use ghost_map.
 
 Structural maps, all formal-group independent in these coordinates:
 
@@ -28,8 +30,9 @@ from dataclasses import dataclass, field
 from .context import Context
 from .padic import PadicRational
 from .series import TruncatedSeries
-from .formalgroup import FormalGroupLaw, KERNEL
+from .formalgroup import FormalGroupLaw
 from .errors import ArithJetError, IdentityViolation
+from .ghost import ghost_map, ghost_solve
 
 _INF = float("inf")
 
@@ -64,20 +67,6 @@ def ghost_series(ctx: Context, variables, names, i: int,
     return TruncatedSeries(ctx, variables, coeffs)
 
 
-def witt_components_from_ghost(ctx: Context, ghosts: list[TruncatedSeries]
-                               ) -> list[TruncatedSeries]:
-    """Solve (z_0,...,z_n) from ghost values; division by p^i is an exact
-    valuation shift over Q_p coefficients."""
-    p = ctx.p
-    comps: list[TruncatedSeries] = []
-    for i, g in enumerate(ghosts):
-        acc = g
-        for j, z in enumerate(comps):
-            acc = acc - (z ** (p ** (i - j))).shift(j)
-        comps.append(acc.shift(-i))
-    return comps
-
-
 @dataclass(frozen=True)
 class JetGroupLaw:
     n: int
@@ -108,7 +97,7 @@ def jet_group_law(F: FormalGroupLaw, n: int) -> JetGroupLaw:
         gx = ghost_series(ctx, allv, xs, i)
         gy = ghost_series(ctx, allv, ys, i)
         ghosts.append(F.law.compose([gx, gy]))
-    comps = witt_components_from_ghost(ctx, ghosts)
+    comps = ghost_solve(ctx.p, ghosts, TruncatedSeries.shift)
     return JetGroupLaw(n=n, law=tuple(comps), base=F)
 
 
@@ -131,7 +120,7 @@ def kernel_law_direct(F: FormalGroupLaw, n: int) -> KernelLaw:
         gx = ghost_series(ctx, allv, xs, i, start=1)
         gy = ghost_series(ctx, allv, ys, i, start=1)
         ghosts.append(F.law.compose([gx, gy]))
-    comps = witt_components_from_ghost(ctx, ghosts)
+    comps = ghost_solve(ctx.p, ghosts, TruncatedSeries.shift)
     return KernelLaw(n=n, law=tuple(comps[1:]), base=F)
 
 
@@ -159,7 +148,7 @@ def witt_frobenius_series(ctx: Context, names, power: int = 1
     if power < 1 or power > n:
         raise ArithJetError("need 1 <= power <= length-1")
     ghosts = [ghost_series(ctx, names, names, i) for i in range(power, n + 1)]
-    return witt_components_from_ghost(ctx, ghosts)
+    return ghost_solve(ctx.p, ghosts, TruncatedSeries.shift)
 
 
 def jet_frobenius(J: JetGroupLaw, i: int = 1) -> tuple[TruncatedSeries, ...]:
@@ -205,29 +194,14 @@ def random_jet_point(ctx: Context, n: int, rng: random.Random) -> list[PadicRati
 
 
 def jet_point_product(F: FormalGroupLaw, a, b) -> list[PadicRational]:
-    """Group product of two numeric jet points via the ghost construction."""
+    """Group product of two numeric jet points via the ghost construction;
+    the ghosts of a and b are capped at O(p^(N+n))."""
     ctx = F.ctx
-    n = len(a) - 1
-    p = ctx.p
-
-    def ghost(v):
-        out = []
-        for i in range(len(v)):
-            acc = PadicRational.zero(ctx, ctx.N + n)
-            for j in range(i + 1):
-                acc = acc + (v[j] ** (p ** (i - j))).shift(j)
-            out.append(acc)
-        return out
-
-    ga, gb = ghost(a), ghost(b)
-    comps: list[PadicRational] = []
-    for i in range(n + 1):
-        zg = F.law.evaluate({"t1": ga[i], "t2": gb[i]})
-        acc = zg
-        for j, z in enumerate(comps):
-            acc = acc - (z ** (p ** (i - j))).shift(j)
-        comps.append(acc.shift(-i))
-    return comps
+    cap = PadicRational.zero(ctx, ctx.N + len(a) - 1)
+    ga, gb = ([g + cap for g in ghost_map(ctx.p, v, PadicRational.shift)]
+              for v in (a, b))
+    ghosts = [F.law.evaluate({"t1": x, "t2": y}) for x, y in zip(ga, gb)]
+    return ghost_solve(ctx.p, ghosts, PadicRational.shift)
 
 
 def evaluate_map(series_tuple, values: dict) -> list[PadicRational]:

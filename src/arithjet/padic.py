@@ -132,11 +132,7 @@ class PadicScalar:
         return self.to_rational().inverse()
 
     def to_rational(self) -> "PadicRational":
-        if self.residue == 0:
-            return PadicRational.zero(self.ctx, self.prec)
-        v = vp(self.residue, self.ctx.p)
-        u = self.residue // self.ctx.pk(v)
-        return PadicRational(self.ctx, u, v, self.prec - v)
+        return PadicRational(self.ctx, self.residue, 0, self.prec)
 
     # -- comparison / rendering -----------------------------------------
 
@@ -355,18 +351,3 @@ class PadicRational:
             return f"O({p}^{self.val})"
         return f"{self.unit}*{p}^{self.val} + O({p}^{self.absprec})"
 
-
-def scalar_arith(a, b, op: str):
-    """Dispatch helper matching the spec operation table.
-
-    op in {"add", "mul", "neg", "inv"}; neg and inv ignore b.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    raise ArithJetError(f"unknown op {op!r}")

@@ -110,20 +110,6 @@ class TruncatedSeries:
         e[variables.index(name)] = 1
         return cls(ctx, variables, {tuple(e): 1})
 
-    @classmethod
-    def from_exact_poly(cls, ctx, poly, variables=None):
-        variables = poly.vars if variables is None else tuple(variables)
-        if variables == poly.vars:
-            return cls(ctx, variables, dict(poly.terms))
-        idx = [variables.index(v) for v in poly.vars]
-        coeffs = {}
-        for e, c in poly.terms.items():
-            ee = [0] * len(variables)
-            for j, k in zip(idx, e):
-                ee[j] = k
-            coeffs[tuple(ee)] = c
-        return cls(ctx, variables, coeffs)
-
     # -- queries ---------------------------------------------------------
 
     def get(self, expt) -> PadicRational:
@@ -525,11 +511,3 @@ class TruncatedSeries:
             s += f" + ... [{len(bits)} terms]"
         return s
 
-
-def series_arith(f: TruncatedSeries, g: TruncatedSeries, op: str) -> TruncatedSeries:
-    """Spec-level dispatch: op in {"add", "mul"}."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise ArithJetError(f"unknown op {op!r}")

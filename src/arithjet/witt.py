@@ -8,13 +8,15 @@ and the ring structure is the unique one making the ghost map a natural
 ring homomorphism.  Two evaluation backends are provided:
 
 * universal structure polynomials S_i, P_i, Neg_i, Frob_i (derived once
-  per (p, n) by the ghost recursion with exact integer divisions and
-  verified symbolically), evaluated on components;
+  per (p, n) by arithjet.ghost's ghost_solve with exact integer divisions
+  and verified symbolically through ghost_map), evaluated on components;
 
-* the ghost-side oracle: lift components, combine ghost coordinates, and
-  solve back through the recursion.  Over torsion-free coefficients the
-  two agree exactly; over Z/p^N the ghost route pads working precision by
-  n digits.
+* the ghost-side oracle witt_arith_ghost_mod: lift components, combine
+  ghost coordinates, and solve back through its own copy of the
+  recursion mod p^(N+n), kept apart from arithjet.ghost so that it stays
+  an independent check of the structure polynomials.  Over torsion-free
+  coefficients the two agree exactly; over Z/p^N the ghost route pads
+  working precision by n digits.
 
 Also home to the p-derivation delta(x) = (x - x^p)/p and its axiom checks.
 """
@@ -22,36 +24,25 @@ Also home to the p-derivation delta(x) = (x - x^p)/p and its axiom checks.
 from dataclasses import dataclass, field
 
 from .context import Context
-from .padic import PadicScalar, PadicRational
+from .padic import PadicScalar
 from .exactpoly import ExactPoly
-from .errors import LengthMismatch, LengthTooShort, ArithJetError
+from .errors import (LengthMismatch, LengthTooShort, ArithJetError,
+                     IdentityViolation)
+from .ghost import ghost_map, ghost_solve
 
 STRUCT_LEVEL_CAP = 2  # coefficient explosion bound for universal polynomials
 
 
+def _exact_shift(p: int):
+    """The ghost-module shift over Z: times p^k, or an exact division by
+    p^(-k) for ExactPoly (InexactDivision otherwise)."""
+    return lambda x, k: x * p ** k if k >= 0 else x.exact_div(p ** -k)
+
+
 def witt_polynomial(p: int, i: int, names: tuple[str, ...]) -> ExactPoly:
     """Ghost polynomial w_i in the first i+1 of the given variables."""
-    out = ExactPoly.const(names, 0)
-    for j in range(i + 1):
-        out = out + ExactPoly.variable(names, names[j]) ** (p ** (i - j)) * (p ** j)
-    return out
-
-
-def _ghost_solve(p: int, ghosts: list, power, div_exact):
-    """Invert the ghost recursion: given ghost values g_0..g_n in a ring,
-    return components z_0..z_n with w_i(z) = g_i.
-
-    ``power(x, k)`` raises ring elements to integer powers, ``div_exact(x, i)``
-    divides by p^i (exact over torsion-free rings, a valuation shift over
-    Q_p-linear coefficients).
-    """
-    comps = []
-    for i, g in enumerate(ghosts):
-        acc = g
-        for j, z in enumerate(comps):
-            acc = acc - power(z, p ** (i - j)) * (p ** j)
-        comps.append(div_exact(acc, i))
-    return comps
+    comps = [ExactPoly.variable(names, v) for v in names[:i + 1]]
+    return ghost_map(p, comps, _exact_shift(p))[i]
 
 
 @dataclass(frozen=True)
@@ -72,59 +63,36 @@ _struct_cache: dict[tuple[int, int], StructurePolySet] = {}
 
 
 def structure_polynomials(ctx: Context, n: int) -> StructurePolySet:
-    """Derive and verify the universal Witt structure polynomials at level n."""
+    """Derive and verify the universal Witt structure polynomials at level n.
+
+    Each set is solved from its ghost values and mapped back through the
+    ghost map; IdentityViolation unless that gives the ghost values
+    exactly, so a wrong set is never cached."""
     if n > STRUCT_LEVEL_CAP:
         raise ArithJetError(f"structure polynomials capped at n <= {STRUCT_LEVEL_CAP}")
     key = (ctx.p, n)
     if key in _struct_cache:
         return _struct_cache[key]
     p = ctx.p
+    shift = _exact_shift(p)
     xs = tuple(f"X{i}" for i in range(n + 1))
     ys = tuple(f"Y{i}" for i in range(n + 1))
     both = xs + ys
+    gx = ghost_map(p, [ExactPoly.variable(both, v) for v in xs], shift)
+    gy = ghost_map(p, [ExactPoly.variable(both, v) for v in ys], shift)
+    gX = ghost_map(p, [ExactPoly.variable(xs, v) for v in xs], shift)
+    ghosts = {"S": [a + b for a, b in zip(gx, gy)],
+              "P": [a * b for a, b in zip(gx, gy)],
+              "Neg": [-g for g in gX],
+              "Frob": gX[1:]}
+    solved = {name: ghost_solve(p, g, shift) for name, g in ghosts.items()}
+    for name, comps in solved.items():
+        if ghost_map(p, comps, shift) != ghosts[name]:
+            raise IdentityViolation(
+                f"{name} ghost identity failed for W_{n} at p = {p}")
 
-    def wx(i, names, pool):
-        out = ExactPoly.const(pool, 0)
-        for j in range(i + 1):
-            out = out + ExactPoly.variable(pool, names[j]) ** (p ** (i - j)) * (p ** j)
-        return out
-
-    gx = [wx(i, xs, both) for i in range(n + 1)]
-    gy = [wx(i, ys, both) for i in range(n + 1)]
-
-    def solve(ghosts, pool):
-        return _ghost_solve(
-            p, ghosts,
-            power=lambda z, k: z ** k,
-            div_exact=lambda z, i: z.exact_div(p ** i) if i else z,
-        )
-
-    S = solve([a + b for a, b in zip(gx, gy)], both)
-    P = solve([a * b for a, b in zip(gx, gy)], both)
-    gX = [wx(i, xs, xs) for i in range(n + 1)]
-    Neg = _ghost_solve(p, [-g for g in gX],
-                       power=lambda z, k: z ** k,
-                       div_exact=lambda z, i: z.exact_div(p ** i) if i else z)
-    Frob = _ghost_solve(p, [gX[i + 1] for i in range(n)],
-                        power=lambda z, k: z ** k,
-                        div_exact=lambda z, i: z.exact_div(p ** i) if i else z)
-
-    # ghost-compatibility identities, verified exactly before returning
-    def w_of(comps, i, pool):
-        out = ExactPoly.const(pool, 0)
-        for j in range(i + 1):
-            out = out + comps[j] ** (p ** (i - j)) * (p ** j)
-        return out
-
-    for i in range(n + 1):
-        assert w_of(S, i, both) == gx[i] + gy[i], "S ghost identity failed"
-        assert w_of(P, i, both) == gx[i] * gy[i], "P ghost identity failed"
-        assert w_of(Neg, i, xs) == -gX[i], "Neg ghost identity failed"
-    for i in range(n):
-        assert w_of(Frob, i, xs) == gX[i + 1], "Frobenius ghost identity failed"
-
-    out = StructurePolySet(p=p, n=n, S=tuple(S), P=tuple(P), Neg=tuple(Neg),
-                           Frob=tuple(Frob), vars_xy=both, vars_x=xs)
+    out = StructurePolySet(p=p, n=n, **{k: tuple(v) for k, v in solved.items()},
+                           vars_xy=both, vars_x=xs)
     _struct_cache[key] = out
     return out
 
@@ -168,15 +136,7 @@ class WittVector:
 
     def ghost(self):
         """Ghost coordinates (w_0, ..., w_n)."""
-        p = self.ctx.p
-        out = []
-        for i in range(len(self)):
-            acc = None
-            for j in range(i + 1):
-                term = self.components[j] ** (p ** (i - j)) * (p ** j)
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return tuple(out)
+        return tuple(ghost_map(self.ctx.p, self.components, _exact_shift(self.ctx.p)))
 
     # -- arithmetic via universal polynomials -----------------------------
 
@@ -224,26 +184,6 @@ class WittVector:
     def teichmuller(cls, ctx: Context, c, length: int) -> "WittVector":
         zero = c * 0
         return cls(ctx, (c,) + tuple(zero for _ in range(length - 1)))
-
-
-def witt_arith(a: WittVector, b: WittVector, op: str) -> WittVector:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    raise ArithJetError(f"unknown op {op!r}")
-
-
-def witt_operators(a: WittVector, which: str) -> WittVector:
-    if which == "frobenius":
-        return a.frobenius()
-    if which == "truncate":
-        return a.truncate()
-    if which == "verschiebung":
-        return a.verschiebung()
-    raise ArithJetError(f"unknown operator {which!r}")
 
 
 # -- ghost-side oracle over Z/p^N ----------------------------------------

@@ -9,6 +9,7 @@ series absprec.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,8 @@ from arithjet import _intpoly
 from arithjet.canonical import short_model
 from arithjet.context import Context
 from arithjet.formalgroup import (
-    WeierstrassCurve, _w_coefficients, elliptic_log_coefficients,
+    WeierstrassCurve, _w_coefficients, _w_series, elliptic_log_coefficients,
+    formal_group_from_curve,
 )
 from arithjet.padic import PadicRational
 from arithjet.series import TruncatedSeries, _INF, _minp
@@ -88,10 +90,52 @@ def reference_log(E: WeierstrassCurve, deg: int, digits: int):
         if raw == 0:
             out.append(PadicRational.zero(ctx, digits))
             continue
-        c = PadicRational.from_int(ctx, raw)
-        c = PadicRational(ctx, c.unit, c.val, digits - c.val)
+        c = PadicRational(ctx, raw, 0, digits)
         out.append(c / PadicRational.from_int(ctx, j, rel=digits))
     return out
+
+
+def reference_series_log(E: WeierstrassCurve) -> TruncatedSeries:
+    """The logarithm to degree M by series arithmetic: integrate
+    P = (w - t w') / (w (-2 + a1 t + a3 w)), both parts divided by t^3."""
+    ctx = E.ctx
+    pad = ctx.with_degree(ctx.M + 4)
+    w = _w_series(E, ctx.M + 4)
+    wq = TruncatedSeries(pad, ("t",), {(e - 3,): c for (e,), c in w.coeffs.items()})
+    t = TruncatedSeries.variable(pad, ("t",), "t")
+    num = wq.scale(-2) - t * wq.derivative()
+    den = wq * (TruncatedSeries.const(pad, ("t",), -2) + t.scale(E.a1)
+                + (t ** 3) * wq.scale(E.a3))
+    log = (num * den.inverse()).integrate()
+    return TruncatedSeries(ctx, ("t",), dict(log.coeffs), log.absprec)
+
+
+def exact_log(E: WeierstrassCurve, deg: int) -> list[Fraction]:
+    """[b_1..b_deg] over Q: P = log' from its defining fraction, whose
+    t^3-shifted denominator has constant term -2."""
+    w, w2 = _w_coefficients(E, deg + 3)
+    num = [(-2 - k) * w[k + 3] for k in range(deg)]
+    den = [-2 * w[k + 3] + E.a1 * w[k + 2] + E.a3 * w2[k + 3] for k in range(deg)]
+    P: list[Fraction] = []
+    for k in range(deg):
+        acc = num[k] - sum(P[i] * den[k - i] for i in range(k) if den[k - i])
+        P.append(Fraction(acc, den[0]))
+    return [x / j for j, x in enumerate(P, 1)]
+
+
+def vp_fraction(x: Fraction, p: int) -> float:
+    if x == 0:
+        return _INF
+    v, n, d = 0, x.numerator, x.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def value(c: PadicRational) -> Fraction:
+    return Fraction(c.unit) * Fraction(c.ctx.p) ** c.val if c.unit else Fraction(0)
 
 
 def shape(f: TruncatedSeries):
@@ -203,3 +247,34 @@ def test_log_matches_recurrence_on_long_form_curves():
         got = elliptic_log_coefficients(E, 300, digits=digits)
         assert triples(got) == triples(reference_log(E, 300, digits))
         assert {c.ctx.N for c in got} == {6}
+
+
+# short and long forms with good reduction at p
+LOG_CURVES = [(5, (0, 0, 0, 1, 1)), (5, (0, 0, 0, -1, 0)), (7, (0, 0, 0, 1, 1)),
+              (7, (0, 0, 0, 2, 3))] + LONG_CURVES
+
+
+def test_log_coefficients_hold_their_claimed_digits():
+    # against the exact rational log: every b_j must equal its claim mod
+    # p^absprec, including the digits beyond N that digits > N buys
+    for p, a in LOG_CURVES:
+        E = WeierstrassCurve(*a, ctx=Context(p=p, N=6, M=12))
+        exact = exact_log(E, 120)
+        for deg in (30, 120):
+            got = elliptic_log_coefficients(E, deg)
+            for j, (c, x) in enumerate(zip(got, exact), 1):
+                assert vp_fraction(x - value(c), p) >= c.absprec, (p, a, deg, j, c)
+
+
+def test_formal_group_log_agrees_with_series_route():
+    # the log of formal_group_from_curve against the series-arithmetic
+    # route, to the smaller of the two precision claims at every degree
+    for p, a in LOG_CURVES:
+        ctx = Context(p=p, N=6, M=3 * p + 5)
+        E = WeierstrassCurve(*a, ctx=ctx)
+        log, ref = formal_group_from_curve(E).log, reference_series_log(E)
+        assert log.absprec == ctx.N
+        for k in range(1, ctx.M + 1):
+            got, want = log.get((k,)), ref.get((k,))
+            assert (got - want).is_zero(), (p, a, k, got, want)
+            assert got.rel <= ctx.N

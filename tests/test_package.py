@@ -1,0 +1,25 @@
+"""Packaging and import layering."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import setuptools
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_find_packages_ships_arithjet():
+    assert setuptools.find_packages(where=str(ROOT / "src")) == ["arithjet"]
+
+
+def test_jet_layer_loads_no_witt_ring():
+    # the jet layer takes the ghost recursion from arithjet.ghost alone
+    code = ("import sys, arithjet.jet, arithjet.characters; "
+            "print(sorted(m for m in sys.modules if m.startswith('arithjet')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    loaded = out.stdout
+    assert "arithjet.ghost" in loaded
+    assert "arithjet.witt" not in loaded and "arithjet.exactpoly" not in loaded

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arithjet.context import Context
-from arithjet.padic import PadicScalar, PadicRational, scalar_arith
+from arithjet.padic import PadicScalar, PadicRational
 from arithjet.errors import DivisionByZero, ArithJetError
 
 
@@ -39,12 +39,12 @@ def test_inverse_of_zero_raises(ctx54):
         PadicScalar(ctx54, 625).inverse()
 
 
-def test_scalar_arith_dispatch(ctx54):
+def test_scalar_operators(ctx54):
     a = PadicScalar(ctx54, 7)
     b = PadicScalar(ctx54, 11)
-    assert scalar_arith(a, b, "add") == PadicScalar(ctx54, 18)
-    assert scalar_arith(a, b, "mul") == PadicScalar(ctx54, 77)
-    assert scalar_arith(a, None, "neg") == PadicScalar(ctx54, -7)
+    assert a + b == PadicScalar(ctx54, 18)
+    assert a * b == PadicScalar(ctx54, 77)
+    assert -a == PadicScalar(ctx54, -7)
 
 
 def test_precision_is_min_of_operands(ctx54):

@@ -6,11 +6,11 @@ from arithjet.context import Context
 from arithjet.padic import PadicScalar
 from arithjet.exactpoly import ExactPoly
 from arithjet.witt import (
-    WittVector, structure_polynomials, witt_arith, witt_arith_ghost_mod,
+    WittVector, structure_polynomials, witt_arith_ghost_mod,
     witt_polynomial, delta_map, delta_int, c_pi_int, check_delta_axioms,
-    witt_operators,
 )
-from arithjet.errors import LengthMismatch, LengthTooShort
+from arithjet import witt
+from arithjet.errors import IdentityViolation, LengthMismatch, LengthTooShort
 
 
 @pytest.fixture
@@ -86,9 +86,9 @@ def test_frobenius_spot_value(ctx5):
 
 def test_truncate_and_verschiebung(ctx5):
     w = WittVector(ctx5, [1, 2, 3])
-    assert witt_operators(w, "truncate").components == (1, 2)
+    assert w.truncate().components == (1, 2)
     v = WittVector(ctx5, [4])
-    assert witt_operators(v, "verschiebung").components == (0, 4)
+    assert v.verschiebung().components == (0, 4)
     assert WittVector.teichmuller(ctx5, 9, 3).components == (9, 0, 0)
 
 
@@ -124,10 +124,25 @@ def test_backend_agreement_mod_pN(ctx5):
         bv = [rng.randrange(m) for _ in range(3)]
         a = WittVector(ctx5, [PadicScalar(ctx5, c) for c in av])
         b = WittVector(ctx5, [PadicScalar(ctx5, c) for c in bv])
-        for op in ("add", "mul", "neg"):
-            got = witt_arith(a, b, op)
+        for op, got in (("add", a + b), ("mul", a * b), ("neg", -a)):
             oracle = witt_arith_ghost_mod(ctx5, av, bv, op)
             assert [c.lift() for c in got.components] == oracle
+
+
+def test_structure_polynomials_reject_a_corrupted_set(ctx5, monkeypatch):
+    # perturb the top component of every solved set; the ghost identities
+    # must catch it and nothing may be cached
+    solve = witt.ghost_solve
+
+    def corrupted(p, ghosts, shift):
+        comps = solve(p, ghosts, shift)
+        return comps[:-1] + [comps[-1] + 1]
+
+    monkeypatch.setattr(witt, "_struct_cache", {})
+    monkeypatch.setattr(witt, "ghost_solve", corrupted)
+    with pytest.raises(IdentityViolation):
+        structure_polynomials(ctx5, 1)
+    assert witt._struct_cache == {}
 
 
 def test_fv_is_multiplication_by_p(ctx5):
