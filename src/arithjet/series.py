@@ -3,8 +3,10 @@
 A TruncatedSeries stores a sparse map from exponent tuples (total degree
 <= ctx.M) to PadicRational coefficients.  Absent monomials are zero up to
 the series-level ambient precision ``absprec`` (None meaning exactly
-zero); coefficients that cancel to an O(p^w) zero with w below the
-ambient are kept so no precision claim is ever overstated.
+zero).  A coefficient that cancels to an O(p^w) zero is kept unless the
+ambient bound already covers it (w >= absprec), also in an exact series:
+there an absent monomial claims O(p^(10^9)), so dropping the zero would
+overstate its precision ((1 + O(5^3)) t - t keeps an O(5^3) t-term).
 
 Supported operations: ring arithmetic, scalar multiplication, p-power
 shifts, composition (recursive Horner), reversion of a univariate series,
@@ -17,7 +19,9 @@ integers: each operand is scaled to integers by its smallest nonzero
 valuation, monomials are packed into single ints, and only pairs within
 the degree cap are visited.  Whatever the kernel, a product coefficient
 must equal the PadicRational sum of the PadicRational pairwise products,
-value and precision alike (see TruncatedSeries.__mul__).
+value and precision alike (see TruncatedSeries.__mul__).  A composition
+computes each power arg^k it needs once per call, and reversion runs
+Newton iteration on the tracked operations (see TruncatedSeries.reversion).
 """
 
 from math import gcd
@@ -83,7 +87,7 @@ class TruncatedSeries:
                     c = PadicRational.from_int(ctx, c)
                 elif isinstance(c, PadicScalar):
                     c = c.to_rational()
-                if c.is_zero() and (absprec is None or c.val >= absprec):
+                if c.is_zero() and absprec is not None and c.val >= absprec:
                     continue
                 cleaned[tuple(e)] = c
         object.__setattr__(self, "coeffs", cleaned)
@@ -128,8 +132,9 @@ class TruncatedSeries:
         return all(c.is_zero() for c in self.coeffs.values())
 
     def min_degree(self):
-        return min((sum(e) for e, c in self.coeffs.items() if not c.is_zero()),
-                   default=_INF)
+        """Lowest total degree of a stored monomial, O(p^w) zeros included,
+        so that a power is cut to zero only when all its terms pass the cap."""
+        return min((sum(e) for e in self.coeffs), default=_INF)
 
     def min_valuation(self):
         """Minimum coefficient valuation (absprec bounds for zero entries)."""
@@ -401,7 +406,8 @@ class TruncatedSeries:
 
     def compose(self, args: list, cap=None) -> "TruncatedSeries":
         """Substitute args[i] for self.vars[i]; every argument must share
-        one variable tuple and have zero constant term."""
+        one variable tuple and have zero constant term.  Each power
+        args[i]^k that the Horner steps need is computed once per call."""
         if len(args) != len(self.vars):
             raise VariableMismatch("one argument per variable required")
         tgt = args[0].vars
@@ -412,10 +418,12 @@ class TruncatedSeries:
                 raise NonzeroConstantTerm("composition argument has constant term")
         tctx = args[0].ctx
         cap = tctx.M if cap is None else min(cap, tctx.M)
-        out = self._compose_rec(list(range(len(self.vars))), args, tgt, tctx, cap)
-        return out
+        return self._compose_rec(list(range(len(self.vars))), args, {}, tgt,
+                                 tctx, cap)
 
-    def _compose_rec(self, active, args, tgt, tctx, cap):
+    def _compose_rec(self, active, args, powers, tgt, tctx, cap):
+        """Horner in the last variable of `active` that self uses;
+        `powers` maps (argument index, k) to args[index]^k at this cap."""
         zero = TruncatedSeries.zero(tctx, tgt, self.absprec)
         if not self.coeffs:
             return zero
@@ -437,46 +445,62 @@ class TruncatedSeries:
             groups.setdefault(k, {})[tuple(ee)] = c
         arg = args[used]
         rest = [i for i in active if i != used]
+
+        def power(k):
+            if k == 1:
+                return arg
+            pw = powers.get((used, k))
+            if pw is None:
+                pw = powers[(used, k)] = arg.__pow__(k, cap)
+            return pw
+
         acc = None
         for k in sorted(groups, reverse=True):
             g = TruncatedSeries(self.ctx, self.vars, groups[k], self.absprec)
-            gval = g._compose_rec(rest, args, tgt, tctx, cap)
+            gval = g._compose_rec(rest, args, powers, tgt, tctx, cap)
             if acc is None:
                 acc = gval
-                prev_k = k
             else:
-                step = arg.__pow__(prev_k - k, cap) if prev_k - k > 1 else arg
-                acc = acc.__mul__(step, cap) + gval
-                prev_k = k
+                acc = acc.__mul__(power(prev_k - k), cap) + gval
+            prev_k = k
         if prev_k > 0:
-            step = arg.__pow__(prev_k, cap) if prev_k > 1 else arg
-            acc = acc.__mul__(step, cap)
+            acc = acc.__mul__(power(prev_k), cap)
         return acc
 
-    def reversion(self, var=None) -> "TruncatedSeries":
+    def reversion(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g) = t mod degree M.
 
-        Requires a univariate input u*t + O(t^2) with u a unit.
+        Requires a univariate input u*t + O(t^2) with u a unit.  Newton
+        iteration g <- g - (f(g) - t) * f'(g)^(-1) doubles the degree to
+        which g is known (Brent-Kung, J. ACM 1978); keys come in ascending
+        degree.
+
+        Why the claims hold: run exactly, the iteration returns the
+        reversion of whatever input it is given, and each step (compose,
+        derivative, inverse, truncation, products, differences) claims
+        only what holds for every input within the claims of its operands.
+        So each coefficient of g holds its claim for every f' within the
+        claims of f.  This needs the O(p^w) zeros kept: f(g) - t cancels
+        to such zeros below the new degree, and dropping them would claim
+        them exact.
         """
         self._require_univariate()
-        t = self.vars[0] if var is None else var
-        if t != self.vars[0]:
-            raise VariableMismatch(f"no variable {t!r}")
         if not self.constant_term().is_zero():
             raise NonUnitLinearCoefficient("reversion input has constant term")
-        u = self.linear_coefficient(t)
+        t = TruncatedSeries.variable(self.ctx, self.vars, self.vars[0])
+        u = self.linear_coefficient(self.vars[0])
         if u.is_zero() or u.val != 0:
             raise NonUnitLinearCoefficient("linear coefficient is not a unit")
-        ctx = self.ctx
-        uinv = u.inverse()
-        g = {(1,): uinv}
-        for k in range(2, ctx.M + 1):
-            gser = TruncatedSeries(ctx, self.vars, g)
-            fg = self.truncate(k).compose([gser], cap=k)
-            ck = fg.get((k,))
-            if not ck.is_zero():
-                g[(k,)] = -(ck * uinv)
-        return TruncatedSeries(ctx, self.vars, g)
+        df = self.derivative()
+        g = t.scale(u.inverse())
+        n = 1
+        while n < self.ctx.M:
+            n = min(2 * n, self.ctx.M)
+            err = self.truncate(n).compose([g], cap=n) - t
+            slope = df.truncate(n - 1).compose([g], cap=n - 1)
+            g = g - err.__mul__(slope.inverse(n - 1), n)
+        return TruncatedSeries(self.ctx, self.vars, dict(sorted(g.coeffs.items())),
+                               g.absprec)
 
     # -- comparison --------------------------------------------------------
 

@@ -1,25 +1,29 @@
 """Differential tests: the integer kernels against the loops they replaced.
 
 The reference implementations below are the straightforward versions: the
-per-pair PadicRational product loop of TruncatedSeries, and the O(deg^2)
-coefficient recurrences for w(t) and the elliptic logarithm.  The fast
-versions must agree with them bit for bit: the same monomials in the same
-order, the same (unit, val, rel, ctx.N) per coefficient and the same
-series absprec.
+per-pair PadicRational product loop of TruncatedSeries, the one-degree-
+at-a-time reversion loop, and the O(deg^2) coefficient recurrences for
+w(t) and the elliptic logarithm.  The fast versions must agree with them
+bit for bit: the same monomials in the same order, the same (unit, val,
+rel, ctx.N) per coefficient and the same series absprec.  Newton
+reversion agrees with the loop where the loop has a coefficient, and
+keeps the O(p^w) zeros that the loop leaves out.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithjet import _intpoly
-from arithjet.canonical import short_model
+from arithjet import _intpoly, canonical
+from arithjet.canonical import canonical_lift_test, short_model
 from arithjet.context import Context
 from arithjet.formalgroup import (
     WeierstrassCurve, _w_coefficients, _w_series, elliptic_log_coefficients,
     formal_group_from_curve,
 )
+from arithjet.errors import IdentityViolation
 from arithjet.padic import PadicRational
 from arithjet.series import TruncatedSeries, _INF, _minp
 
@@ -48,6 +52,20 @@ def reference_mul(f: TruncatedSeries, g: TruncatedSeries, cap=None):
             prev = out.get(e)
             out[e] = prod if prev is None else prev + prod
     return TruncatedSeries(f.ctx, f.vars, out, absp)
+
+
+def reference_reversion(f: TruncatedSeries) -> TruncatedSeries:
+    """Compositional inverse by M sequential composes: g_k from the t^k
+    coefficient of f(g) with g known below degree k (zeros left out)."""
+    ctx = f.ctx
+    uinv = f.linear_coefficient(f.vars[0]).inverse()
+    g = {(1,): uinv}
+    for k in range(2, ctx.M + 1):
+        fg = f.truncate(k).compose([TruncatedSeries(ctx, f.vars, g)], cap=k)
+        ck = fg.get((k,))
+        if not ck.is_zero():
+            g[(k,)] = -(ck * uinv)
+    return TruncatedSeries(ctx, f.vars, g)
 
 
 def reference_w(E: WeierstrassCurve, deg: int, mod=None):
@@ -278,3 +296,111 @@ def test_formal_group_log_agrees_with_series_route():
             got, want = log.get((k,)), ref.get((k,))
             assert (got - want).is_zero(), (p, a, k, got, want)
             assert got.rel <= ctx.N
+
+
+# -- composition and reversion ------------------------------------------------
+
+
+def test_compose_matches_sum_of_products():
+    # exponent gaps >= 2 in both variables, so Horner steps take powers
+    ctx = Context(p=5, N=6, M=10)
+    f = TruncatedSeries(ctx, ("x", "y"), {
+        (0, 0): 1, (0, 3): 2, (2, 0): 3, (4, 2): -1, (6, 0): 7, (2, 5): 4,
+        (0, 8): PadicRational(ctx, 3, -1, 4), (3, 3): 11})
+    v = ("s", "t")
+    s, t = (TruncatedSeries.variable(ctx, v, x) for x in v)
+    args = [s.scale(3) + s * t + (t * t).scale(2), t - s * s + (s * t).scale(5)]
+    want = TruncatedSeries.zero(ctx, v)
+    for (i, j), c in f.coeffs.items():
+        want = want + (args[0] ** i) * (args[1] ** j) * c
+    got = f.compose(args)
+    assert sorted(got.coeffs) == sorted(want.coeffs)
+    assert {e: (c.unit, c.val, c.rel) for e, c in got.coeffs.items()} == \
+        {e: (c.unit, c.val, c.rel) for e, c in want.coeffs.items()}
+
+
+def exact_reversion(f: list[Fraction]) -> list[Fraction]:
+    """[0, g_1, ..., g_M] with f(g) = t, f = [0, f_1, ..., f_M] over Q."""
+    M = len(f) - 1
+    g = [Fraction(0)] * (M + 1)
+    g[1] = 1 / f[1]
+    for k in range(2, M + 1):
+        # t^k coefficient of f(g) with g known below degree k, by Horner
+        acc = [Fraction(0)] * (k + 1)
+        for j in range(k, 0, -1):
+            acc = [sum(acc[i] * g[n - i] for i in range(n)) for n in range(k + 1)]
+            acc[0] += f[j]
+        g[k] = -sum(acc[i] * g[k - i] for i in range(k)) / f[1]
+    return g
+
+
+@st.composite
+def inexact_series_and_perturbations(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    ctx = Context(p=p, N=draw(st.integers(2, 8)), M=draw(st.integers(2, 10)))
+    unit = draw(st.integers(1, p ** 8))
+    coeffs = {(1,): PadicRational(ctx, unit if unit % p else unit + 1, 0,
+                                  draw(st.integers(1, 8)))}
+    for k in range(2, ctx.M + 1):
+        if draw(st.booleans()):
+            coeffs[(k,)] = draw(coefficient(ctx))
+    f = TruncatedSeries(ctx, ("t",), coeffs)
+    # each coefficient moved by delta * p^absprec, within its claim
+    shifts = [[0] * len(f.coeffs)] + [
+        draw(st.lists(st.integers(-p ** 2, p ** 2), min_size=len(f.coeffs),
+                      max_size=len(f.coeffs))) for _ in range(2)]
+    return f, shifts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inexact_series_and_perturbations())
+def test_reversion_holds_its_claimed_digits(args):
+    # every coefficient of the reversion, an absent one included (claimed
+    # exactly zero), must hold its claim for every input within its claims
+    f, shifts = args
+    p, M = f.ctx.p, f.ctx.M
+    g = f.reversion()
+    for deltas in shifts:
+        exact = [Fraction(0)] * (M + 1)
+        for ((k,), c), d in zip(f.coeffs.items(), deltas):
+            exact[k] = value(c) + d * Fraction(p) ** c.absprec
+        want = exact_reversion(exact)
+        for k in range(1, M + 1):
+            c = g.get((k,))
+            assert vp_fraction(want[k] - value(c), p) >= c.absprec, (f, k, c)
+
+
+@pytest.mark.parametrize("p, N, deg", [(5, 8, 52), (7, 6, 66)])
+def test_canonical_exp_matches_reference_reversion(monkeypatch, p, N, deg):
+    # the exp of canonical_lift_test's log (y^2 = x^3 + x + 1) against the
+    # one-degree-at-a-time loop: the same triples where the loop has a
+    # coefficient, and only the O(p^w) zeros that the loop leaves out beside
+    seen = []
+    newton = TruncatedSeries.reversion
+
+    def recording(f):
+        seen.append((f, newton(f)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(TruncatedSeries, "reversion", recording)
+    canonical_lift_test(WeierstrassCurve(0, 0, 0, 1, 1, Context(p=p, N=N, M=12)))
+    (log, exp), = seen
+    assert log.ctx.M == deg
+    ref = reference_reversion(log)
+    assert list(exp.coeffs) == sorted(exp.coeffs)
+    assert triples(exp.coeffs[e] for e in ref.coeffs) == triples(ref.coeffs.values())
+    assert all(exp.coeffs[e].is_zero() for e in exp.coeffs.keys() - ref.coeffs.keys())
+
+
+def test_canonical_lift_test_rejects_an_even_log_coefficient(monkeypatch):
+    real = canonical.elliptic_log_coefficients
+
+    def corrupted(E, deg, digits=None):
+        bs = real(E, deg, digits=digits)
+        bs[3] = bs[3] + PadicRational.from_int(E.ctx, 5)  # b_4
+        return bs
+
+    monkeypatch.setattr(canonical, "elliptic_log_coefficients", corrupted)
+    E = WeierstrassCurve(0, 0, 0, 1, 1, Context(p=5, N=8, M=12))
+    with pytest.raises(IdentityViolation):
+        canonical_lift_test(E)

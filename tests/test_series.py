@@ -81,6 +81,18 @@ def test_compose_rejects_constant_term(ctx):
         (t * t).compose([g])
 
 
+def test_exact_series_keeps_an_inexact_zero():
+    # (1 + O(5^3)) t - t is O(5^3) t, not an exact 0
+    ctx = Context(p=5, N=6, M=5)
+    t = TruncatedSeries.variable(ctx, ("t",), "t")
+    f = t.scale(PadicRational(ctx, 1, 0, 3)) - t
+    assert f.absprec is None and list(f.coeffs) == [(1,)]
+    assert f.get((1,)).is_zero() and f.effective_precision() == 3
+    # a power past the cap of the nonzero terms still carries the zero:
+    # (O(5^3) t + t^2)^3 has 3 O(5^3) t^5
+    assert ((f + t * t) ** 3).get((5,)).absprec == 3
+
+
 def test_reversion_identity(ctx):
     t = TruncatedSeries.variable(ctx, ("t",), "t")
     assert t.reversion() == t
