@@ -27,14 +27,18 @@ solve only verifies it.  analyze_group in turn checks the Frobenius
 matrix against the point count before it returns.
 
 From there: the fundamental character Psi_1 = (1/p) log_G(p x), gamma and
-the cotangent map Upsilon, the diff relation
+the cotangent map Upsilon, the three lateral maps (iota_star restricts a
+jet character to the kernel, phi_star shifts its c-vector, and
+restrict_lateral is f*, the pullback along the lateral Frobenius
+f : N^(m+1) -> N^m), the diff relation
 
     f*(iota* Theta) = iota* phi* Theta + sigma * gamma_Theta * Psi_1
 
 (the sign sigma is measured, not assumed, and reported with the run), the
 matrix of the lateral Frobenius on H_delta = lim Hom(N^n, G_a)/pullbacks,
 splitting numbers, the filtration F_(i+1) = X_prim + f* F_i, and the CL
-classification rk X_1 = 1.
+classification rk X_1 = 1.  analyze_group builds each lateral object once,
+in verify_diff_relation, and reads its solves and checks from that report.
 """
 
 from dataclasses import dataclass
@@ -92,15 +96,13 @@ class KernelCharacter:
     F: FormalGroupLaw
     level: int
     series: TruncatedSeries
-    origin: str
 
     def lifted(self, level: int) -> "KernelCharacter":
         """u*-pullback to a deeper kernel: series unchanged, variables widen."""
         if level < self.level:
             raise ArithJetError("can only lift to a deeper level")
         variables = tuple(f"x{i}" for i in range(1, level + 1))
-        return KernelCharacter(self.F, level, self.series.extend(variables),
-                               self.origin)
+        return KernelCharacter(self.F, level, self.series.extend(variables))
 
 
 def fundamental_character(F: FormalGroupLaw) -> KernelCharacter:
@@ -108,7 +110,7 @@ def fundamental_character(F: FormalGroupLaw) -> KernelCharacter:
     psi = psi1_series(F, "x1")
     if not psi.is_integral():
         raise IntegralityViolation("Psi_1 has a non-integral coefficient")
-    return KernelCharacter(F, 1, psi, "fundamental")
+    return KernelCharacter(F, 1, psi)
 
 
 def deep_tower_degree(F: FormalGroupLaw) -> int:
@@ -436,7 +438,7 @@ def primitive_quotient(lattices: list[CharacterLattice],
 
 
 # ---------------------------------------------------------------------------
-# differential, gamma, Upsilon, restriction maps
+# differential, gamma, Upsilon and the lateral maps iota*, phi*, f*
 
 
 def differential_gamma(theta: DeltaCharacter):
@@ -452,32 +454,22 @@ def upsilon(theta: DeltaCharacter) -> PadicRational:
     return gamma.shift(-1)
 
 
-def restrict_lateral(obj, action: str):
-    """iota_star / phi_star / f_star."""
-    if action == "iota_star":
-        if not isinstance(obj, DeltaCharacter):
-            raise ArithJetError("iota_star applies to jet characters")
-        return KernelCharacter(obj.F, obj.order, obj.series.set_zero(["x0"]),
-                               "restriction")
-    if action == "phi_star":
-        if not isinstance(obj, DeltaCharacter):
-            raise ArithJetError("phi_star applies to jet characters")
-        n = obj.order + 1
-        L = log_projections(obj.F, n)
-        c = [PadicRational.zero(obj.F.ctx, obj.F.ctx.N)] + list(obj.c)
-        return _char_from_c(obj.F, n, c, L, origin="shift")
-    if action == "f_star":
-        if not isinstance(obj, KernelCharacter):
-            raise ArithJetError("f_star applies to kernel characters")
-        comps = lateral_frobenius_map(obj.F.ctx, obj.level + 1)
-        return KernelCharacter(obj.F, obj.level + 1, obj.series.compose(comps),
-                               "lateral image")
-    raise ArithJetError(f"unknown action {action!r}")
+def iota_star(theta: DeltaCharacter) -> KernelCharacter:
+    """iota* Theta: the restriction of a jet character to the kernel N^n."""
+    return KernelCharacter(theta.F, theta.order, theta.series.set_zero(["x0"]))
 
 
-def _psi_on(F: FormalGroupLaw, level: int) -> TruncatedSeries:
-    variables = tuple(f"x{i}" for i in range(1, level + 1))
-    return psi1_series(F, "x1").extend(variables)
+def phi_star(theta: DeltaCharacter) -> DeltaCharacter:
+    """phi* Theta: the Frobenius shift c -> (0, c_0..c_n), one order up."""
+    F, n = theta.F, theta.order + 1
+    c = [PadicRational.zero(F.ctx, F.ctx.N)] + list(theta.c)
+    return _char_from_c(F, n, c, log_projections(F, n), origin="shift")
+
+
+def restrict_lateral(chi: KernelCharacter) -> KernelCharacter:
+    """f* chi: the pullback along the lateral Frobenius f : N^(m+1) -> N^m."""
+    comps = lateral_frobenius_map(chi.F.ctx, chi.level + 1)
+    return KernelCharacter(chi.F, chi.level + 1, chi.series.compose(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +478,10 @@ def _psi_on(F: FormalGroupLaw, level: int) -> TruncatedSeries:
 
 @dataclass
 class DiffRelationReport:
+    """Residuals of the diff relation, and the lateral objects it was
+    checked on: Psi_1 on N^1, iota* Theta on N^n, and f*(iota* Theta) and
+    iota* phi* Theta on N^(n+1)."""
+
     order: int
     sign: int
     residual_diff1: float
@@ -493,6 +489,10 @@ class DiffRelationReport:
     residual_diff2: float | None
     gamma: PadicRational
     threshold: float
+    psi: KernelCharacter
+    iota_theta: KernelCharacter
+    fstar_iota_theta: KernelCharacter
+    pullback: KernelCharacter
 
     @property
     def ok(self) -> bool:
@@ -503,33 +503,40 @@ class DiffRelationReport:
 
 def verify_diff_relation(theta: DeltaCharacter) -> DiffRelationReport:
     """f*(iota* Theta) = iota* phi* Theta + sigma gamma Psi_1, sigma measured;
-    at order 2 also (f)* iota* phi* Theta = iota* (phi^2)* Theta."""
+    at order 2 also f*(iota* phi* Theta) = iota* (phi^2)* Theta, whose right
+    side sum c_i Lbar_(i+2) comes from the kernel log projections.  The
+    report carries Psi_1, iota* Theta, f*(iota* Theta) and iota* phi* Theta,
+    each built once here, for the solves of analyze_group."""
     F, ctx, n = theta.F, theta.F.ctx, theta.order
     if n > 2:
         raise ArithJetError("diff relation checked for order <= 2")
     _, gamma = differential_gamma(theta)
-    lhs = restrict_lateral(restrict_lateral(theta, "iota_star"), "f_star")
-    rhs0 = restrict_lateral(restrict_lateral(theta, "phi_star"), "iota_star")
-    psi = _psi_on(F, n + 1)
-    lhss = lhs.series.extend(psi.vars)
-    rhs0s = rhs0.series.extend(psi.vars)
-    r_minus = (lhss - rhs0s + psi.scale(gamma)).residual_valuation()
-    r_plus = (lhss - rhs0s - psi.scale(gamma)).residual_valuation()
+    psi = fundamental_character(F)
+    iota_theta = iota_star(theta)
+    lhs = restrict_lateral(iota_theta)
+    rhs0 = iota_star(phi_star(theta))
+    # all three series are on N^(n+1), in x1..x(n+1)
+    psil = psi.lifted(n + 1).series
+    gap = lhs.series - rhs0.series
+    r_minus = (gap + psil.scale(gamma)).residual_valuation()
+    r_plus = (gap - psil.scale(gamma)).residual_valuation()
     sign = -1 if r_minus >= r_plus else 1
     r2 = None
     if n == 2:
-        lhs2 = restrict_lateral(rhs0, "f_star")  # lands on N^4
+        lhs2 = restrict_lateral(rhs0)  # lands on N^4
         vars4 = tuple(f"x{i}" for i in range(1, 5))
         rhs2 = TruncatedSeries.zero(ctx, vars4)
         for i, ci in enumerate(theta.c):
             if not ci.is_zero():
                 rhs2 = rhs2 + kernel_log_projection(F, i + 2, vars4).scale(ci)
-        r2 = (lhs2.series.extend(vars4) - rhs2).residual_valuation()
+        r2 = (lhs2.series - rhs2).residual_valuation()
     return DiffRelationReport(order=n, sign=sign,
                               residual_diff1=max(r_minus, r_plus),
                               residual_wrong_sign=min(r_minus, r_plus),
                               residual_diff2=r2, gamma=gamma,
-                              threshold=ctx.N - 3)
+                              threshold=ctx.N - 3, psi=psi,
+                              iota_theta=iota_theta, fstar_iota_theta=lhs,
+                              pullback=rhs0)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +591,8 @@ class GroupAnalysis:
     lattices: list[CharacterLattice]
     primitive: CharacterLattice
     theta: DeltaCharacter
-    psi: KernelCharacter
     diff: DiffRelationReport
+    gamma_hat: PadicRational
     iso: IsocrystalData
 
 
@@ -599,24 +606,12 @@ def _class_solve(target: TruncatedSeries, columns: list[TruncatedSeries]):
     return solve_padic(cols, [target.get(k) for k in keys])
 
 
-def _pullback_columns(F, lattice, variables):
-    """iota* phi* of every character in the lattice, on the given variables."""
-    out = []
-    for th in lattice.basis + lattice.shift_relations:
-        pb = restrict_lateral(restrict_lateral(th, "phi_star"), "iota_star")
-        out.append(pb.series.extend(variables))
-    return out
-
-
-def _gamma_hat(F, theta, lat_top):
-    """Measured Psi_1 coefficient of f*(iota* Theta) modulo pullbacks."""
-    level = theta.order + 1
-    iota_theta = restrict_lateral(theta, "iota_star")
-    fstar_it = restrict_lateral(iota_theta, "f_star")
-    psi_l = _psi_on(F, level)
-    cols = [psi_l] + _pullback_columns(F, lat_top, psi_l.vars)
-    xs, resid = _class_solve(fstar_it.series.extend(psi_l.vars), cols)
-    return xs[0], resid
+def _pullback_columns(lattice, theta, pullback, variables):
+    """iota* phi* of every character in the lattice, on the given variables;
+    Theta's own is the pullback its diff relation built."""
+    return [(pullback if th is theta else iota_star(phi_star(th)))
+            .series.extend(variables)
+            for th in lattice.basis + lattice.shift_relations]
 
 
 def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
@@ -638,21 +633,24 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     r_delta = prim.rank + rkI[m_u - 1]
 
     theta = lat1.basis[0] if is_cl else prim.basis[0]
-    psi = fundamental_character(F)
-    _, gamma = differential_gamma(theta)
     diff = verify_diff_relation(theta)
+    psi = diff.psi
     residuals = {"diff1": diff.residual_diff1, "diff2": diff.residual_diff2}
 
+    # gamma_hat: the Psi_1 coefficient of f*(iota* Theta) modulo pullbacks
     lat_top = lat1 if theta.order == 1 else lat2
-    gamma_hat, resid = _gamma_hat(F, theta, lat_top)
-    residuals["fstar_reduction"] = resid
+    psi_top = psi.lifted(theta.order + 1).series
+    cols = [psi_top] + _pullback_columns(lat_top, theta, diff.pullback,
+                                         psi_top.vars)
+    xs, residuals["fstar_reduction"] = _class_solve(
+        diff.fstar_iota_theta.series, cols)
+    gamma_hat = xs[0]
 
     if is_cl:
         # H_delta is the line [iota* Theta] = rho [Psi_1], rho = p c_1
         rho = theta.c[1].shift(1)
-        iota_theta = restrict_lateral(theta, "iota_star")
-        _, rres = _class_solve(iota_theta.series, [psi1_series(F, "x1")])
-        residuals["theta_psi_collinearity"] = rres
+        _, residuals["theta_psi_collinearity"] = _class_solve(
+            diff.iota_theta.series, [psi.series])
         lam = gamma_hat * rho.inverse()
         matrix = [[lam]]
         basis = ["[iota* Theta]"]
@@ -660,19 +658,23 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     else:
         # basis ([iota* Theta], [f* iota* Theta]); [f* iota* Theta] =
         # gamma_hat [Psi_1]; expand f* Psi_1 = x [iota* Theta] + y [Psi_1]
-        iota_theta = restrict_lateral(theta, "iota_star")
-        psi2 = _psi_on(F, 2)
-        fstar_psi = restrict_lateral(psi, "f_star")
-        cols2 = ([iota_theta.series.extend(psi2.vars), psi2]
-                 + _pullback_columns(F, lat1, psi2.vars))
-        xy, resid2 = _class_solve(fstar_psi.series.extend(psi2.vars), cols2)
+        psi2 = psi.lifted(2).series
+        cols2 = ([diff.iota_theta.series, psi2]
+                 + _pullback_columns(lat1, theta, diff.pullback, psi2.vars))
+        xy, residuals["fstar_psi_expansion"] = _class_solve(
+            restrict_lateral(psi).series, cols2)
         x, y = xy[0], xy[1]
-        residuals["fstar_psi_expansion"] = resid2
         zero = PadicRational.zero(ctx, ctx.N)
         matrix = [[zero, gamma_hat * x], [PadicRational.one(ctx), y]]
         basis = ["[iota* Theta]", "[f* iota* Theta]"]
         # f* on coordinates in the basis ([iota* Theta], [Psi_1])
         tmat = [[zero, x], [gamma_hat, y]]
+
+    for name, r in residuals.items():
+        if r is not None and r < diff.threshold:
+            raise IdentityViolation(
+                f"{name} residual {r} is below the threshold"
+                f" N - 3 = {diff.threshold}")
 
     # filtration F_0 = X_prim, F_(i+1) = X_prim + f* F_i
     one = PadicRational.one(ctx)
@@ -703,12 +705,12 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
         m_u=m_u,
         ranks_Xn=(rk1, rk2),
         is_CL=is_cl,
-        gamma_values=[gamma],
+        gamma_values=[diff.gamma],
         sign=diff.sign,
         residuals=residuals,
     )
     return GroupAnalysis(F=F, lattices=[lat0, lat1, lat2], primitive=prim,
-                         theta=theta, psi=psi, diff=diff, iso=iso)
+                         theta=theta, diff=diff, gamma_hat=gamma_hat, iso=iso)
 
 
 def check_point_count(F: FormalGroupLaw, matrix) -> None:
@@ -800,15 +802,11 @@ def order_one_span_identity(ga: GroupAnalysis) -> dict:
     """iota* X_1 = iota* X_prim intersect f* iota* X_prim inside H_delta,
     tested as solvability of f*(iota* Theta) against iota* Theta and the
     pullback span at the common level."""
-    F, ctx, theta = ga.F, ga.F.ctx, ga.theta
-    level = theta.order + 1
-    iota_theta = restrict_lateral(theta, "iota_star").lifted(level)
-    fstar_it = restrict_lateral(restrict_lateral(theta, "iota_star"), "f_star")
-    lat_top = ga.lattices[theta.order]
-    cols = [iota_theta.series] + _pullback_columns(F, lat_top,
-                                                   iota_theta.series.vars)
-    xs, resid = _class_solve(fstar_it.series.extend(iota_theta.series.vars),
-                             cols)
+    ctx, theta, diff = ga.F.ctx, ga.theta, ga.diff
+    iota_theta = diff.iota_theta.lifted(theta.order + 1).series
+    cols = [iota_theta] + _pullback_columns(
+        ga.lattices[theta.order], theta, diff.pullback, iota_theta.vars)
+    xs, resid = _class_solve(diff.fstar_iota_theta.series, cols)
     solvable = resid >= ctx.N - 4
     dim_intersection = 1 if solvable and not xs[0].is_zero() else 0
     return {
@@ -821,14 +819,12 @@ def order_one_span_identity(ga: GroupAnalysis) -> dict:
 
 def frob_up_matrix_identity(ga: GroupAnalysis) -> dict:
     """[f*]^(Psi_1)_B = sigma * p * [Upsilon]^(dx0)_B in the computed bases."""
-    theta = ga.theta
-    gamma_hat, resid = _gamma_hat(ga.F, theta, ga.lattices[theta.order])
-    predicted = upsilon(theta).shift(1) * ga.iso.sign
-    diff = gamma_hat - predicted
+    predicted = upsilon(ga.theta).shift(1) * ga.iso.sign
+    diff = ga.gamma_hat - predicted
     return {
-        "measured": gamma_hat,
+        "measured": ga.gamma_hat,
         "predicted": predicted,
         "residual": _INF if diff.is_zero() else diff.valuation(),
-        "solve_residual": resid,
+        "solve_residual": ga.iso.residuals["fstar_reduction"],
         "sign": ga.iso.sign,
     }

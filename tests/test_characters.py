@@ -9,10 +9,12 @@ from arithjet.formalgroup import (
 from arithjet.characters import (
     log_projections, kernel_log_projection, fundamental_character,
     solve_character_lattice, primitive_quotient, differential_gamma, upsilon,
-    restrict_lateral, verify_diff_relation, analyze_group, classify_CL,
-    splitting_numbers_and_rank, isocrystal_data, order_one_span_identity,
-    frob_up_matrix_identity, DeltaCharacter, _char_from_c, check_point_count,
+    iota_star, phi_star, restrict_lateral, verify_diff_relation,
+    analyze_group, classify_CL, splitting_numbers_and_rank, isocrystal_data,
+    order_one_span_identity, frob_up_matrix_identity, DeltaCharacter,
+    KernelCharacter, _char_from_c, check_point_count,
 )
+from arithjet import characters
 from arithjet.errors import (
     IdentityViolation, IntegralityViolation, PrecisionExhausted,
 )
@@ -222,7 +224,7 @@ def test_upsilon_zero_character(Gm):
 
 def test_iota_star_gm_gives_psi1_multiple(Gm):
     th = solve_character_lattice(Gm, 1).basis[0]
-    res = restrict_lateral(th, "iota_star")
+    res = iota_star(th)
     psi = fundamental_character(Gm)
     want = psi.series.scale(th.c[1].shift(1))   # iota* Theta = (p c_1) Psi_1
     assert (res.series - want).residual_valuation() >= Gm.ctx.N - 2
@@ -230,7 +232,7 @@ def test_iota_star_gm_gives_psi1_multiple(Gm):
 
 def test_phi_star_shifts_coefficients(Gm):
     th = solve_character_lattice(Gm, 1).basis[0]
-    sh = restrict_lateral(th, "phi_star")
+    sh = phi_star(th)
     assert sh.order == 2
     assert sh.c[0].is_zero()
     assert sh.c[1] == th.c[0] and sh.c[2] == th.c[1]
@@ -239,10 +241,26 @@ def test_phi_star_shifts_coefficients(Gm):
 
 def test_f_star_additive_psi(Ga):
     psi = fundamental_character(Ga)
-    img = restrict_lateral(psi, "f_star")
+    img = restrict_lateral(psi)
     x1 = TruncatedSeries.variable(Ga.ctx, ("x1", "x2"), "x1")
     x2 = TruncatedSeries.variable(Ga.ctx, ("x1", "x2"), "x2")
     assert (img.series - (x1 ** 5 + x2.shift(1))).residual_valuation() == INF
+
+
+def test_f_star_shifts_the_kernel_log_projections(ctx35, E11, Em10):
+    # the lateral Frobenius is the Witt Frobenius, w_j o f = w_(j+1), so
+    # f* Lbar_j = Lbar_(j+1) to the precision the compose claims
+    groups = (FormalGroupLaw.multiplicative(ctx35), E11, Em10,
+              curve(Context(p=7, N=6, M=56), 1, 1))
+    for F in groups:
+        for j in (1, 2):
+            xs = tuple(f"x{i}" for i in range(1, j + 2))
+            lbar = kernel_log_projection(F, j, xs[:j])
+            img = restrict_lateral(KernelCharacter(F, j, lbar)).series
+            want = kernel_log_projection(F, j + 1, xs)
+            resid = (img - want).residual_valuation()
+            claim = img.effective_precision()
+            assert resid >= claim, (F.kind, F.ctx.p, j, resid, claim)
 
 
 # -- diff relation ---------------------------------------------------------------
@@ -293,6 +311,46 @@ def ga01(E01):
 @pytest.fixture(scope="module")
 def gagm(ctx35):
     return analyze_group(FormalGroupLaw.multiplicative(ctx35))
+
+
+def test_analyze_group_raises_on_a_failed_diff_relation(E11, monkeypatch):
+    # Lbar_4 enters only the right side of diff2; with p^2 x1 added to it
+    # diff2 drops to 1 while the Frobenius matrix, and so the point-count
+    # gate, is unchanged
+    real = characters.kernel_log_projection
+
+    def bent(F, j, variables):
+        out = real(F, j, variables)
+        if j == 4:
+            x1 = TruncatedSeries.variable(F.ctx, out.vars, "x1")
+            out = out + x1.shift(2)
+        return out
+
+    monkeypatch.setattr(characters, "kernel_log_projection", bent)
+    with pytest.raises(IdentityViolation, match="diff2 residual 1 "):
+        analyze_group(E11)
+
+
+def test_one_analysis_builds_each_lateral_pullback_once(E11, Em10,
+                                                        monkeypatch):
+    counts = {}
+
+    def counted(name):
+        real = getattr(characters, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(characters, name, wrapper)
+
+    counted("restrict_lateral")
+    counted("phi_star")
+    # non-CL: f* on iota* Theta, on iota* phi* Theta (diff2) and on Psi_1
+    analyze_group(E11)
+    assert counts == {"restrict_lateral": 3, "phi_star": 1}
+    counts.clear()
+    analyze_group(Em10)
+    assert counts == {"restrict_lateral": 1, "phi_star": 1}
 
 
 def test_splitting_nonCL(ga11):

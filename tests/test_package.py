@@ -1,10 +1,12 @@
 """Packaging and import layering."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import setuptools
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,3 +25,14 @@ def test_jet_layer_loads_no_witt_ring():
     loaded = out.stdout
     assert "arithjet.ghost" in loaded
     assert "arithjet.witt" not in loaded and "arithjet.exactpoly" not in loaded
+
+
+def test_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name
