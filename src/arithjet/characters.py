@@ -8,10 +8,15 @@ combination Theta = sum c_i L_i of the log projections
 each automatically additive for the jet law (log_G is a K-homomorphism to
 the additive group and the ghost projection w_i is a group map), so Theta
 is a character over Z_p exactly when its series coefficients are
-p-integral.  The solver works in u-coordinates u_i = p^i c_i (the linear
-x_i coefficient of Theta is p^i c_i, forcing u into Z_p^(n+1)), reduces
-the integrality lattice by Smith-style column reduction over Z/p^K, and
-takes as X_n basis the exponent-zero directions (exactly integral,
+p-integral.  Every character series here is read from one table per
+group: log_projections builds each L_i once, on (x0..xi), and keeps it in
+F.log_projection_cache.  The kernel projections Lbar_j = L_j(0, x1..xj)
+of the diff relation are the same table restricted to x0 = 0.
+
+The solver works in u-coordinates u_i = p^i c_i (the linear x_i
+coefficient of Theta is p^i c_i, forcing u into Z_p^(n+1)), reduces the
+integrality lattice by Smith-style column reduction over Z/p^K, and takes
+as X_n basis the exponent-zero directions (exactly integral,
 lattice-primitive) together with verified Frobenius shifts of the
 X_(n-1) basis.
 
@@ -37,8 +42,12 @@ f : N^(m+1) -> N^m), the diff relation
 (the sign sigma is measured, not assumed, and reported with the run), the
 matrix of the lateral Frobenius on H_delta = lim Hom(N^n, G_a)/pullbacks,
 splitting numbers, the filtration F_(i+1) = X_prim + f* F_i, and the CL
-classification rk X_1 = 1.  analyze_group builds each lateral object once,
-in verify_diff_relation, and reads its solves and checks from that report.
+classification rk X_1 = 1.  A character of the kernel N^m is a plain
+series in (x1..xm), and its pullback to a deeper kernel is the same series
+extended.  analyze_group builds each lateral object once, in
+verify_diff_relation, and reads its solves and checks from that report.
+Only elliptic curves and G_m are analysed; other kinds raise before any
+solve.
 """
 
 from dataclasses import dataclass
@@ -74,43 +83,38 @@ def _lift_int(x: PadicRational, K: int) -> int:
 
 
 def log_projections(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
-    """[L_0, ..., L_n] in variables (x0..xn); L_i = log_G(w_i)."""
-    if n > ORDER_CAP + 1:
-        raise ArithJetError("log projections supported up to order 3")
-    ctx = F.ctx
-    xs = tuple(f"x{i}" for i in range(n + 1))
-    return [F.log.compose([ghost_series(ctx, xs, xs, i)]) for i in range(n + 1)]
+    """[L_0, ..., L_n] in variables (x0..xn); L_i = log_G(w_i).
+
+    Each L_i is built once per group, on its own variables (x0..xi), and
+    kept in F.log_projection_cache; the table is returned extended."""
+    if n > ORDER_CAP + 2:
+        raise ArithJetError("log projections supported up to L_4")
+    table = F.log_projection_cache
+    for i in range(len(table), n + 1):
+        xs = tuple(f"x{k}" for k in range(i + 1))
+        table.append(F.log.compose([ghost_series(F.ctx, xs, xs, i)]))
+    xs = tuple(f"x{k}" for k in range(n + 1))
+    return [L.extend(xs) for L in table[:n + 1]]
 
 
 def kernel_log_projection(F: FormalGroupLaw, j: int, variables) -> TruncatedSeries:
-    """Lbar_j = log_G(w_j(0, x1..xj)) viewed in the given kernel variables."""
-    variables = tuple(variables)
-    w = ghost_series(F.ctx, variables, variables[:j], j, start=1)
-    return F.log.compose([w])
+    """Lbar_j = log_G(w_j(0, x1..xj)): the table's L_j with x0 set to 0,
+    viewed in the given kernel variables."""
+    return log_projections(F, j)[j].set_zero(["x0"]).extend(variables)
 
 
-@dataclass(frozen=True)
-class KernelCharacter:
-    """Additive character of N^m, a series in (x1..xm)."""
-
-    F: FormalGroupLaw
-    level: int
-    series: TruncatedSeries
-
-    def lifted(self, level: int) -> "KernelCharacter":
-        """u*-pullback to a deeper kernel: series unchanged, variables widen."""
-        if level < self.level:
-            raise ArithJetError("can only lift to a deeper level")
-        variables = tuple(f"x{i}" for i in range(1, level + 1))
-        return KernelCharacter(self.F, level, self.series.extend(variables))
+def _kernel_vars(m: int) -> tuple[str, ...]:
+    """(x1..xm), the coordinates of N^m; a character of N^m is a series
+    in them, and its pullback to N^k (k >= m) is the same series extended."""
+    return tuple(f"x{i}" for i in range(1, m + 1))
 
 
-def fundamental_character(F: FormalGroupLaw) -> KernelCharacter:
+def fundamental_character(F: FormalGroupLaw) -> TruncatedSeries:
     """Psi_1(x1) = (1/p) log_G(p x1); integral since p is odd (e = 1 <= p-1)."""
     psi = psi1_series(F, "x1")
     if not psi.is_integral():
         raise IntegralityViolation("Psi_1 has a non-integral coefficient")
-    return KernelCharacter(F, 1, psi)
+    return psi
 
 
 def deep_tower_degree(F: FormalGroupLaw) -> int:
@@ -232,7 +236,7 @@ def _span_rank(int_vectors, p, K, slack: int = 2) -> int:
     return sum(1 for s, _ in exps if s < K - slack)
 
 
-def solve_character_lattice(F: FormalGroupLaw, n: int, stability: bool = True,
+def solve_character_lattice(F: FormalGroupLaw, n: int,
                             lower: CharacterLattice | None = None
                             ) -> CharacterLattice:
     """X_n(G) inside the K-span of {L_0..L_n}.
@@ -260,7 +264,7 @@ def solve_character_lattice(F: FormalGroupLaw, n: int, stability: bool = True,
             f" have M = {ctx.M}")
 
     if n >= 1 and lower is None:
-        lower = solve_character_lattice(F, n - 1, stability=False)
+        lower = solve_character_lattice(F, n - 1)
     if lower is not None and lower.order != n - 1:
         raise ArithJetError(f"order-{n} solve needs X_{n - 1}, got X_{lower.order}")
     L = log_projections(F, n)
@@ -328,10 +332,9 @@ def solve_character_lattice(F: FormalGroupLaw, n: int, stability: bool = True,
     exps = zero_count(ctx.M, K)
     zero_vectors = [col for s, col in exps if s == 0]
 
-    if stability:
-        for alt in (zero_count(ctx.M - 2, K), zero_count(ctx.M, K - 1)):
-            if sum(1 for s, _ in alt if s == 0) != len(zero_vectors):
-                raise AmbiguousRank(f"order-{n} rank unstable under budget cuts")
+    for alt in (zero_count(ctx.M - 2, K), zero_count(ctx.M, K - 1)):
+        if sum(1 for s, _ in alt if s == 0) != len(zero_vectors):
+            raise AmbiguousRank(f"order-{n} rank unstable under budget cuts")
 
     basis_chars: list[DeltaCharacter] = []
     if n == 2 and F.kind == ELLIPTIC and lower.rank == 0:
@@ -454,9 +457,9 @@ def upsilon(theta: DeltaCharacter) -> PadicRational:
     return gamma.shift(-1)
 
 
-def iota_star(theta: DeltaCharacter) -> KernelCharacter:
+def iota_star(theta: DeltaCharacter) -> TruncatedSeries:
     """iota* Theta: the restriction of a jet character to the kernel N^n."""
-    return KernelCharacter(theta.F, theta.order, theta.series.set_zero(["x0"]))
+    return theta.series.set_zero(["x0"])
 
 
 def phi_star(theta: DeltaCharacter) -> DeltaCharacter:
@@ -466,10 +469,10 @@ def phi_star(theta: DeltaCharacter) -> DeltaCharacter:
     return _char_from_c(F, n, c, log_projections(F, n), origin="shift")
 
 
-def restrict_lateral(chi: KernelCharacter) -> KernelCharacter:
-    """f* chi: the pullback along the lateral Frobenius f : N^(m+1) -> N^m."""
-    comps = lateral_frobenius_map(chi.F.ctx, chi.level + 1)
-    return KernelCharacter(chi.F, chi.level + 1, chi.series.compose(comps))
+def restrict_lateral(chi: TruncatedSeries) -> TruncatedSeries:
+    """f* chi: the pullback of a character chi of N^m, m = len(chi.vars),
+    along the lateral Frobenius f : N^(m+1) -> N^m."""
+    return chi.compose(lateral_frobenius_map(chi.ctx, len(chi.vars) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +492,10 @@ class DiffRelationReport:
     residual_diff2: float | None
     gamma: PadicRational
     threshold: float
-    psi: KernelCharacter
-    iota_theta: KernelCharacter
-    fstar_iota_theta: KernelCharacter
-    pullback: KernelCharacter
+    psi: TruncatedSeries
+    iota_theta: TruncatedSeries
+    fstar_iota_theta: TruncatedSeries
+    pullback: TruncatedSeries
 
     @property
     def ok(self) -> bool:
@@ -516,20 +519,20 @@ def verify_diff_relation(theta: DeltaCharacter) -> DiffRelationReport:
     lhs = restrict_lateral(iota_theta)
     rhs0 = iota_star(phi_star(theta))
     # all three series are on N^(n+1), in x1..x(n+1)
-    psil = psi.lifted(n + 1).series
-    gap = lhs.series - rhs0.series
+    psil = psi.extend(_kernel_vars(n + 1))
+    gap = lhs - rhs0
     r_minus = (gap + psil.scale(gamma)).residual_valuation()
     r_plus = (gap - psil.scale(gamma)).residual_valuation()
     sign = -1 if r_minus >= r_plus else 1
     r2 = None
     if n == 2:
         lhs2 = restrict_lateral(rhs0)  # lands on N^4
-        vars4 = tuple(f"x{i}" for i in range(1, 5))
+        vars4 = _kernel_vars(4)
         rhs2 = TruncatedSeries.zero(ctx, vars4)
         for i, ci in enumerate(theta.c):
             if not ci.is_zero():
                 rhs2 = rhs2 + kernel_log_projection(F, i + 2, vars4).scale(ci)
-        r2 = (lhs2.series - rhs2).residual_valuation()
+        r2 = (lhs2 - rhs2).residual_valuation()
     return DiffRelationReport(order=n, sign=sign,
                               residual_diff1=max(r_minus, r_plus),
                               residual_wrong_sign=min(r_minus, r_plus),
@@ -541,6 +544,13 @@ def verify_diff_relation(theta: DeltaCharacter) -> DiffRelationReport:
 
 # ---------------------------------------------------------------------------
 # the delta isocrystal
+
+
+def trace_determinant(m) -> tuple[PadicRational, PadicRational]:
+    """Trace and determinant of a 1x1 or 2x2 Frobenius matrix."""
+    if len(m) == 1:
+        return m[0][0], m[0][0]
+    return m[0][0] + m[1][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 @dataclass
@@ -559,18 +569,11 @@ class IsocrystalData:
 
     @property
     def trace(self) -> PadicRational:
-        m = self.frobenius_matrix
-        t = m[0][0]
-        for i in range(1, len(m)):
-            t = t + m[i][i]
-        return t
+        return trace_determinant(self.frobenius_matrix)[0]
 
     @property
     def determinant(self) -> PadicRational:
-        m = self.frobenius_matrix
-        if len(m) == 1:
-            return m[0][0]
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        return trace_determinant(self.frobenius_matrix)[1]
 
     def newton_slopes(self) -> list:
         """Eigenvalue valuations from the Newton polygon of the char poly."""
@@ -610,12 +613,18 @@ def _pullback_columns(lattice, theta, pullback, variables):
     """iota* phi* of every character in the lattice, on the given variables;
     Theta's own is the pullback its diff relation built."""
     return [(pullback if th is theta else iota_star(phi_star(th)))
-            .series.extend(variables)
+            .extend(variables)
             for th in lattice.basis + lattice.shift_relations]
 
 
 def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
-    """Full character-side pipeline for a 1-dimensional group."""
+    """Full character-side pipeline for an elliptic curve or G_m."""
+    if F.kind not in (ELLIPTIC, MULTIPLICATIVE):
+        # their f* solve has a vanishing column, and a larger budget does
+        # not help (G_a at N=8, M=35 and at N=12, M=60)
+        raise ArithJetError(
+            f"analyze_group needs an elliptic or multiplicative group,"
+            f" got the {F.kind} group")
     ctx = F.ctx
     lat0 = solve_character_lattice(F, 0)
     lat1 = solve_character_lattice(F, 1, lower=lat0)
@@ -639,18 +648,17 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
 
     # gamma_hat: the Psi_1 coefficient of f*(iota* Theta) modulo pullbacks
     lat_top = lat1 if theta.order == 1 else lat2
-    psi_top = psi.lifted(theta.order + 1).series
+    psi_top = psi.extend(_kernel_vars(theta.order + 1))
     cols = [psi_top] + _pullback_columns(lat_top, theta, diff.pullback,
                                          psi_top.vars)
-    xs, residuals["fstar_reduction"] = _class_solve(
-        diff.fstar_iota_theta.series, cols)
+    xs, residuals["fstar_reduction"] = _class_solve(diff.fstar_iota_theta, cols)
     gamma_hat = xs[0]
 
     if is_cl:
         # H_delta is the line [iota* Theta] = rho [Psi_1], rho = p c_1
         rho = theta.c[1].shift(1)
         _, residuals["theta_psi_collinearity"] = _class_solve(
-            diff.iota_theta.series, [psi.series])
+            diff.iota_theta, [psi])
         lam = gamma_hat * rho.inverse()
         matrix = [[lam]]
         basis = ["[iota* Theta]"]
@@ -658,11 +666,11 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     else:
         # basis ([iota* Theta], [f* iota* Theta]); [f* iota* Theta] =
         # gamma_hat [Psi_1]; expand f* Psi_1 = x [iota* Theta] + y [Psi_1]
-        psi2 = psi.lifted(2).series
-        cols2 = ([diff.iota_theta.series, psi2]
+        psi2 = psi.extend(_kernel_vars(2))
+        cols2 = ([diff.iota_theta, psi2]
                  + _pullback_columns(lat1, theta, diff.pullback, psi2.vars))
         xy, residuals["fstar_psi_expansion"] = _class_solve(
-            restrict_lateral(psi).series, cols2)
+            restrict_lateral(psi), cols2)
         x, y = xy[0], xy[1]
         zero = PadicRational.zero(ctx, ctx.N)
         matrix = [[zero, gamma_hat * x], [PadicRational.one(ctx), y]]
@@ -687,8 +695,7 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
         dims.append(_coord_rank(spanning, ctx))
     dims = tuple(dims)
 
-    det = matrix[0][0] if len(matrix) == 1 else \
-        matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
+    _, det = trace_determinant(matrix)
     if det.is_zero() or det.valuation() > 2:
         raise AmbiguousRank("f* matrix not invertible at working precision")
     if dims[m_u - 1] != r_delta or not 1 <= r_delta <= 2:
@@ -727,9 +734,8 @@ def check_point_count(F: FormalGroupLaw, matrix) -> None:
     elif F.kind == ELLIPTIC:
         a_p = count_points_ap(F.curve).a_p
         if len(matrix) == 2:
-            (a, b), (c, d) = matrix
-            residuals = {"trace - a_p": a + d - a_p,
-                         "det - p": a * d - b * c - p}
+            trace, det = trace_determinant(matrix)
+            residuals = {"trace - a_p": trace - a_p, "det - p": det - p}
         else:
             lam = matrix[0][0]
             residuals = {"lambda^2 - a_p lambda + p": lam * lam - lam * a_p + p}
@@ -803,10 +809,10 @@ def order_one_span_identity(ga: GroupAnalysis) -> dict:
     tested as solvability of f*(iota* Theta) against iota* Theta and the
     pullback span at the common level."""
     ctx, theta, diff = ga.F.ctx, ga.theta, ga.diff
-    iota_theta = diff.iota_theta.lifted(theta.order + 1).series
+    iota_theta = diff.iota_theta.extend(_kernel_vars(theta.order + 1))
     cols = [iota_theta] + _pullback_columns(
         ga.lattices[theta.order], theta, diff.pullback, iota_theta.vars)
-    xs, resid = _class_solve(diff.fstar_iota_theta.series, cols)
+    xs, resid = _class_solve(diff.fstar_iota_theta, cols)
     solvable = resid >= ctx.N - 4
     dim_intersection = 1 if solvable and not xs[0].is_zero() else 0
     return {

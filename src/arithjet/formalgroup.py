@@ -127,7 +127,9 @@ class FormalGroupLaw:
     log(F(t1,t2)) = log(t1) + log(t2) with linear coefficient 1; ``exp``
     is its reversion (computed on demand).  ``deep_log_cache`` holds the
     longest [b_1, ...] of log coefficients computed beyond M so far (see
-    characters.deep_log_coefficients).
+    characters.deep_log_coefficients).  ``log_projection_cache`` holds
+    the log projections L_0, L_1, ... built so far, L_i = log(w_i) on its
+    own variables (x0..xi) (see characters.log_projections).
     """
 
     def __init__(self, ctx: Context, kind: str, law_builder, log: TruncatedSeries,
@@ -138,6 +140,7 @@ class FormalGroupLaw:
         self.log = log
         self.curve = curve
         self.deep_log_cache: list[PadicRational] = []
+        self.log_projection_cache: list[TruncatedSeries] = []
 
     @cached_property
     def law(self) -> TruncatedSeries:

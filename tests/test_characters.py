@@ -12,12 +12,14 @@ from arithjet.characters import (
     iota_star, phi_star, restrict_lateral, verify_diff_relation,
     analyze_group, classify_CL, splitting_numbers_and_rank, isocrystal_data,
     order_one_span_identity, frob_up_matrix_identity, DeltaCharacter,
-    KernelCharacter, _char_from_c, check_point_count,
+    _char_from_c, check_point_count,
 )
 from arithjet import characters
+from arithjet.jet import ghost_series, n1_group
 from arithjet.errors import (
-    IdentityViolation, IntegralityViolation, PrecisionExhausted,
+    ArithJetError, IdentityViolation, IntegralityViolation, PrecisionExhausted,
 )
+from test_kernels import reference_kernel_log_projection
 
 INF = float("inf")
 
@@ -61,6 +63,11 @@ def E01(ctx35):
     return curve(ctx35, 0, 1)      # supersingular, a_5 = 0
 
 
+@pytest.fixture(scope="module")
+def E7():
+    return curve(Context(p=7, N=6, M=56), 1, 1)   # non-CL, a_7 = -3
+
+
 # -- log projections ---------------------------------------------------------
 
 
@@ -83,11 +90,37 @@ def test_L1_multiplicative_starts_right(ctx, Gm):
     assert L[1].get((10, 0)) == PadicRational.from_int(ctx, -1) / 2
 
 
-def test_kernel_log_projection_matches_restriction(ctx, Gm):
-    L = log_projections(Gm, 2)
-    want = L[2].set_zero(["x0"])
-    got = kernel_log_projection(Gm, 2, ("x1", "x2"))
-    assert (want - got).residual_valuation() == INF
+def triples(f):
+    return [(e, c.unit, c.val, c.rel) for e, c in f.coeffs.items()]
+
+
+def test_kernel_log_projection_matches_restriction(Gm, E11, Em10, E7):
+    # the table's L_j at x0 = 0 against Lbar_j composed on its own: the
+    # same terms; the table claims no more (one digit less where p^j <= M)
+    xs = ("x1", "x2", "x3", "x4")
+    for F in (Gm, E11, Em10, E7):
+        for j in range(1, 5):
+            got = kernel_log_projection(F, j, xs)
+            want = reference_kernel_log_projection(F, j, xs)
+            assert triples(got) == triples(want), (F.kind, F.ctx.p, j)
+            if want.absprec is None:
+                assert got.absprec is None
+            else:
+                assert got.absprec <= want.absprec, (F.kind, F.ctx.p, j)
+
+
+def test_log_projection_table_extends_to_the_direct_build(E11, Em10, E7):
+    # each L_i is built on (x0..xi); extended it equals the build on the
+    # wide tuple, term for term and in the same order
+    xs = ("x0", "x1", "x2", "x3")
+    for F in (E11, Em10, E7):
+        table = log_projections(F, 3)
+        assert len(F.log_projection_cache) >= 4
+        for i in range(4):
+            want = F.log.compose([ghost_series(F.ctx, xs, xs, i)])
+            assert table[i].vars == xs
+            assert triples(table[i]) == triples(want), (F.ctx.p, i)
+            assert table[i].absprec == want.absprec
 
 
 # -- fundamental character ----------------------------------------------------
@@ -96,7 +129,7 @@ def test_kernel_log_projection_matches_restriction(ctx, Gm):
 def test_psi1_additive(ctx, Ga):
     psi = fundamental_character(Ga)
     x1 = TruncatedSeries.variable(ctx, ("x1",), "x1")
-    assert psi.series == x1
+    assert psi == x1
 
 
 def test_psi1_multiplicative_integral(ctx, Gm):
@@ -104,22 +137,22 @@ def test_psi1_multiplicative_integral(ctx, Gm):
     for k in range(1, ctx.M + 1):
         want = (PadicRational.from_int(ctx, (-1) ** (k + 1))
                 / PadicRational.from_int(ctx, k)).shift(k - 1)
-        assert psi.series.get((k,)) == want
+        assert psi.get((k,)) == want
         assert want.valuation() >= 0
-    assert psi.series.is_integral()
+    assert psi.is_integral()
 
 
 def test_psi1_elliptic_leading_terms(E11):
     psi = fundamental_character(E11)
-    assert psi.series.get((1,)) == 1
-    two = psi.series.get((2,))
+    assert psi.get((1,)) == 1
+    two = psi.get((2,))
     assert two.is_zero() or two.valuation() >= 1
 
 
 def test_psi1_additivity_for_kernel_law(ctx, Gm):
     from arithjet.jet import kernel_law_direct
     K = kernel_law_direct(Gm, 1)
-    psi = fundamental_character(Gm).series
+    psi = fundamental_character(Gm)
     lhs = psi.rename(("t",)).compose([K.law[0]])
     x1 = TruncatedSeries.variable(ctx, ("x1", "y1"), "x1")
     y1 = TruncatedSeries.variable(ctx, ("x1", "y1"), "y1")
@@ -226,8 +259,8 @@ def test_iota_star_gm_gives_psi1_multiple(Gm):
     th = solve_character_lattice(Gm, 1).basis[0]
     res = iota_star(th)
     psi = fundamental_character(Gm)
-    want = psi.series.scale(th.c[1].shift(1))   # iota* Theta = (p c_1) Psi_1
-    assert (res.series - want).residual_valuation() >= Gm.ctx.N - 2
+    want = psi.scale(th.c[1].shift(1))   # iota* Theta = (p c_1) Psi_1
+    assert (res - want).residual_valuation() >= Gm.ctx.N - 2
 
 
 def test_phi_star_shifts_coefficients(Gm):
@@ -244,19 +277,18 @@ def test_f_star_additive_psi(Ga):
     img = restrict_lateral(psi)
     x1 = TruncatedSeries.variable(Ga.ctx, ("x1", "x2"), "x1")
     x2 = TruncatedSeries.variable(Ga.ctx, ("x1", "x2"), "x2")
-    assert (img.series - (x1 ** 5 + x2.shift(1))).residual_valuation() == INF
+    assert (img - (x1 ** 5 + x2.shift(1))).residual_valuation() == INF
 
 
-def test_f_star_shifts_the_kernel_log_projections(ctx35, E11, Em10):
+def test_f_star_shifts_the_kernel_log_projections(ctx35, E11, Em10, E7):
     # the lateral Frobenius is the Witt Frobenius, w_j o f = w_(j+1), so
     # f* Lbar_j = Lbar_(j+1) to the precision the compose claims
-    groups = (FormalGroupLaw.multiplicative(ctx35), E11, Em10,
-              curve(Context(p=7, N=6, M=56), 1, 1))
+    groups = (FormalGroupLaw.multiplicative(ctx35), E11, Em10, E7)
     for F in groups:
         for j in (1, 2):
             xs = tuple(f"x{i}" for i in range(1, j + 2))
             lbar = kernel_log_projection(F, j, xs[:j])
-            img = restrict_lateral(KernelCharacter(F, j, lbar)).series
+            img = restrict_lateral(lbar)
             want = kernel_log_projection(F, j + 1, xs)
             resid = (img - want).residual_valuation()
             claim = img.effective_precision()
@@ -351,6 +383,32 @@ def test_one_analysis_builds_each_lateral_pullback_once(E11, Em10,
     counts.clear()
     analyze_group(Em10)
     assert counts == {"restrict_lateral": 1, "phi_star": 1}
+
+
+def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
+    # one ghost polynomial, and so one log compose, per L_i: L_0..L_4 on a
+    # non-CL curve (diff2 reads Lbar_4), L_0..L_2 on a CL group
+    calls = []
+    real = characters.ghost_series
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(characters, "ghost_series", counted)
+    for F, want in ((curve(ctx35, 1, 1), 5), (curve(ctx35, 0, 1), 5),
+                    (curve(ctx35, -1, 0), 3),
+                    (FormalGroupLaw.multiplicative(ctx35), 3)):
+        calls.clear()
+        analyze_group(F)
+        assert calls == list(range(want)), (F.kind, calls)
+
+
+def test_analyze_group_names_a_kind_it_cannot_analyse(Ga, Gm):
+    for F, kind in ((Ga, "additive"), (n1_group(Gm), "kernel")):
+        with pytest.raises(ArithJetError, match=kind) as err:
+            analyze_group(F)
+        assert not isinstance(err.value, PrecisionExhausted)
 
 
 def test_splitting_nonCL(ga11):

@@ -2,12 +2,15 @@
 
 The reference implementations below are the straightforward versions: the
 per-pair PadicRational product loop of TruncatedSeries, the one-degree-
-at-a-time reversion loop, and the O(deg^2) coefficient recurrences for
-w(t) and the elliptic logarithm.  The fast versions must agree with them
-bit for bit: the same monomials in the same order, the same (unit, val,
-rel, ctx.N) per coefficient and the same series absprec.  Newton
-reversion agrees with the loop where the loop has a coefficient, and
-keeps the O(p^w) zeros that the loop leaves out.
+at-a-time reversion loop, the O(deg^2) coefficient recurrences for
+w(t) and the elliptic logarithm, and the kernel log projection composed
+on its own from the restricted ghost polynomial.  The fast versions must
+agree with them bit for bit: the same monomials in the same order, the
+same (unit, val, rel, ctx.N) per coefficient and the same series absprec.
+Newton reversion agrees with the loop where the loop has a coefficient,
+and keeps the O(p^w) zeros that the loop leaves out; the kernel log
+projection read from the log-projection table may claim a lower series
+absprec than its reference.
 """
 
 import random
@@ -24,6 +27,7 @@ from arithjet.formalgroup import (
     formal_group_from_curve,
 )
 from arithjet.errors import IdentityViolation
+from arithjet.jet import ghost_series
 from arithjet.padic import PadicRational
 from arithjet.series import TruncatedSeries, _INF, _minp
 
@@ -126,6 +130,14 @@ def reference_series_log(E: WeierstrassCurve) -> TruncatedSeries:
                 + (t ** 3) * wq.scale(E.a3))
     log = (num * den.inverse()).integrate()
     return TruncatedSeries(ctx, ("t",), dict(log.coeffs), log.absprec)
+
+
+def reference_kernel_log_projection(F, j: int, variables) -> TruncatedSeries:
+    """Lbar_j = log_G(w_j(0, x1..xj)) composed on its own, from the ghost
+    polynomial with x0 = 0 (start=1), in the given kernel variables."""
+    variables = tuple(variables)
+    w = ghost_series(F.ctx, variables, variables[:j], j, start=1)
+    return F.log.compose([w])
 
 
 def exact_log(E: WeierstrassCurve, deg: int) -> list[Fraction]:
