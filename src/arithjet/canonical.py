@@ -32,7 +32,7 @@ from .context import Context
 from .padic import PadicRational
 from .series import TruncatedSeries
 from .formalgroup import (
-    WeierstrassCurve, count_points_ap, _w_coefficients,
+    WeierstrassCurve, _w_coefficients,
     elliptic_log_coefficients,
 )
 from .errors import ArithJetError, AmbiguousRank, IdentityViolation
@@ -160,7 +160,7 @@ def canonical_lift_test(E: WeierstrassCurve) -> CanonicalLiftReport:
             g.append((c.unit * ctx.pk(c.val)) % ctx.pk(K))
 
     ordinary = g[p - 1] % p != 0
-    if ordinary != count_points_ap(E).ordinary:
+    if ordinary != E.invariants.ordinary:
         raise IdentityViolation(
             "[p]-series ordinarity disagrees with the point count")
     jE = j_invariant(A, B, ctx)

@@ -8,10 +8,11 @@ combination Theta = sum c_i L_i of the log projections
 each automatically additive for the jet law (log_G is a K-homomorphism to
 the additive group and the ghost projection w_i is a group map), so Theta
 is a character over Z_p exactly when its series coefficients are
-p-integral.  Every character series here is read from one table per
-group: log_projections builds each L_i once, on (x0..xi), and keeps it in
-F.log_projection_cache.  The kernel projections Lbar_j = L_j(0, x1..xj)
-of the diff relation are the same table restricted to x0 = 0.
+p-integral.  A DeltaCharacter is its c-vector.  Every character series is
+one c-combination of one table per group: log_projections builds each L_i
+once, on (x0..xi), and keeps it in F.log_projection_cache; the kernel
+projections Lbar_j = L_j(0, x1..xj) are the same table restricted to
+x0 = 0.
 
 The solver works in u-coordinates u_i = p^i c_i (the linear x_i
 coefficient of Theta is p^i c_i, forcing u into Z_p^(n+1)), reduces the
@@ -32,31 +33,35 @@ solve only verifies it.  analyze_group in turn checks the Frobenius
 matrix against the point count before it returns.
 
 From there: the fundamental character Psi_1 = (1/p) log_G(p x), gamma and
-the cotangent map Upsilon, the three lateral maps (iota_star restricts a
-jet character to the kernel, phi_star shifts its c-vector, and
-restrict_lateral is f*, the pullback along the lateral Frobenius
-f : N^(m+1) -> N^m), the diff relation
+the cotangent map Upsilon, the three lateral maps, the diff relation
 
     f*(iota* Theta) = iota* phi* Theta + sigma * gamma_Theta * Psi_1
 
 (the sign sigma is measured, not assumed, and reported with the run), the
 matrix of the lateral Frobenius on H_delta = lim Hom(N^n, G_a)/pullbacks,
 splitting numbers, the filtration F_(i+1) = X_prim + f* F_i, and the CL
-classification rk X_1 = 1.  A character of the kernel N^m is a plain
-series in (x1..xm), and its pullback to a deeper kernel is the same series
-extended.  analyze_group builds each lateral object once, in
-verify_diff_relation, and reads its solves and checks from that report.
-Only elliptic curves and G_m are analysed; other kinds raise before any
-solve.
+classification rk X_1 = 1.  Two lateral maps act on c-vectors: phi_star
+shifts c to (0, c_0..c_n), and iota_star, the restriction to the kernel,
+is sum c_i Lbar_i.  The third, restrict_lateral, is f*, the pullback along
+the lateral Frobenius f : N^(m+1) -> N^m, a series compose.  Since
+f* Lbar_j = Lbar_(j+1) and Lbar_0 = 0, f*(iota* Theta) equals
+iota* phi* (Theta with c_0 = 0), so f* on a character is a c-vector shift
+too.  A character of the kernel N^m is a plain series in (x1..xm), and
+its pullback to a deeper kernel is the same series extended.
+analyze_group builds each lateral object once, in verify_diff_relation,
+and reads its solves and checks from that report.  Only elliptic curves
+and G_m are analysed; other kinds raise before any solve.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .padic import PadicRational
 from .series import TruncatedSeries
 from .formalgroup import (
     FormalGroupLaw, WeierstrassCurve, formal_group_from_curve,
-    count_points_ap, ELLIPTIC, MULTIPLICATIVE,
+    elliptic_log_coefficients, multiplicative_log_coefficients,
+    ELLIPTIC, MULTIPLICATIVE,
 )
 from .jet import ghost_series, lateral_frobenius_map, psi1_series
 from .linalg import kernel_lattice, lattice_exponents, solve_padic
@@ -71,11 +76,7 @@ ORDER_CAP = 2
 
 
 def _lift_int(x: PadicRational, K: int) -> int:
-    if x.is_zero():
-        return 0
-    if x.val < 0:
-        raise ArithJetError("negative valuation in integral lift")
-    return (x.unit * x.ctx.pk(x.val)) % x.ctx.pk(K)
+    return x.lift() % x.ctx.pk(K)
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +135,12 @@ def deep_tower_degree(F: FormalGroupLaw) -> int:
 def deep_log_coefficients(F: FormalGroupLaw, deg: int) -> list[PadicRational]:
     """[b_1..b_deg] of log_G, beyond the series budget M.  The longest
     list computed so far is kept in F.deep_log_cache."""
-    from .formalgroup import elliptic_log_coefficients, ADDITIVE
-    ctx = F.ctx
     if len(F.deep_log_cache) >= deg:
         return F.deep_log_cache[:deg]
     if F.kind == ELLIPTIC:
         out = elliptic_log_coefficients(F.curve, deg)
     elif F.kind == MULTIPLICATIVE:
-        out = [PadicRational.from_int(ctx, (-1) ** (j + 1))
-               / PadicRational.from_int(ctx, j) for j in range(1, deg + 1)]
-    elif F.kind == ADDITIVE:
-        out = [PadicRational.one(ctx)] + \
-            [PadicRational.zero(ctx, ctx.N) for _ in range(deg - 1)]
+        out = multiplicative_log_coefficients(F.ctx, deg)
     else:
         raise ArithJetError(f"no deep log for kind {F.kind!r}")
     F.deep_log_cache = out
@@ -156,45 +151,47 @@ def deep_log_coefficients(F: FormalGroupLaw, deg: int) -> list[PadicRational]:
 # character lattice solver
 
 
+def _combine(c, table) -> TruncatedSeries:
+    """sum c_i table[i] over the nonzero c_i, from an exact zero."""
+    out = TruncatedSeries.zero(table[0].ctx, table[0].vars)
+    for ci, Li in zip(c, table):
+        if not ci.is_zero():
+            out = out + Li.scale(ci)
+    return out
+
+
 @dataclass(frozen=True)
 class DeltaCharacter:
-    """Theta = sum c_i L_i, an additive character of J^nG over Z_p."""
+    """Theta = sum c_i L_i, an additive character of J^nG over Z_p, held as
+    its c-vector; its order n is len(c) - 1.  The jet series on (x0..xn)
+    is the c-combination of log_projections(F, n), built on first read."""
 
     F: FormalGroupLaw
-    order: int
     c: tuple[PadicRational, ...]
-    series: TruncatedSeries
-    origin: str = "solver"
 
     @property
-    def precision(self):
-        return min((x.absprec for x in self.c if not x.is_zero()),
-                   default=self.F.ctx.N)
+    def order(self) -> int:
+        return len(self.c) - 1
 
-    def u_vector(self) -> list[PadicRational]:
-        return [ci.shift(i) for i, ci in enumerate(self.c)]
+    @cached_property
+    def series(self) -> TruncatedSeries:
+        return _combine(self.c, log_projections(self.F, self.order))
 
-    def __repr__(self):
-        cs = ", ".join(str(x) for x in self.c)
-        return f"DeltaCharacter(order={self.order}, c=({cs}), {self.origin})"
+    def u_ints(self, K: int) -> list[int]:
+        """The u-vector u_i = p^i c_i as integers mod p^K."""
+        return [_lift_int(ci.shift(i), K) for i, ci in enumerate(self.c)]
 
 
 @dataclass
 class CharacterLattice:
     """Solved X_n: basis, Frobenius shifts of X_(n-1) and Smith exponents.
-
-    ``excluded_pseudo`` holds the order-1 unit-root pseudo-characters of a
-    non-CL group.  Their digits beyond the deep-tower depth are not pinned
-    by any row: for y^2 = x^3 + x + 1 at p = 5 the entries claim O(5^9),
-    yet alpha + p/alpha = a_p holds only mod 5^5."""
+    The characters are c-vectors, and a shift is phi_star of a lower one."""
 
     order: int
     rank: int
     basis: list[DeltaCharacter]
     shift_relations: list[DeltaCharacter]
     exponents: list[int]
-    denominator_exponent: int
-    excluded_pseudo: list[DeltaCharacter] = None
 
 
 def _canonical_bit(F: FormalGroupLaw) -> bool:
@@ -212,14 +209,6 @@ def _canonical_bit(F: FormalGroupLaw) -> bool:
     return canonical_lift_test(F.curve).is_cl
 
 
-def _char_from_c(F, order, c, L, origin="solver") -> DeltaCharacter:
-    series = TruncatedSeries.zero(F.ctx, tuple(f"x{i}" for i in range(order + 1)))
-    for ci, Li in zip(c, L):
-        if not ci.is_zero():
-            series = series + Li.scale(ci)
-    return DeltaCharacter(F, order, tuple(c), series, origin)
-
-
 def _normalize_c(c: list[PadicRational]) -> list[PadicRational]:
     """Unit-normalize so the first nonzero entry is an exact power of p."""
     for ci in c:
@@ -229,11 +218,11 @@ def _normalize_c(c: list[PadicRational]) -> list[PadicRational]:
     return c
 
 
-def _span_rank(int_vectors, p, K, slack: int = 2) -> int:
+def _span_rank(int_vectors, p, K) -> int:
     if not int_vectors:
         return 0
     exps = lattice_exponents([list(v) for v in int_vectors], p, K)
-    return sum(1 for s, _ in exps if s < K - slack)
+    return sum(1 for s, _ in exps if s < K - 2)
 
 
 def solve_character_lattice(F: FormalGroupLaw, n: int,
@@ -257,7 +246,7 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
         raise ArithJetError(f"character order capped at {ORDER_CAP}")
     if F.kind in (ELLIPTIC, MULTIPLICATIVE) and n == 0:
         # X_0 = Hom(G, G_a) = 0; skip the degenerate solver run
-        return CharacterLattice(0, 0, [], [], [], 0)
+        return CharacterLattice(0, 0, [], [], [])
     if F.kind == ELLIPTIC and n >= 1 and ctx.M < p ** n + p:
         raise PrecisionExhausted(
             f"order-{n} elliptic characters need M >= p^{n}+p = {p ** n + p},"
@@ -338,12 +327,11 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
 
     basis_chars: list[DeltaCharacter] = []
     if n == 2 and F.kind == ELLIPTIC and lower.rank == 0:
-        basis_chars.append(_honda_character(F, L, zero_vectors, deep_ints, d))
+        basis_chars.append(_honda_character(F, zero_vectors, deep_ints, d))
     else:
         for col in zero_vectors:
-            c = _normalize_c([PadicRational(ctx, ui, -i, K)
-                              for i, ui in enumerate(col)])
-            ch = _char_from_c(F, n, c, L)
+            ch = DeltaCharacter(F, tuple(_normalize_c(
+                [PadicRational(ctx, ui, -i, K) for i, ui in enumerate(col)])))
             if not ch.series.is_integral():
                 raise IntegralityViolation(
                     f"order-{n} solver vector fails integrality re-check")
@@ -352,29 +340,23 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
     # rank semantics at order 1: an exponent-0 vector is a genuine
     # character only when the group is CL; otherwise it is the unit-root
     # pseudo-character (locally integral but not a morphism of p-formal
-    # schemes), excluded here and reported for transparency
-    excluded: list[DeltaCharacter] = []
+    # schemes), excluded here
     if n == 1 and F.kind in (ELLIPTIC, MULTIPLICATIVE):
         if _canonical_bit(F):
             if not basis_chars:
                 raise AmbiguousRank(
                     "CL group but no order-1 character at this budget")
         else:
-            excluded, basis_chars = basis_chars, []
+            basis_chars = []
 
     shifts: list[DeltaCharacter] = []
     if lower is not None:
-        for th in lower.basis + lower.shift_relations:
-            c = [PadicRational.zero(ctx, ctx.N)] + list(th.c)
-            ch = _char_from_c(F, n, c, L, origin="shift")
-            if not ch.series.is_integral():
-                raise IntegralityViolation(
-                    "Frobenius shift of a character fails integrality")
-            shifts.append(ch)
+        shifts = [phi_star(th) for th in lower.basis + lower.shift_relations]
+        if not all(ch.series.is_integral() for ch in shifts):
+            raise IntegralityViolation(
+                "Frobenius shift of a character fails integrality")
 
-    stacked = [[_lift_int(x, K) for x in ch.u_vector()]
-               for ch in basis_chars + shifts]
-    rank = _span_rank(stacked, p, K)
+    rank = _span_rank([ch.u_ints(K) for ch in basis_chars + shifts], p, K)
 
     if F.kind in (ELLIPTIC, MULTIPLICATIVE) and n == 2:
         if rank - lower.rank != 1:
@@ -382,10 +364,10 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
                 f"rk X_2 - rk X_1 = {rank - lower.rank}, expected 1 (g = 1)")
 
     return CharacterLattice(n, rank, basis_chars, shifts,
-                            [s for s, _ in exps], d, excluded)
+                            [s for s, _ in exps])
 
 
-def _honda_character(F, L, zero_vectors, deep_ints, d) -> DeltaCharacter:
+def _honda_character(F, zero_vectors, deep_ints, d) -> DeltaCharacter:
     """The order-2 character of an elliptic curve with rk X_1 = 0, in
     Honda's normal form c = (1, -a_p/p, 1/p), i.e. u = (1, -a_p, p).
 
@@ -395,7 +377,7 @@ def _honda_character(F, L, zero_vectors, deep_ints, d) -> DeltaCharacter:
     (integrality pins it no better, see solve_character_lattice)."""
     ctx = F.ctx
     p = ctx.p
-    a_p = count_points_ap(F.curve).a_p
+    a_p = F.curve.invariants.a_p
     u = [1, -a_p, p]
     if len(zero_vectors) != 1:
         raise AmbiguousRank(
@@ -406,9 +388,9 @@ def _honda_character(F, L, zero_vectors, deep_ints, d) -> DeltaCharacter:
         raise IdentityViolation(
             f"order-2 lattice vector disagrees with Honda's (1, {-a_p}, {p})"
             " mod p")
-    c = [PadicRational.one(ctx), PadicRational.from_int(ctx, -a_p).shift(-1),
-         PadicRational.one(ctx).shift(-1)]
-    ch = _char_from_c(F, 2, c, L, origin="honda")
+    ch = DeltaCharacter(F, (PadicRational.one(ctx),
+                            PadicRational.from_int(ctx, -a_p).shift(-1),
+                            PadicRational.one(ctx).shift(-1)))
     if not ch.series.is_integral():
         raise IntegralityViolation("Honda character fails integrality to M")
     # deep rows are lifted as p^d times the u-scaled columns
@@ -424,20 +406,17 @@ def primitive_quotient(lattices: list[CharacterLattice],
     top = lattices[-1]
     ctx = F.ctx
     K = ctx.N
-    shift_vecs = [[_lift_int(x, K) for x in ch.u_vector()]
-                  for ch in top.shift_relations]
+    shift_vecs = [ch.u_ints(K) for ch in top.shift_relations]
     base_rank = _span_rank(shift_vecs, ctx.p, K)
     primitive = []
     for ch in top.basis:
-        cand = [_lift_int(x, K) for x in ch.u_vector()]
-        if _span_rank(shift_vecs + [cand], ctx.p, K) > base_rank:
+        if _span_rank(shift_vecs + [ch.u_ints(K)], ctx.p, K) > base_rank:
             primitive.append(ch)
     if F.kind in (ELLIPTIC, MULTIPLICATIVE) and len(primitive) != 1:
         raise RankMismatch(
             f"primitive quotient rank {len(primitive)}, expected 1 (g = 1)")
     return CharacterLattice(top.order, len(primitive), primitive,
-                            top.shift_relations, top.exponents,
-                            top.denominator_exponent)
+                            top.shift_relations, top.exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +437,19 @@ def upsilon(theta: DeltaCharacter) -> PadicRational:
 
 
 def iota_star(theta: DeltaCharacter) -> TruncatedSeries:
-    """iota* Theta: the restriction of a jet character to the kernel N^n."""
-    return theta.series.set_zero(["x0"])
+    """iota* Theta = sum c_i Lbar_i: the restriction of a jet character to
+    the kernel N^n, a series in (x1..xn).  It equals Theta's jet series at
+    x0 = 0, key for key."""
+    F, n = theta.F, theta.order
+    xs = _kernel_vars(n)
+    return _combine(theta.c, [kernel_log_projection(F, i, xs)
+                              for i in range(n + 1)])
 
 
 def phi_star(theta: DeltaCharacter) -> DeltaCharacter:
     """phi* Theta: the Frobenius shift c -> (0, c_0..c_n), one order up."""
-    F, n = theta.F, theta.order + 1
-    c = [PadicRational.zero(F.ctx, F.ctx.N)] + list(theta.c)
-    return _char_from_c(F, n, c, log_projections(F, n), origin="shift")
+    ctx = theta.F.ctx
+    return DeltaCharacter(theta.F, (PadicRational.zero(ctx, ctx.N), *theta.c))
 
 
 def restrict_lateral(chi: TruncatedSeries) -> TruncatedSeries:
@@ -507,9 +490,9 @@ class DiffRelationReport:
 def verify_diff_relation(theta: DeltaCharacter) -> DiffRelationReport:
     """f*(iota* Theta) = iota* phi* Theta + sigma gamma Psi_1, sigma measured;
     at order 2 also f*(iota* phi* Theta) = iota* (phi^2)* Theta, whose right
-    side sum c_i Lbar_(i+2) comes from the kernel log projections.  The
-    report carries Psi_1, iota* Theta, f*(iota* Theta) and iota* phi* Theta,
-    each built once here, for the solves of analyze_group."""
+    side is sum c_i Lbar_(i+2).  The report carries Psi_1, iota* Theta,
+    f*(iota* Theta) and iota* phi* Theta, each built once here, for the
+    solves of analyze_group."""
     F, ctx, n = theta.F, theta.F.ctx, theta.order
     if n > 2:
         raise ArithJetError("diff relation checked for order <= 2")
@@ -527,11 +510,7 @@ def verify_diff_relation(theta: DeltaCharacter) -> DiffRelationReport:
     r2 = None
     if n == 2:
         lhs2 = restrict_lateral(rhs0)  # lands on N^4
-        vars4 = _kernel_vars(4)
-        rhs2 = TruncatedSeries.zero(ctx, vars4)
-        for i, ci in enumerate(theta.c):
-            if not ci.is_zero():
-                rhs2 = rhs2 + kernel_log_projection(F, i + 2, vars4).scale(ci)
+        rhs2 = iota_star(phi_star(phi_star(theta)))
         r2 = (lhs2 - rhs2).residual_valuation()
     return DiffRelationReport(order=n, sign=sign,
                               residual_diff1=max(r_minus, r_plus),
@@ -609,14 +588,6 @@ def _class_solve(target: TruncatedSeries, columns: list[TruncatedSeries]):
     return solve_padic(cols, [target.get(k) for k in keys])
 
 
-def _pullback_columns(lattice, theta, pullback, variables):
-    """iota* phi* of every character in the lattice, on the given variables;
-    Theta's own is the pullback its diff relation built."""
-    return [(pullback if th is theta else iota_star(phi_star(th)))
-            .extend(variables)
-            for th in lattice.basis + lattice.shift_relations]
-
-
 def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     """Full character-side pipeline for an elliptic curve or G_m."""
     if F.kind not in (ELLIPTIC, MULTIPLICATIVE):
@@ -646,12 +617,14 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     psi = diff.psi
     residuals = {"diff1": diff.residual_diff1, "diff2": diff.residual_diff2}
 
-    # gamma_hat: the Psi_1 coefficient of f*(iota* Theta) modulo pullbacks
-    lat_top = lat1 if theta.order == 1 else lat2
+    # gamma_hat: the Psi_1 coefficient of f*(iota* Theta) modulo pullbacks.
+    # The pullbacks are iota* phi* of the top lattice, which is {Theta}
+    # since X_0 = 0; on the non-CL path X_1 = 0, so f* Psi_1 is expanded
+    # without one.  A missing column could only lower a solve residual,
+    # and a residual below the threshold raises.
     psi_top = psi.extend(_kernel_vars(theta.order + 1))
-    cols = [psi_top] + _pullback_columns(lat_top, theta, diff.pullback,
-                                         psi_top.vars)
-    xs, residuals["fstar_reduction"] = _class_solve(diff.fstar_iota_theta, cols)
+    xs, residuals["fstar_reduction"] = _class_solve(
+        diff.fstar_iota_theta, [psi_top, diff.pullback])
     gamma_hat = xs[0]
 
     if is_cl:
@@ -666,11 +639,9 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     else:
         # basis ([iota* Theta], [f* iota* Theta]); [f* iota* Theta] =
         # gamma_hat [Psi_1]; expand f* Psi_1 = x [iota* Theta] + y [Psi_1]
-        psi2 = psi.extend(_kernel_vars(2))
-        cols2 = ([diff.iota_theta, psi2]
-                 + _pullback_columns(lat1, theta, diff.pullback, psi2.vars))
         xy, residuals["fstar_psi_expansion"] = _class_solve(
-            restrict_lateral(psi), cols2)
+            restrict_lateral(psi),
+            [diff.iota_theta, psi.extend(_kernel_vars(2))])
         x, y = xy[0], xy[1]
         zero = PadicRational.zero(ctx, ctx.N)
         matrix = [[zero, gamma_hat * x], [PadicRational.one(ctx), y]]
@@ -732,7 +703,7 @@ def check_point_count(F: FormalGroupLaw, matrix) -> None:
     if F.kind == MULTIPLICATIVE:
         residuals = {"lambda - p": matrix[0][0] - p}
     elif F.kind == ELLIPTIC:
-        a_p = count_points_ap(F.curve).a_p
+        a_p = F.curve.invariants.a_p
         if len(matrix) == 2:
             trace, det = trace_determinant(matrix)
             residuals = {"trace - a_p": trace - a_p, "det - p": det - p}
@@ -810,9 +781,8 @@ def order_one_span_identity(ga: GroupAnalysis) -> dict:
     pullback span at the common level."""
     ctx, theta, diff = ga.F.ctx, ga.theta, ga.diff
     iota_theta = diff.iota_theta.extend(_kernel_vars(theta.order + 1))
-    cols = [iota_theta] + _pullback_columns(
-        ga.lattices[theta.order], theta, diff.pullback, iota_theta.vars)
-    xs, resid = _class_solve(diff.fstar_iota_theta, cols)
+    xs, resid = _class_solve(diff.fstar_iota_theta,
+                             [iota_theta, diff.pullback])
     solvable = resid >= ctx.N - 4
     dim_intersection = 1 if solvable and not xs[0].is_zero() else 0
     return {

@@ -15,8 +15,9 @@ at relative precision N for F.log.  The exponential is the reversion of
 the log.  The law is computed lazily (the character solver only consumes
 the logarithm).
 
-Point counts over F_p are exhaustive (one quadratic per x), giving the
-trace a_p used by the crystalline cross-checks.
+Point counts over F_p are exhaustive (one quadratic per x), made once per
+curve (WeierstrassCurve.invariants), giving the trace a_p used by the
+crystalline cross-checks.
 """
 
 from dataclasses import dataclass
@@ -81,6 +82,11 @@ class WeierstrassCurve:
     @property
     def is_short(self) -> bool:
         return self.a1 == self.a2 == self.a3 == 0
+
+    @cached_property
+    def invariants(self) -> "CurveInvariants":
+        """a_p, #E(F_p) and ordinarity, counted once per curve."""
+        return count_points_ap(self)
 
     def label(self) -> str:
         if self.is_short:
@@ -166,10 +172,8 @@ class FormalGroupLaw:
     @classmethod
     def multiplicative(cls, ctx: Context) -> "FormalGroupLaw":
         log = TruncatedSeries(ctx, ("t",), {
-            (k,): PadicRational.from_int(ctx, (-1) ** (k + 1))
-            / PadicRational.from_int(ctx, k)
-            for k in range(1, ctx.M + 1)
-        })
+            (k,): b for k, b in
+            enumerate(multiplicative_log_coefficients(ctx, ctx.M), 1)})
 
         def build():
             t1 = TruncatedSeries.variable(ctx, ("t1", "t2"), "t1")
@@ -182,6 +186,13 @@ class FormalGroupLaw:
     def from_kernel_law(cls, ctx: Context, law: TruncatedSeries,
                         log: TruncatedSeries) -> "FormalGroupLaw":
         return cls(ctx, KERNEL, lambda: law, log=log)
+
+
+def multiplicative_log_coefficients(ctx: Context,
+                                    deg: int) -> list[PadicRational]:
+    """[b_1, ..., b_deg] of log(1 + t): b_k = (-1)^(k+1)/k."""
+    return [PadicRational.from_int(ctx, (-1) ** (k + 1))
+            / PadicRational.from_int(ctx, k) for k in range(1, deg + 1)]
 
 
 def _w_coefficients(E: WeierstrassCurve, deg: int,

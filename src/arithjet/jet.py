@@ -228,6 +228,11 @@ def _min_resid(series_list) -> float:
     return min(vals, default=_INF)
 
 
+def _point_resid(xs, ys) -> float:
+    """Fewest digits to which two sampled jet points agree."""
+    return min((x - y).val for x, y in zip(xs, ys))
+
+
 def verify_jet_identities(F: FormalGroupLaw, samples: int = 8,
                           seed: int = 0) -> JetIdentityReport:
     """Run the structural identity suite for a formal group at n <= 2."""
@@ -307,22 +312,16 @@ def verify_jet_identities(F: FormalGroupLaw, samples: int = 8,
         c = random_jet_point(ctx, 2, rng)
         ab = jet_point_product(F, a, b)
         ba = jet_point_product(F, b, a)
-        worst_comm = min(worst_comm, *[
-            (x - y).val if (x - y).is_zero() else (x - y).valuation()
-            for x, y in zip(ab, ba)])
+        worst_comm = min(worst_comm, _point_resid(ab, ba))
         abc1 = jet_point_product(F, ab, c)
         abc2 = jet_point_product(F, a, jet_point_product(F, b, c))
-        worst_assoc = min(worst_assoc, *[
-            (x - y).val if (x - y).is_zero() else (x - y).valuation()
-            for x, y in zip(abc1, abc2)])
+        worst_assoc = min(worst_assoc, _point_resid(abc1, abc2))
         env_ab = {n: v for n, v in zip(xs, ab)}
         lhs_pts = evaluate_map(phi_series, env_ab)
         pa = evaluate_map(phi_series, dict(zip(xs, a)))
         pb = evaluate_map(phi_series, dict(zip(xs, b)))
         rhs_pts = jet_point_product(F, pa, pb)
-        worst_phi = min(worst_phi, *[
-            (x - y).val if (x - y).is_zero() else (x - y).valuation()
-            for x, y in zip(lhs_pts, rhs_pts)])
+        worst_phi = min(worst_phi, _point_resid(lhs_pts, rhs_pts))
     rep.add("commutativity-sampled", worst_comm, thr, f"{samples} random pairs")
     rep.add("associativity-sampled", worst_assoc, thr, f"{samples} random triples")
     rep.add("phi-homomorphism-J2-sampled", worst_phi, thr, f"{samples} random pairs")

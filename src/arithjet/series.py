@@ -504,12 +504,11 @@ class TruncatedSeries:
 
     # -- comparison --------------------------------------------------------
 
-    def residual_valuation(self, other=None):
-        """Minimum valuation of (self - other) over all monomials; _INF when
-        every tracked coefficient of the difference vanishes.  The check is
-        meaningful modulo the difference's effective precision."""
-        d = self if other is None else self - other
-        vals = [c.val for c in d.coeffs.values() if not c.is_zero()]
+    def residual_valuation(self):
+        """Minimum valuation over all monomials; _INF when every tracked
+        coefficient vanishes.  On a difference the check is meaningful
+        modulo its effective precision."""
+        vals = [c.val for c in self.coeffs.values() if not c.is_zero()]
         return min(vals, default=_INF)
 
     def __eq__(self, other):

@@ -12,9 +12,9 @@ from arithjet.characters import (
     iota_star, phi_star, restrict_lateral, verify_diff_relation,
     analyze_group, classify_CL, splitting_numbers_and_rank, isocrystal_data,
     order_one_span_identity, frob_up_matrix_identity, DeltaCharacter,
-    _char_from_c, check_point_count,
+    check_point_count,
 )
-from arithjet import characters
+from arithjet import characters, formalgroup
 from arithjet.jet import ghost_series, n1_group
 from arithjet.errors import (
     ArithJetError, IdentityViolation, IntegralityViolation, PrecisionExhausted,
@@ -232,10 +232,9 @@ def test_gamma_is_p_times_A0(Gm):
 
 
 def test_gamma_scales_linearly(Gm):
-    from arithjet.characters import log_projections as LP
     th = solve_character_lattice(Gm, 1).basis[0]
     lam = PadicRational.from_int(Gm.ctx, 7)
-    scaled = _char_from_c(Gm, 1, [x * lam for x in th.c], LP(Gm, 1))
+    scaled = DeltaCharacter(Gm, tuple(x * lam for x in th.c))
     _, g1 = differential_gamma(th)
     _, g2 = differential_gamma(scaled)
     assert g2 == g1 * lam
@@ -247,8 +246,7 @@ def test_upsilon_elliptic_order2(E11):
 
 
 def test_upsilon_zero_character(Gm):
-    from arithjet.characters import log_projections as LP
-    zero = _char_from_c(Gm, 1, [PadicRational.zero(Gm.ctx, 8)] * 2, LP(Gm, 1))
+    zero = DeltaCharacter(Gm, (PadicRational.zero(Gm.ctx, 8),) * 2)
     assert upsilon(zero).is_zero()
 
 
@@ -270,6 +268,23 @@ def test_phi_star_shifts_coefficients(Gm):
     assert sh.c[0].is_zero()
     assert sh.c[1] == th.c[0] and sh.c[2] == th.c[1]
     assert sh.series.is_integral()
+
+
+def test_iota_star_matches_the_restricted_jet_series(ctx35, Em10, E11, E7):
+    # iota* reads the kernel log projections; the jet series at x0 = 0
+    # gives the same keys in the same order, triples and absprec
+    Gm = FormalGroupLaw.multiplicative(ctx35)
+    thetas = [solve_character_lattice(Gm, 1).basis[0],
+              solve_character_lattice(Em10, 1).basis[0],
+              solve_character_lattice(E11, 2).basis[0],
+              solve_character_lattice(E7, 2).basis[0]]
+    for th in thetas:
+        for ch in (th, phi_star(th), phi_star(phi_star(th))):
+            got = iota_star(ch)
+            want = ch.series.set_zero(["x0"])
+            assert got.vars == want.vars
+            assert triples(got) == triples(want), (th.F.kind, ch.order)
+            assert got.absprec == want.absprec, (th.F.kind, ch.order)
 
 
 def test_f_star_additive_psi(Ga):
@@ -299,8 +314,7 @@ def test_f_star_shifts_the_kernel_log_projections(ctx35, E11, Em10, E7):
 
 
 def test_diff_relation_zero_character(Gm):
-    from arithjet.characters import log_projections as LP
-    zero = _char_from_c(Gm, 1, [PadicRational.zero(Gm.ctx, 8)] * 2, LP(Gm, 1))
+    zero = DeltaCharacter(Gm, (PadicRational.zero(Gm.ctx, 8),) * 2)
     rep = verify_diff_relation(zero)
     assert rep.residual_diff1 == INF
 
@@ -376,13 +390,27 @@ def test_one_analysis_builds_each_lateral_pullback_once(E11, Em10,
         monkeypatch.setattr(characters, name, wrapper)
 
     counted("restrict_lateral")
-    counted("phi_star")
-    # non-CL: f* on iota* Theta, on iota* phi* Theta (diff2) and on Psi_1
+    counted("iota_star")
+    # non-CL: f* on iota* Theta, on iota* phi* Theta (diff2) and on Psi_1;
+    # iota* of Theta, phi* Theta and (phi^2)* Theta (diff2)
     analyze_group(E11)
-    assert counts == {"restrict_lateral": 3, "phi_star": 1}
+    assert counts == {"restrict_lateral": 3, "iota_star": 3}
     counts.clear()
     analyze_group(Em10)
-    assert counts == {"restrict_lateral": 1, "phi_star": 1}
+    assert counts == {"restrict_lateral": 1, "iota_star": 2}
+
+
+def test_one_analysis_counts_points_once(ctx35, monkeypatch):
+    calls = []
+    real = formalgroup.count_points_ap
+
+    def counted(E):
+        calls.append(E)
+        return real(E)
+
+    monkeypatch.setattr(formalgroup, "count_points_ap", counted)
+    analyze_group(curve(ctx35, 1, 1))
+    assert len(calls) == 1
 
 
 def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
@@ -409,6 +437,18 @@ def test_analyze_group_names_a_kind_it_cannot_analyse(Ga, Gm):
         with pytest.raises(ArithJetError, match=kind) as err:
             analyze_group(F)
         assert not isinstance(err.value, PrecisionExhausted)
+
+
+def test_top_lattice_holds_theta_alone(ga11, gam10, ga01, gagm):
+    # analyze_group solves gamma_hat against iota* phi* Theta alone, and
+    # f* Psi_1 without a pullback column on the non-CL path
+    for ga in (ga11, gam10, ga01, gagm):
+        top = ga.lattices[ga.theta.order]
+        assert len(top.basis) == 1 and top.basis[0] is ga.theta
+        assert top.shift_relations == []
+    for ga in (ga11, ga01):
+        lat1 = ga.lattices[1]
+        assert lat1.basis == [] and lat1.shift_relations == []
 
 
 def test_splitting_nonCL(ga11):

@@ -1,6 +1,7 @@
 """Packaging and import layering."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -36,3 +37,18 @@ def test_console_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_bench_trace_targets_resolve():
+    # the benchmark's traced run patches these names; a rename or deletion
+    # in arithjet must fail here, not only in the benchmark's own suite
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, module, path in tracing.SPAN_TARGETS + tracing.COUNT_TARGETS:
+        owner = importlib.import_module(f"arithjet.{module}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), name
