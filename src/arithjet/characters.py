@@ -9,10 +9,10 @@ each automatically additive for the jet law (log_G is a K-homomorphism to
 the additive group and the ghost projection w_i is a group map), so Theta
 is a character over Z_p exactly when its series coefficients are
 p-integral.  A DeltaCharacter is its c-vector.  Every character series is
-one c-combination of one table per group: log_projections builds each L_i
-once, on (x0..xi), and keeps it in F.log_projection_cache; the kernel
-projections Lbar_j = L_j(0, x1..xj) are the same table restricted to
-x0 = 0.
+one c-combination of one table per group: each L_i is built once, on
+(x0..xi), and kept in F.log_projection_cache; log_projections reads it
+extended, and the kernel projections Lbar_j = L_j(0, x1..xj) are the same
+table restricted to x0 = 0.
 
 The solver works in u-coordinates u_i = p^i c_i (the linear x_i
 coefficient of Theta is p^i c_i, forcing u into Z_p^(n+1)), reduces the
@@ -40,19 +40,32 @@ the cotangent map Upsilon, the three lateral maps, the diff relation
 (the sign sigma is measured, not assumed, and reported with the run), the
 matrix of the lateral Frobenius on H_delta = lim Hom(N^n, G_a)/pullbacks,
 splitting numbers, the filtration F_(i+1) = X_prim + f* F_i, and the CL
-classification rk X_1 = 1.  Two lateral maps act on c-vectors: phi_star
-shifts c to (0, c_0..c_n), and iota_star, the restriction to the kernel,
-is sum c_i Lbar_i.  The third, restrict_lateral, is f*, the pullback along
-the lateral Frobenius f : N^(m+1) -> N^m, a series compose.  Since
-f* Lbar_j = Lbar_(j+1) and Lbar_0 = 0, f*(iota* Theta) equals
-iota* phi* (Theta with c_0 = 0), so f* on a character is a c-vector shift
-too.  A character of the kernel N^m is a plain series in (x1..xm), and
-its pullback to a deeper kernel is the same series extended.
-analyze_group builds each lateral object once, in verify_diff_relation,
-and reads its solves and checks from that report.  Only elliptic curves
-and G_m are analysed; other kinds raise before any solve.
+classification rk X_1 = 1.
+
+All three lateral maps act on c-vectors.  phi_star shifts c to
+(0, c_0..c_n); iota_star, the restriction to the kernel, is
+sum c_i Lbar_i; and f*, the pullback along the lateral Frobenius
+f : N^(m+1) -> N^m, is the ghost index shift f_star.  The lateral
+Frobenius is the Witt Frobenius, so w_j o f = w_(j+1) and
+f* Lbar_j = Lbar_(j+1); with Lbar_0 = 0 this gives
+f*(iota* Theta) = sum_(i>=1) c_i Lbar_(i+1), read from the kernel table.
+A character of the kernel N^m is a plain series in (x1..xm), and its
+pullback to a deeper kernel is the same series extended.
+
+On c-vectors the diff relation reads -c_0 Lbar_1 = sigma gamma Psi_1, and
+its order-2 form holds by construction, so verify_diff_relation also ties
+each shift to f at seeded points: the shifted series at x in pZ_p^(n+1)
+against the unshifted one at the exact numeric f(x).  One compose stays in
+the run: restrict_lateral, f* Psi_1 for the rank-2 matrix, which also
+checks f* Psi_1 = Lbar_2 / p coefficientwise.  A point check sees an error
+of valuation v in degree k as v + k, so the coefficientwise comparison of
+every shift with the compose is in the test suite.  analyze_group builds
+each lateral object once, in verify_diff_relation, and reads its solves
+and checks from that report.  Only elliptic curves and G_m are analysed;
+other kinds raise before any solve.
 """
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,7 +76,9 @@ from .formalgroup import (
     elliptic_log_coefficients, multiplicative_log_coefficients,
     ELLIPTIC, MULTIPLICATIVE,
 )
-from .jet import ghost_series, lateral_frobenius_map, psi1_series
+from .jet import (
+    ghost_series, lateral_frobenius_map, lateral_frobenius_point, psi1_series,
+)
 from .linalg import kernel_lattice, lattice_exponents, solve_padic
 from .errors import (
     PrecisionExhausted, AmbiguousRank, RankMismatch, IntegralityViolation,
@@ -83,25 +98,29 @@ def _lift_int(x: PadicRational, K: int) -> int:
 # log projections and the fundamental character
 
 
-def log_projections(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
-    """[L_0, ..., L_n] in variables (x0..xn); L_i = log_G(w_i).
-
-    Each L_i is built once per group, on its own variables (x0..xi), and
-    kept in F.log_projection_cache; the table is returned extended."""
+def _log_table(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
+    """F.log_projection_cache filled to L_n; each L_i = log_G(w_i) is built
+    once per group, on its own variables (x0..xi)."""
     if n > ORDER_CAP + 2:
         raise ArithJetError("log projections supported up to L_4")
     table = F.log_projection_cache
     for i in range(len(table), n + 1):
         xs = tuple(f"x{k}" for k in range(i + 1))
         table.append(F.log.compose([ghost_series(F.ctx, xs, xs, i)]))
+    return table
+
+
+def log_projections(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
+    """[L_0, ..., L_n] in variables (x0..xn); L_i = log_G(w_i), read from
+    the group's table and extended."""
     xs = tuple(f"x{k}" for k in range(n + 1))
-    return [L.extend(xs) for L in table[:n + 1]]
+    return [L.extend(xs) for L in _log_table(F, n)[:n + 1]]
 
 
 def kernel_log_projection(F: FormalGroupLaw, j: int, variables) -> TruncatedSeries:
     """Lbar_j = log_G(w_j(0, x1..xj)): the table's L_j with x0 set to 0,
     viewed in the given kernel variables."""
-    return log_projections(F, j)[j].set_zero(["x0"]).extend(variables)
+    return _log_table(F, j)[j].set_zero(["x0"]).extend(variables)
 
 
 def _kernel_vars(m: int) -> tuple[str, ...]:
@@ -453,9 +472,57 @@ def phi_star(theta: DeltaCharacter) -> DeltaCharacter:
 
 
 def restrict_lateral(chi: TruncatedSeries) -> TruncatedSeries:
-    """f* chi: the pullback of a character chi of N^m, m = len(chi.vars),
-    along the lateral Frobenius f : N^(m+1) -> N^m."""
+    """f* chi by composition: the pullback of a character chi of N^m,
+    m = len(chi.vars), along the lateral Frobenius f : N^(m+1) -> N^m.
+    analyze_group runs it on Psi_1 alone; every other f* is f_star."""
     return chi.compose(lateral_frobenius_map(chi.ctx, len(chi.vars) + 1))
+
+
+def f_star(theta: DeltaCharacter, chi: TruncatedSeries) -> TruncatedSeries:
+    """f*(iota* Theta) by the ghost index shift, where chi = iota* Theta.
+
+    The lateral Frobenius is the Witt Frobenius, w_j o f = w_(j+1), so
+    f* Lbar_j = Lbar_(j+1); with Lbar_0 = 0 this gives
+    f*(iota* Theta) = sum_(i>=1) c_i Lbar_(i+1), a series on N^(n+1) read
+    from the kernel table.  The table holds Lbar_(i+1) to one digit more
+    than the compose restrict_lateral(chi) claims, and no independent test
+    backs that digit yet, so the series absprec is capped at chi's, the
+    compose's claim."""
+    ctx = theta.F.ctx
+    tail = DeltaCharacter(theta.F, (PadicRational.zero(ctx, ctx.N), *theta.c[1:]))
+    out = iota_star(phi_star(tail))
+    return out + TruncatedSeries.zero(ctx, out.vars, chi.absprec)
+
+
+# seeded points per point check of a diff relation
+_CHECK_POINTS = 4
+
+
+def _point_residual(lhs: TruncatedSeries, chi: TruncatedSeries) -> float:
+    """Fewest digits to which lhs(x) and chi(f(x)) agree, over seeded
+    integer points x = p u (u a unit) of N^m, m = len(lhs.vars), with f(x)
+    the exact lateral Frobenius of x; _INF when every difference vanishes
+    at the precision the two evaluations hold.  At x in pZ_p an error of
+    valuation v in a degree-k coefficient shows as v + k, so this check
+    sees low-degree errors only; the coefficientwise compose check is in
+    the test suite."""
+    ctx = lhs.ctx
+    p = ctx.p
+    rel = ctx.N + ctx.M  # the points are exact; this only bounds the work
+    rng = random.Random(len(lhs.vars))
+
+    def at(series, point):
+        return series.evaluate({name: PadicRational.from_int(ctx, v, rel)
+                                for name, v in zip(series.vars, point)})
+
+    resid = _INF
+    for _ in range(_CHECK_POINTS):
+        x = [p * (p * rng.randrange(p ** ctx.N) + rng.randrange(1, p))
+             for _ in lhs.vars]
+        d = at(lhs, x) - at(chi, lateral_frobenius_point(p, x))
+        if not d.is_zero():
+            resid = min(resid, d.val)
+    return resid
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +532,15 @@ def restrict_lateral(chi: TruncatedSeries) -> TruncatedSeries:
 @dataclass
 class DiffRelationReport:
     """Residuals of the diff relation, and the lateral objects it was
-    checked on: Psi_1 on N^1, iota* Theta on N^n, and f*(iota* Theta) and
-    iota* phi* Theta on N^(n+1)."""
+    checked on: Psi_1 on N^1, iota* Theta on N^n, and f*(iota* Theta) (by
+    the index shift, f_star) and iota* phi* Theta on N^(n+1).
+
+    residual_diff1 is the smaller of the c-vector residual of
+    f*(iota* Theta) - iota* phi* Theta - sigma gamma Psi_1 and the point
+    residual of f*(iota* Theta) against iota* Theta o f; residual_diff2
+    (order 2) is the point residual of f*(iota* phi* Theta) against
+    iota* phi* Theta o f.  residual_wrong_sign is the c-vector residual
+    with the other sign."""
 
     order: int
     sign: int
@@ -489,17 +563,24 @@ class DiffRelationReport:
 
 def verify_diff_relation(theta: DeltaCharacter) -> DiffRelationReport:
     """f*(iota* Theta) = iota* phi* Theta + sigma gamma Psi_1, sigma measured;
-    at order 2 also f*(iota* phi* Theta) = iota* (phi^2)* Theta, whose right
-    side is sum c_i Lbar_(i+2).  The report carries Psi_1, iota* Theta,
-    f*(iota* Theta) and iota* phi* Theta, each built once here, for the
-    solves of analyze_group."""
+    at order 2 also f*(iota* phi* Theta) = iota* (phi^2)* Theta.
+
+    Both f* are f_star, the index shift, so on c-vectors the first
+    relation reads -c_0 Lbar_1 = sigma gamma Psi_1, which checks gamma,
+    Psi_1 and the sign, and the second holds by construction.  What ties
+    the shift to the lateral Frobenius is the point check: each shifted
+    series is evaluated at seeded points x of pZ_p^(n+1) (n+2 for diff2)
+    and compared with the unshifted series at the numeric f(x).  The
+    report carries Psi_1, iota* Theta, f*(iota* Theta) and
+    iota* phi* Theta, each built once here, for the solves of
+    analyze_group."""
     F, ctx, n = theta.F, theta.F.ctx, theta.order
     if n > 2:
         raise ArithJetError("diff relation checked for order <= 2")
     _, gamma = differential_gamma(theta)
     psi = fundamental_character(F)
     iota_theta = iota_star(theta)
-    lhs = restrict_lateral(iota_theta)
+    lhs = f_star(theta, iota_theta)
     rhs0 = iota_star(phi_star(theta))
     # all three series are on N^(n+1), in x1..x(n+1)
     psil = psi.extend(_kernel_vars(n + 1))
@@ -507,13 +588,12 @@ def verify_diff_relation(theta: DeltaCharacter) -> DiffRelationReport:
     r_minus = (gap + psil.scale(gamma)).residual_valuation()
     r_plus = (gap - psil.scale(gamma)).residual_valuation()
     sign = -1 if r_minus >= r_plus else 1
+    r1 = min(max(r_minus, r_plus), _point_residual(lhs, iota_theta))
     r2 = None
     if n == 2:
-        lhs2 = restrict_lateral(rhs0)  # lands on N^4
-        rhs2 = iota_star(phi_star(phi_star(theta)))
-        r2 = (lhs2 - rhs2).residual_valuation()
+        r2 = _point_residual(f_star(phi_star(theta), rhs0), rhs0)  # on N^4
     return DiffRelationReport(order=n, sign=sign,
-                              residual_diff1=max(r_minus, r_plus),
+                              residual_diff1=r1,
                               residual_wrong_sign=min(r_minus, r_plus),
                               residual_diff2=r2, gamma=gamma,
                               threshold=ctx.N - 3, psi=psi,
@@ -639,9 +719,13 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     else:
         # basis ([iota* Theta], [f* iota* Theta]); [f* iota* Theta] =
         # gamma_hat [Psi_1]; expand f* Psi_1 = x [iota* Theta] + y [Psi_1]
+        # f* Psi_1 is the one compose of the run; it checks the shift too,
+        # f* Psi_1 = Lbar_2 / p
+        fpsi = restrict_lateral(psi)
+        lbar2 = kernel_log_projection(F, 2, fpsi.vars)
+        residuals["fstar_shift"] = (fpsi - lbar2.shift(-1)).residual_valuation()
         xy, residuals["fstar_psi_expansion"] = _class_solve(
-            restrict_lateral(psi),
-            [diff.iota_theta, psi.extend(_kernel_vars(2))])
+            fpsi, [diff.iota_theta, psi.extend(_kernel_vars(2))])
         x, y = xy[0], xy[1]
         zero = PadicRational.zero(ctx, ctx.N)
         matrix = [[zero, gamma_hat * x], [PadicRational.one(ctx), y]]

@@ -192,6 +192,16 @@ def evaluate_map(series_tuple, values: dict) -> list[PadicRational]:
     return [s.evaluate(values) for s in series_tuple]
 
 
+def lateral_frobenius_point(p: int, xs) -> list[int]:
+    """f(x) for an integer point x = (x_1..x_m) of N^m: the Witt Frobenius
+    over Z, exactly (ghost_solve of the ghosts w_1..w_(m-1) of x; each
+    division by p^i is exact since the Witt Frobenius is integral)."""
+    def shift(a, k):
+        return a * p ** k if k >= 0 else a // p ** -k
+
+    return ghost_solve(p, ghost_map(p, list(xs), shift)[1:], shift)
+
+
 # -- identity verification ---------------------------------------------------
 
 

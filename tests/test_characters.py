@@ -12,14 +12,16 @@ from arithjet.characters import (
     iota_star, phi_star, restrict_lateral, verify_diff_relation,
     analyze_group, classify_CL, splitting_numbers_and_rank, isocrystal_data,
     order_one_span_identity, frob_up_matrix_identity, DeltaCharacter,
-    check_point_count,
+    check_point_count, f_star,
 )
 from arithjet import characters, formalgroup
 from arithjet.jet import ghost_series, n1_group
 from arithjet.errors import (
     ArithJetError, IdentityViolation, IntegralityViolation, PrecisionExhausted,
 )
-from test_kernels import reference_kernel_log_projection
+from test_kernels import (
+    reference_kernel_log_projection, reference_restrict_lateral,
+)
 
 INF = float("inf")
 
@@ -300,14 +302,32 @@ def test_f_star_shifts_the_kernel_log_projections(ctx35, E11, Em10, E7):
     # f* Lbar_j = Lbar_(j+1) to the precision the compose claims
     groups = (FormalGroupLaw.multiplicative(ctx35), E11, Em10, E7)
     for F in groups:
-        for j in (1, 2):
+        for j in (1, 2, 3):
             xs = tuple(f"x{i}" for i in range(1, j + 2))
             lbar = kernel_log_projection(F, j, xs[:j])
-            img = restrict_lateral(lbar)
+            img = reference_restrict_lateral(lbar)
             want = kernel_log_projection(F, j + 1, xs)
             resid = (img - want).residual_valuation()
             claim = img.effective_precision()
             assert resid >= claim, (F.kind, F.ctx.p, j, resid, claim)
+
+
+def test_f_star_shift_matches_the_composed_pullback(ga11, gam10, ga01, gagm,
+                                                    E7):
+    # f*(iota* Theta) and f*(iota* phi* Theta) by the index shift equal the
+    # compose to its claim, and claim the same series absprec
+    thetas = [ga.theta for ga in (ga11, gam10, ga01, gagm)]
+    thetas.append(solve_character_lattice(E7, 2).basis[0])
+    for th in thetas:
+        for ch in (th, phi_star(th)):
+            chi = iota_star(ch)
+            got = f_star(ch, chi)
+            want = reference_restrict_lateral(chi)
+            label = (th.F.kind, th.F.ctx.p, ch.order)
+            assert got.vars == want.vars, label
+            assert got.absprec == want.absprec, label
+            resid = (got - want).residual_valuation()
+            assert resid >= want.effective_precision(), (label, resid)
 
 
 # -- diff relation ---------------------------------------------------------------
@@ -359,45 +379,75 @@ def gagm(ctx35):
     return analyze_group(FormalGroupLaw.multiplicative(ctx35))
 
 
-def test_analyze_group_raises_on_a_failed_diff_relation(E11, monkeypatch):
-    # Lbar_4 enters only the right side of diff2; with p^2 x1 added to it
-    # diff2 drops to 1 while the Frobenius matrix, and so the point-count
-    # gate, is unchanged
+def bend_kernel_log_projection(monkeypatch, j, bend):
+    """Add bend(ctx, variables) to every Lbar_j that the run reads."""
     real = characters.kernel_log_projection
 
-    def bent(F, j, variables):
-        out = real(F, j, variables)
-        if j == 4:
-            x1 = TruncatedSeries.variable(F.ctx, out.vars, "x1")
-            out = out + x1.shift(2)
+    def bent(F, i, variables):
+        out = real(F, i, variables)
+        if i == j:
+            out = out + bend(F.ctx, out.vars)
         return out
 
     monkeypatch.setattr(characters, "kernel_log_projection", bent)
-    with pytest.raises(IdentityViolation, match="diff2 residual 1 "):
+
+
+def p_power_x1(k, a):
+    """p^a x1^k on the given variables."""
+    return lambda ctx, xs: (TruncatedSeries.variable(ctx, xs, "x1") ** k).shift(a)
+
+
+def test_analyze_group_raises_on_a_failed_diff_relation(E11, monkeypatch):
+    # Lbar_4 enters only f*(iota* phi* Theta); with p^2 x1 added to it the
+    # diff2 point check sees c_2 p^2 x1 = p^2 u at x1 = p u, while the
+    # Frobenius matrix, and so the point-count gate, is unchanged
+    bend_kernel_log_projection(monkeypatch, 4, p_power_x1(1, 2))
+    with pytest.raises(IdentityViolation, match="diff2 residual 2 "):
+        analyze_group(E11)
+
+
+def test_a_bent_lbar3_is_seen_by_the_diff1_point_check(E11, monkeypatch):
+    # c_2 Lbar_3 sits in f*(iota* Theta) and in iota* phi* Theta alike, so
+    # the bend cancels in the c-vector identity; only the point check
+    # against iota* Theta o f sees it
+    bend_kernel_log_projection(monkeypatch, 3, p_power_x1(1, 2))
+    with pytest.raises(IdentityViolation, match="diff1 residual 2 "):
+        analyze_group(E11)
+
+
+def test_a_bent_lbar2_is_seen_by_the_composed_f_star_psi(E11, monkeypatch):
+    # p^3 x1^3 in Lbar_2 shows as c_1 p^3 (p u)^3, valuation 5 = N - 3, at
+    # the points, so both point checks pass (the blind spot of a point
+    # check in high degree); f* Psi_1 = Lbar_2 / p, checked coefficientwise
+    # against the compose, drops to 2
+    bend_kernel_log_projection(monkeypatch, 2, p_power_x1(3, 3))
+    with pytest.raises(IdentityViolation, match="fstar_shift residual 2 "):
         analyze_group(E11)
 
 
 def test_one_analysis_builds_each_lateral_pullback_once(E11, Em10,
                                                         monkeypatch):
-    counts = {}
+    names = ("restrict_lateral", "f_star", "iota_star")
+    counts = dict.fromkeys(names, 0)
 
     def counted(name):
         real = getattr(characters, name)
 
         def wrapper(*args):
-            counts[name] = counts.get(name, 0) + 1
+            counts[name] += 1
             return real(*args)
         monkeypatch.setattr(characters, name, wrapper)
 
-    counted("restrict_lateral")
-    counted("iota_star")
-    # non-CL: f* on iota* Theta, on iota* phi* Theta (diff2) and on Psi_1;
-    # iota* of Theta, phi* Theta and (phi^2)* Theta (diff2)
+    for name in names:
+        counted(name)
+    # non-CL: the shift f* on iota* Theta and on iota* phi* Theta (diff2),
+    # each one iota*; the compose only on Psi_1; iota* of Theta and
+    # phi* Theta
     analyze_group(E11)
-    assert counts == {"restrict_lateral": 3, "iota_star": 3}
-    counts.clear()
+    assert counts == {"restrict_lateral": 1, "f_star": 2, "iota_star": 4}
+    counts.update(dict.fromkeys(names, 0))
     analyze_group(Em10)
-    assert counts == {"restrict_lateral": 1, "iota_star": 2}
+    assert counts == {"restrict_lateral": 0, "f_star": 1, "iota_star": 3}
 
 
 def test_one_analysis_counts_points_once(ctx35, monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from arithjet.context import Context
@@ -8,9 +10,9 @@ from arithjet.exactpoly import ExactPoly
 from arithjet.witt import structure_polynomials
 from arithjet.jet import (
     jet_group_law, kernel_law, kernel_law_direct, jet_frobenius,
-    lateral_frobenius_map, witt_frobenius_series,
+    lateral_frobenius_map, lateral_frobenius_point, witt_frobenius_series,
     ghost_series, verify_jet_identities, n1_group, psi1_series,
-    jet_point_product, random_jet_point,
+    jet_point_product, random_jet_point, evaluate_map,
 )
 from arithjet.errors import ArithJetError
 
@@ -127,6 +129,28 @@ def test_lateral_frobenius_formula(ctx, Ga):
     assert f == x1 ** 5 + x2.shift(1)
     # f(0, 0) = 0
     assert f.constant_term().is_zero()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_lateral_frobenius_point_matches_the_series(p):
+    # the exact integer f(x) against the series f at seeded points of pZ^m,
+    # to the precision the evaluation claims (at least N here; the series
+    # drops only terms of degree > M, of valuation > M at these points)
+    ctx = Context(p=p, N=8, M=3 * p)
+    rng = random.Random(p)
+    for m in (2, 3, 4):
+        f = lateral_frobenius_map(ctx, m)
+        names = tuple(f"x{i}" for i in range(1, m + 1))
+        for _ in range(4):
+            x = [p * rng.randrange(1, p ** ctx.N) for _ in names]
+            got = lateral_frobenius_point(p, x)
+            want = evaluate_map(f, {n: PadicRational.from_int(ctx, v)
+                                    for n, v in zip(names, x)})
+            assert len(got) == m - 1
+            for g, w in zip(got, want):
+                assert w.absprec >= ctx.N, (m, w)
+                exact = PadicRational.from_int(ctx, g, 2 * ctx.N)
+                assert (exact - w).is_zero(), (m, g, w)
 
 
 def test_lateral_frobenius_phi_fra_gm(ctx):

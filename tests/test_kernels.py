@@ -10,7 +10,10 @@ same (unit, val, rel, ctx.N) per coefficient and the same series absprec.
 Newton reversion agrees with the loop where the loop has a coefficient,
 and keeps the O(p^w) zeros that the loop leaves out; the kernel log
 projection read from the log-projection table may claim a lower series
-absprec than its reference.
+absprec than its reference.  The lateral Frobenius pullback f* by
+composition is the reference for the ghost index shift of
+arithjet.characters.f_star, which must agree with it to the compose's
+claim.
 """
 
 import random
@@ -27,7 +30,7 @@ from arithjet.formalgroup import (
     formal_group_from_curve,
 )
 from arithjet.errors import IdentityViolation
-from arithjet.jet import ghost_series
+from arithjet.jet import ghost_series, lateral_frobenius_map
 from arithjet.padic import PadicRational
 from arithjet.series import TruncatedSeries, _INF, _minp
 
@@ -138,6 +141,13 @@ def reference_kernel_log_projection(F, j: int, variables) -> TruncatedSeries:
     variables = tuple(variables)
     w = ghost_series(F.ctx, variables, variables[:j], j, start=1)
     return F.log.compose([w])
+
+
+def reference_restrict_lateral(chi: TruncatedSeries) -> TruncatedSeries:
+    """f* chi by composition with the lateral Frobenius series
+    f : N^(m+1) -> N^m, m = len(chi.vars): the coefficientwise route that
+    the ghost index shift replaced for every f* but f* Psi_1."""
+    return chi.compose(lateral_frobenius_map(chi.ctx, len(chi.vars) + 1))
 
 
 def exact_log(E: WeierstrassCurve, deg: int) -> list[Fraction]:
