@@ -5,9 +5,19 @@ use Kronecker substitution: both operands are packed into one big
 integer, one slot of whole bytes per coefficient, so the product is a
 single big-int multiply (Harvey, J. Symbolic Comput. 2009).  Slots hold
 signed values (each carries an offset of half its range), so the same
-code serves exact integer polynomials and residues mod m.  Inverses use
-Newton iteration g <- g (2 - f g), doubling the length each step
-(Brent-Kung, J. ACM 1978).
+code serves exact integer polynomials and residues mod m.
+
+A product skips what it can see to be zero.  Leading zeros are split
+off as a power of t.  When each operand lives on one parity class,
+a = t^ra A(t^2) and b = t^rb B(t^2), the product is t^(ra+rb) (AB)(t^2):
+one product of half the length, whose operands may again be of this
+shape (w(t) of y^2 = x^3 + a4 x lies in t^3 Z[[t^4]]).  The series of a
+short Weierstrass model have this shape, so their products are half as
+long; dense operands take the plain product.
+
+Inverses use Newton iteration g <- g - g (f g - 1), doubling the length
+each step (Brent-Kung, J. ACM 1978); `newton_inverse_step` is one such
+step, for callers that refine an inverse as f changes.
 
 With ``mod`` given every result coefficient lies in [0, mod); without it
 results are exact integers.
@@ -42,21 +52,54 @@ def mul(a: list[int], b: list[int], n: int, mod: int | None = None) -> list[int]
     if mod is not None:
         a = [x % mod for x in a]
         b = [x % mod for x in b]
-    while a and not a[-1]:
-        a.pop()
-    while b and not b[-1]:
-        b.pop()
-    if not a or not b:
+    return _mul(a, b, n, mod)
+
+
+def _first_nonzero(a: list[int]) -> int | None:
+    return next((i for i, x in enumerate(a) if x), None)
+
+
+def _mul(a: list[int], b: list[int], n: int, mod: int | None) -> list[int]:
+    """mul on operands already reduced mod `mod`."""
+    ra, rb = _first_nonzero(a), _first_nonzero(b)
+    if ra is None or rb is None or ra + rb >= n:
         return [0] * n
+    r = ra + rb
+    # only a_i with i < n - rb (and b_j with j < n - ra) reach t^(n-1)
+    if (n - r > 1 and not any(a[ra + 1:n - rb:2])
+            and not any(b[rb + 1:n - ra:2])):
+        # t^ra A(t^2) * t^rb B(t^2) = t^r (AB)(t^2), and t^r, t^(r+2), ...
+        # below t^n are (n - r + 1) // 2 < n - r coefficients
+        out = [0] * n
+        out[r::2] = _mul(a[ra:n - rb:2], b[rb:n - ra:2], (n - r + 1) // 2, mod)
+        return out
+    a, b = a[ra:n - rb], b[rb:n - ra]
+    while not a[-1]:
+        a.pop()
+    while not b[-1]:
+        b.pop()
     # every product coefficient is below this bound in absolute value
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     nbytes = bound.bit_length() // 8 + 1
     slots = len(a) + len(b) - 1
-    count = min(n, slots)
+    count = min(n - r, slots)
     out = _unpack(_pack(a, nbytes) * _pack(b, nbytes), nbytes, slots, count)
     if mod is not None:
         out = [x % mod for x in out]
-    return out + [0] * (n - count)
+    return [0] * r + out + [0] * (n - r - count)
+
+
+def newton_inverse_step(f: list[int], g: list[int], k: int,
+                        mod: int | None = None) -> list[int]:
+    """g - g (f g - 1) mod t^k: 1/f to k coefficients when g is 1/f to
+    (k + 1) // 2 of them."""
+    e = mul(f, g, k, mod)  # f g = 1 + O(t^((k + 1) // 2))
+    e[0] -= 1
+    d = mul(g, e, k, mod)
+    g = [x - y for x, y in zip(g[:k] + [0] * (k - len(g)), d)]
+    if mod is not None:
+        g = [x % mod for x in g]
+    return g
 
 
 def inverse(f: list[int], n: int, mod: int | None = None) -> list[int]:
@@ -71,10 +114,5 @@ def inverse(f: list[int], n: int, mod: int | None = None) -> list[int]:
     k = 1
     while k < n:
         k = min(2 * k, n)
-        e = mul(f, g, k, mod)  # f g = 1 + O(t^(old k))
-        e[0] -= 1
-        d = mul(g, e, k, mod)
-        g = [x - y for x, y in zip(g + [0] * (k - len(g)), d)]
-        if mod is not None:
-            g = [x % mod for x in g]
+        g = newton_inverse_step(f, g, k, mod)
     return g

@@ -73,6 +73,9 @@ def _hensel_series_factor(g_ints: list[int], r: int, p: int, K: int) -> list[int
 
     W = [0] * r + [1] + [0] * (J - r - 1)
     U = [(g_ints[r + i] if r + i < J else 0) % mod for i in range(J)]
+    # every update adds p^k eps with k >= 1, so U mod p never changes
+    Ubar = [c % p for c in U]
+    Ubar_inv = _intpoly.inverse(Ubar, J, p)
     for k in range(1, K):
         pk = p ** k
         WU = _intpoly.mul(W, U, J, mod)
@@ -80,8 +83,7 @@ def _hensel_series_factor(g_ints: list[int], r: int, p: int, K: int) -> list[int
                 for i in range(J)]
         if not any(rdef):
             continue
-        Ubar = [c % p for c in U]
-        s = _intpoly.mul(rdef, _intpoly.inverse(Ubar, J, p), J, p)
+        s = _intpoly.mul(rdef, Ubar_inv, J, p)
         delta = s[:r]
         eps = _intpoly.mul(s[r:] + [0] * r, Ubar, J, p)
         for i, c in enumerate(delta):

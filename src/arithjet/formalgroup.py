@@ -8,12 +8,14 @@ the parameter t = -x/y, w = -1/y.  w(t) is the root of
 found by Newton iteration on integer polynomials (_w_coefficients); the
 chord construction through (t1, w(t1)), (t2, w(t2)) gives the group law
 F(t1, t2).  The formal logarithm integrates the normalized invariant
-differential dx/(2y + a1*x + a3) expanded in t, and it has one route:
-elliptic_log_coefficients computes it mod p^digits on integers, the
-deep Frobenius tower reads it as is, and formal_group_from_curve caps it
-at relative precision N for F.log.  The exponential is the reversion of
-the log.  The law is computed lazily (the character solver only consumes
-the logarithm).
+differential, which in these parameters is dt/G_w for the curve
+G(t, w) = w - t^3 - ... = 0 (Silverman, AEC, ch. IV.1): log' = 1/G_w(t, w(t)),
+the inverse that the same Newton iteration for w refines at every step.
+The log has one route: elliptic_log_coefficients computes it mod
+p^digits on integers, the deep Frobenius tower reads it as is, and
+formal_group_from_curve caps it at relative precision N for F.log.  The
+exponential is the reversion of the log.  The law is computed lazily
+(the character solver only consumes the logarithm).
 
 Point counts over F_p are exhaustive (one quadratic per x), made once per
 curve (WeierstrassCurve.invariants), giving the trace a_p used by the
@@ -197,43 +199,53 @@ def multiplicative_log_coefficients(ctx: Context,
 
 def _w_coefficients(E: WeierstrassCurve, deg: int,
                     mod: int | None = None) -> tuple[list[int], list[int]]:
-    """Coefficients [t^0..t^deg] of w(t) = t^3(1 + ...) and of w(t)^2,
-    exact, or reduced into [0, mod) when mod is given.
+    """Coefficients [t^0..t^deg] of w(t) = t^3(1 + ...) and of
+    1/Phi'(w(t)), exact, or reduced into [0, mod) when mod is given.
 
     w is the root of
 
         Phi(w) = w - t^3 - a1 t w - a2 t^2 w - a3 w^2 - a4 t w^2 - a6 w^3,
 
-    found by Newton iteration w <- w - Phi(w)/Phi'(w) on integer
-    polynomials.  Phi'(w) has constant term 1, so the division is exact
-    over Z, and each step doubles the number of correct coefficients
-    (w = t^3 is right mod t^4).  The result is the exact w(t) mod t^(deg+1)
-    (mod `mod`), so it does not depend on how it was computed.
+    found by Newton iteration w <- w - Phi(w) g on integer polynomials,
+    with g = 1/Phi'(w) refined alongside by one Newton step
+    g <- g - g (Phi'(w) g - 1) per step of w (the coupled iteration of
+    Brent-Kung, J. ACM 1978).  Phi'(w) has constant term 1, so g is
+    integral, and each step doubles the number of correct coefficients
+    of both (w = t^3 is right mod t^4, g = 1 + a1 t mod t^2).  Phi' is
+    the partial derivative G_w of the curve's equation
+    G(t, w) = Phi(w), and dt/G_w(t, w(t)) is the invariant differential
+    (Silverman, AEC, ch. IV.1), so the second output is log'.  Both are
+    the exact series mod t^(deg+1) (mod `mod`), so they do not depend on
+    how they were computed.
     """
     n = deg + 1
     a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
+
+    def dphi(w, w2, k):  # Phi'(w) mod t^k; w, w^2 and t w vanish mod t^3
+        return ([1, -a1, -a2] + [-2 * a3 * x - 2 * a4 * y - 3 * a6 * u
+                                 for x, y, u in zip(w[3:k], w[2:], w2[3:])])[:k]
+
     w = [0] * min(n, 3) + [1] * (n > 3)
+    g = [1, a1 if mod is None else a1 % mod]
     while len(w) < n:
         j = len(w)  # w is right mod t^j (j >= 4), so Phi(w) = O(t^j)
         k = min(2 * j, n)
         w = w + [0] * (k - j)
         w2 = _intpoly.mul(w, w, k, mod)
-        w3 = _intpoly.mul(w2, w, k, mod)
+        w3 = _intpoly.mul(w2, w, k, mod) if a6 else [0] * k
         tw, t2w, tw2 = [0] + w[:-1], [0, 0] + w[:-2], [0] + w2[:-1]
         phi = [x - a1 * y - a2 * z - a3 * u - a4 * v - a6 * s
                for x, y, z, u, v, s in zip(w[j:], tw[j:], t2w[j:], w2[j:],
                                            tw2[j:], w3[j:])]
-        # Phi(w)/Phi'(w) mod t^k needs Phi'(w) only mod t^(k-j)
-        dphi = [-2 * a3 * x - 2 * a4 * y - 3 * a6 * u
-                for x, y, u in zip(w[:max(k - j, 3)], tw, w2)]
-        dphi[0] += 1
-        dphi[1] -= a1
-        dphi[2] -= a2
-        step = _intpoly.mul(phi, _intpoly.inverse(dphi, k - j, mod), k - j, mod)
+        # Phi'(w) is right mod t^j; g was right mod t^(j/2) (t^2 at first)
+        g = _intpoly.newton_inverse_step(dphi(w, w2, j), g, j, mod)
+        step = _intpoly.mul(phi, g, k - j, mod)
         w[j:] = [x - y for x, y in zip(w[j:], step)]
         if mod is not None:
             w = [x % mod for x in w]
-    return w, _intpoly.mul(w, w, n, mod)
+    # g is right mod t^j >= t^(n/2) (or mod t^2 when n <= 4)
+    w2 = _intpoly.mul(w, w, n, mod)
+    return w, _intpoly.newton_inverse_step(dphi(w, w2, n), g, n, mod)
 
 
 def _w_series(E: WeierstrassCurve, deg: int) -> TruncatedSeries:
@@ -250,14 +262,14 @@ def elliptic_log_coefficients(E: WeierstrassCurve, deg: int,
     integer polynomials mod p^digits (fast enough for the deep Frobenius
     tower).
 
-    log' = P = (w - t w') / (w (-2 + a1 t + a3 w)); both sides of the
-    fraction are divisible by t^3 and the shifted denominator has unit
-    constant term -2, so P = num * den^(-1) mod (p^digits, t^(deg+1)) with
-    a Newton inverse, and b_j = P_(j-1)/j.  P is unique mod p^digits, so
-    every b_j is P_(j-1)/j known to exactly digits absolute digits before
-    the division (relative precision digits - v(P_(j-1))), whatever
-    algorithm found P.  digits defaults to N plus the number of p-power
-    denominators j can carry.
+    log' = P = 1/G_w(t, w(t)), the invariant differential dt/G_w of the
+    curve G(t, w) = 0 in the parameters of _w_coefficients (Silverman,
+    AEC, ch. IV.1): its second output, mod (p^digits, t^deg).  Then
+    b_j = P_(j-1)/j.  P is unique mod p^digits, so every b_j is P_(j-1)/j
+    known to exactly digits absolute digits before the division
+    (relative precision digits - v(P_(j-1))), whatever algorithm found P.
+    digits defaults to N plus the number of p-power denominators j can
+    carry.
     """
     ctx = E.ctx
     if digits is None:
@@ -267,13 +279,7 @@ def elliptic_log_coefficients(E: WeierstrassCurve, deg: int,
             j += 1
         digits = ctx.N + j
     mod = ctx.pk(digits)
-    w, w2 = _w_coefficients(E, deg + 3, mod=mod)
-    # numerator (w - t w')/t^3: coefficient (1-j) w_j at t^j, shifted by 3
-    num = [((-2 - k) * w[k + 3]) % mod for k in range(deg + 1)]
-    # denominator w(-2 + a1 t + a3 w)/t^3
-    den = [(-2 * w[k + 3] + E.a1 * w[k + 2] + E.a3 * w2[k + 3]) % mod
-           for k in range(deg + 1)]
-    P = _intpoly.mul(num, _intpoly.inverse(den, deg + 1, mod), deg + 1, mod)
+    _, P = _w_coefficients(E, max(deg - 1, 0), mod=mod)
     out = []
     for j in range(1, deg + 1):
         # b_j = P_(j-1)/j = (P_(j-1)/p^v) * u^(-1) for j = u p^v

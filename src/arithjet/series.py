@@ -371,11 +371,14 @@ class TruncatedSeries:
         (topologically nilpotent for honest convergence mod p^N)."""
         total = PadicRational.zero(self.ctx, 10 ** 9 if self.absprec is None
                                    else self.absprec)
+        powers = {}  # (name, k) -> values[name] ** k
         for e, c in self.coeffs.items():
             term = c
             for name, k in zip(self.vars, e):
                 if k:
-                    term = term * (values[name] ** k)
+                    if (name, k) not in powers:
+                        powers[name, k] = values[name] ** k
+                    term = term * powers[name, k]
             total = total + term
         return total
 

@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arithjet import _intpoly, canonical
 from arithjet.canonical import canonical_lift_test, short_model
@@ -96,26 +96,36 @@ def reference_w(E: WeierstrassCurve, deg: int, mod=None):
     return w, w2
 
 
+def reference_dlog(E: WeierstrassCurve, deg: int, mod=None) -> list[int]:
+    """P = log' = (w - t w')/(w (-2 + a1 t + a3 w)) to t^deg by the division
+    recurrence, from reference_w: both parts divided by t^3, which leaves
+    the denominator the constant term -2; exact, or reduced into [0, mod)."""
+    w, w2 = reference_w(E, deg + 3, mod)
+    num = [(-2 - k) * w[k + 3] for k in range(deg + 1)]
+    den = [-2 * w[k + 3] + E.a1 * w[k + 2] + E.a3 * w2[k + 3]
+           for k in range(deg + 1)]
+    P: list = []
+    for k in range(deg + 1):
+        acc = num[k] - sum(P[i] * den[k - i] for i in range(k) if den[k - i])
+        if mod is None:
+            q = Fraction(acc, den[0])
+            assert q.denominator == 1, (E, k)  # P is integral
+            P.append(int(q))
+        else:
+            P.append(acc * pow(den[0], -1, mod) % mod)
+    return P
+
+
 def reference_log(E: WeierstrassCurve, deg: int, digits: int):
     """[b_1..b_deg] by the division recurrence for P = log'."""
     ctx = E.ctx
-    mod = ctx.pk(digits)
-    w, w2 = reference_w(E, deg + 3, mod=mod)
-    num = [((-2 - k) * w[k + 3]) % mod for k in range(deg + 1)]
-    den = [(-2 * w[k + 3] + E.a1 * w[k + 2] + E.a3 * w2[k + 3]) % mod
-           for k in range(deg + 1)]
-    inv0 = pow(den[0], -1, mod)
-    P = [0] * (deg + 1)
-    for k in range(deg + 1):
-        acc = num[k] - sum(P[i] * den[k - i] for i in range(k) if den[k - i])
-        P[k] = acc * inv0 % mod
+    P = reference_dlog(E, deg, ctx.pk(digits))
     out = []
     for j in range(1, deg + 1):
-        raw = P[j - 1] % mod
-        if raw == 0:
+        if P[j - 1] == 0:
             out.append(PadicRational.zero(ctx, digits))
             continue
-        c = PadicRational(ctx, raw, 0, digits)
+        c = PadicRational(ctx, P[j - 1], 0, digits)
         out.append(c / PadicRational.from_int(ctx, j, rel=digits))
     return out
 
@@ -151,16 +161,9 @@ def reference_restrict_lateral(chi: TruncatedSeries) -> TruncatedSeries:
 
 
 def exact_log(E: WeierstrassCurve, deg: int) -> list[Fraction]:
-    """[b_1..b_deg] over Q: P = log' from its defining fraction, whose
-    t^3-shifted denominator has constant term -2."""
-    w, w2 = _w_coefficients(E, deg + 3)
-    num = [(-2 - k) * w[k + 3] for k in range(deg)]
-    den = [-2 * w[k + 3] + E.a1 * w[k + 2] + E.a3 * w2[k + 3] for k in range(deg)]
-    P: list[Fraction] = []
-    for k in range(deg):
-        acc = num[k] - sum(P[i] * den[k - i] for i in range(k) if den[k - i])
-        P.append(Fraction(acc, den[0]))
-    return [x / j for j, x in enumerate(P, 1)]
+    """[b_1..b_deg] over Q: b_j = P_(j-1)/j with P = log' from its
+    defining fraction (reference_dlog)."""
+    return [Fraction(x, j) for j, x in enumerate(reference_dlog(E, deg - 1), 1)]
 
 
 def vp_fraction(x: Fraction, p: int) -> float:
@@ -247,19 +250,71 @@ def test_product_with_far_zero_bound():
     assert shape(f * g) == shape(reference_mul(f, g))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=12),
-       st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=12),
-       st.integers(1, 25), st.sampled_from([None, 7, 5 ** 9]))
-def test_intpoly_mul_matches_schoolbook(a, b, n, mod):
+def schoolbook(a, b, n, mod):
     want = [0] * n
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             if i + j < n:
                 want[i + j] += x * y
-    if mod is not None:
-        want = [x % mod for x in want]
-    assert _intpoly.mul(a, b, n, mod) == want
+    return want if mod is None else [x % mod for x in want]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=12),
+       st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=12),
+       st.integers(1, 25), st.sampled_from([None, 7, 5 ** 9]))
+def test_intpoly_mul_matches_schoolbook(a, b, n, mod):
+    assert _intpoly.mul(a, b, n, mod) == schoolbook(a, b, n, mod)
+
+
+@st.composite
+def parity_operand(draw):
+    """t^r A(t^s) for s in {2, 4}; sometimes all zero, sometimes with one
+    coefficient off the parity class of r."""
+    r, s = draw(st.integers(0, 30)), draw(st.sampled_from([2, 4]))
+    coeffs = draw(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=12))
+    if draw(st.integers(0, 5)) == 0:
+        coeffs = [0] * len(coeffs)
+    a = [0] * (r + s * len(coeffs))
+    a[r::s] = coeffs
+    off = [i for i in range(len(a)) if (i - r) % 2]
+    if off and draw(st.integers(0, 5)) == 0:  # mixed parity
+        a[draw(st.sampled_from(off))] += draw(st.integers(1, 10 ** 30))
+    return a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parity_operand(), parity_operand(), st.integers(1, 40),
+       st.sampled_from([None, 7, 5 ** 9]))
+@example([0, 0, 0, 5], [0, 3], 2, None)  # r >= n
+@example([0, 0, 0, 5, 0, 7], [0, 0, 0, 0, 1], 4, None)  # r >= n, r odd
+@example([0, 2, 0, 3], [0, 4], 1, 7)  # n = 1
+@example([1, 0, 2], [0, 0, 0], 9, 5 ** 9)  # an all-zero operand
+@example([0, 0, 0, 2, 0, 0, 0, 3], [1, 0, 0, 0, 5], 30, None)  # stride 4
+@example([0, 0, 0, 2, 1, 3], [1, 0, 5], 12, 7)  # mixed parity
+@example([0, 7, 0, 7], [0, 1, 0, 1], 6, 7)  # zero mod 7
+def test_intpoly_mul_on_parity_classes_matches_schoolbook(a, b, n, mod):
+    # t^ra A(t^2) * t^rb B(t^2) takes the half-length product
+    assert _intpoly.mul(a, b, n, mod) == schoolbook(a, b, n, mod)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, -1, 2, 3]),
+       st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=12),
+       st.sampled_from([2, 4]), st.integers(1, 40),
+       st.sampled_from([None, 7, 5 ** 9]))
+def test_intpoly_inverse_of_an_even_series_matches_schoolbook(f0, tail, s, n, mod):
+    assume(mod is not None or f0 in (1, -1))
+    f = [f0] + [0] * (s * len(tail))
+    f[s::s] = tail
+    inv0 = f0 if mod is None else pow(f0, -1, mod)
+    want = [inv0]
+    for k in range(1, n):
+        want.append(-inv0 * sum(f[i] * want[k - i]
+                                for i in range(1, min(k, len(f) - 1) + 1)))
+        if mod is not None:
+            want[-1] %= mod
+    assert _intpoly.inverse(f, n, mod) == want
 
 
 # -- w(t) and the logarithm ---------------------------------------------------
@@ -276,8 +331,9 @@ def test_exact_w_matches_recurrence():
     for p, a in LONG_CURVES + [(5, (0, 0, 0, 1, 1)), (5, (0, 0, 0, A, B))]:
         E = WeierstrassCurve(*a, ctx=Context(p=p, N=6, M=12))
         for deg in (0, 2, 3, 4, 5, 60):
-            assert _w_coefficients(E, deg) == reference_w(E, deg)
-        assert _w_coefficients(E, 61, mod=p ** 7) == reference_w(E, 61, p ** 7)
+            assert _w_coefficients(E, deg)[0] == reference_w(E, deg)[0]
+        assert (_w_coefficients(E, 61, mod=p ** 7)[0]
+                == reference_w(E, 61, p ** 7)[0])
 
 
 def test_log_matches_recurrence_on_long_form_curves():
@@ -292,6 +348,15 @@ def test_log_matches_recurrence_on_long_form_curves():
 # short and long forms with good reduction at p
 LOG_CURVES = [(5, (0, 0, 0, 1, 1)), (5, (0, 0, 0, -1, 0)), (7, (0, 0, 0, 1, 1)),
               (7, (0, 0, 0, 2, 3))] + LONG_CURVES
+
+
+def test_w_second_output_is_the_log_derivative():
+    # 1/Phi'(w) = 1/G_w(t, w(t)) against the defining fraction of log'
+    for p, a in LOG_CURVES:
+        E = WeierstrassCurve(*a, ctx=Context(p=p, N=6, M=12))
+        for deg in (0, 1, 2, 3, 4, 5, 60):
+            assert _w_coefficients(E, deg)[1] == reference_dlog(E, deg), (a, deg)
+        assert _w_coefficients(E, 61, mod=p ** 7)[1] == reference_dlog(E, 61, p ** 7)
 
 
 def test_log_coefficients_hold_their_claimed_digits():

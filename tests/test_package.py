@@ -49,8 +49,8 @@ def load_bench_tracing():
 
 
 def bench_per_layer():
-    """PER_LAYER and ANALYZE of perfbench/run.py, from its module-level
-    assignments alone (running the script would start the benchmark)."""
+    """PER_LAYER of perfbench/run.py, from its module-level assignments
+    alone (running the script would start the benchmark)."""
     names = {"ALL", "ANALYZE", "CANONICAL", "JET", "PER_LAYER"}
     tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
     body = [node for node in tree.body if isinstance(node, ast.Assign)
@@ -59,7 +59,7 @@ def bench_per_layer():
     scope: dict = {}
     exec(compile(ast.Module(body=body, type_ignores=[]), "run.py", "exec"),
          scope)
-    return scope["PER_LAYER"], scope["ANALYZE"]
+    return scope["PER_LAYER"]
 
 
 def test_bench_trace_targets_resolve():
@@ -74,30 +74,66 @@ def test_bench_trace_targets_resolve():
         assert attr in vars(owner), name
 
 
-def test_one_analysis_reaches_every_analyze_metric():
-    # the traced benchmark fails when a per-layer metric required on the
-    # analyze workloads reads zero; each such metric named after a traced
-    # function (characters.restrict_lateral.calls, series.mul.pairs, ...)
-    # needs one analysis of a non-CL curve to call that function
-    from arithjet import characters, formalgroup
-    from arithjet.context import Context
-
+def metrics_behind_targets(workloads) -> dict:
+    """Per-layer metric -> the traced function it is named after
+    (characters.restrict_lateral.calls, series.mul.pairs, ...), for each
+    metric that the traced benchmark requires nonzero on one of the
+    workloads: it fails when such a metric reads zero."""
     tracing = load_bench_tracing()
-    per_layer, analyze = bench_per_layer()
     targets = {name for name, *_ in tracing.SPAN_TARGETS + tracing.COUNT_TARGETS}
     behind = {}
-    for metric, (_, on) in per_layer.items():
+    for metric, (_, on) in bench_per_layer().items():
         names = [t for t in targets if metric == t or metric.startswith(t + ".")]
-        if names and set(on) & set(analyze):
+        if names and set(on) & set(workloads):
             behind[metric] = max(names, key=len)
-    assert "characters.restrict_lateral.calls" in behind
+    return behind
 
+
+def unreached_metrics(behind: dict, run) -> list[str]:
+    """The metrics of `behind` whose traced function run() never calls."""
+    tracing = load_bench_tracing()
     tracer = tracing.Tracer()
     tracer.install()
-    try:  # through the modules, whose bindings the tracer wraps
-        E11 = formalgroup.WeierstrassCurve(0, 0, 0, 1, 1, Context(5, 8, 35))
-        characters.analyze_group(formalgroup.formal_group_from_curve(E11))
+    try:
+        run()
     finally:
         tracer.uninstall()
     seen = {**tracing.call_counts(tracer.spans), **tracer.counts}
-    assert sorted(m for m, t in behind.items() if not seen.get(t)) == []
+    return sorted(m for m, t in behind.items() if not seen.get(t))
+
+
+def test_one_analysis_reaches_every_analyze_metric():
+    # one analysis of a non-CL curve must call every traced function behind
+    # a metric required on the analyze workloads
+    from arithjet import characters, formalgroup
+    from arithjet.context import Context
+
+    behind = metrics_behind_targets(("analyze_p5", "analyze_p7"))
+    assert "characters.restrict_lateral.calls" in behind
+
+    def run():  # through the modules, whose bindings the tracer wraps
+        E11 = formalgroup.WeierstrassCurve(0, 0, 0, 1, 1, Context(5, 8, 35))
+        characters.analyze_group(formalgroup.formal_group_from_curve(E11))
+
+    assert unreached_metrics(behind, run) == []
+
+
+def test_two_classifications_reach_every_classify_metric():
+    # classify_CL on one CL and one non-CL curve, at the classify_p5
+    # budget, must call every traced function behind a metric required
+    # on classify_p5
+    from arithjet import characters, formalgroup
+    from arithjet.context import Context
+
+    behind = metrics_behind_targets(("classify_p5",))
+    assert {"characters.deep_log_coefficients.s",
+            "formalgroup.elliptic_log_coefficients.calls",
+            "canonical.canonical_lift_test.s"} <= behind.keys()
+
+    def run():
+        for a4, a6, cl in ((-1, 0, True), (1, 1, False)):
+            E = formalgroup.WeierstrassCurve(0, 0, 0, a4, a6, Context(5, 8, 12))
+            F = formalgroup.formal_group_from_curve(E)
+            assert characters.classify_CL(F) is cl
+
+    assert unreached_metrics(behind, run) == []
