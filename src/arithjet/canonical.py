@@ -19,7 +19,9 @@ so it is computed here from honest moduli data:
 * Newton identities on that factor (and on its reversal, for inverse
   roots) give the power sums of x(t_Q) = t_Q/w(t_Q), hence the Velu
   sums, hence E/C;
-* E is CL iff v_p(j(E) - j(E/C)) reaches working precision.
+* E is CL iff j(E) - j(E/C) = 0: a difference nonzero at its claimed
+  precision means non-CL, a zero one means CL when it holds to N-3
+  digits, and a shorter zero raises PrecisionExhausted.
 
 Monsky-Washnitzer cohomology is never consulted here, so the crystalline
 comparison stays an independent cross-check of the same bit.
@@ -35,7 +37,7 @@ from .formalgroup import (
     WeierstrassCurve, _w_coefficients,
     elliptic_log_coefficients,
 )
-from .errors import ArithJetError, AmbiguousRank, IdentityViolation
+from .errors import ArithJetError, IdentityViolation, PrecisionExhausted
 
 _INF = float("inf")
 
@@ -209,7 +211,8 @@ def canonical_lift_test(E: WeierstrassCurve) -> CanonicalLiftReport:
     diff = jE - jq
     dist = diff.valuation()  # for a zero difference this is the absprec bound
     thr = N - 3
-    if not (dist >= thr or dist <= 2):
-        raise AmbiguousRank(
-            f"canonical-lift distance v(j - j') = {dist} is inconclusive; raise N")
-    return CanonicalLiftReport(True, dist >= thr, dist, thr, jq, jE)
+    if diff.is_zero() and dist < thr:
+        raise PrecisionExhausted(
+            f"j - j' = O({p}^{dist}) is zero to fewer than {thr} digits at "
+            f"N = {N}; raise N")
+    return CanonicalLiftReport(True, diff.is_zero(), dist, thr, jq, jE)

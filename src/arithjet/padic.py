@@ -1,17 +1,13 @@
-"""Exact p-adic scalars with tracked precision.
+"""Exact p-adic numbers with tracked precision.
 
-Two value types:
-
-* ``PadicScalar`` -- an element of Z_p known modulo p^prec (capped
-  absolute precision).  Arithmetic results carry the minimum of the
-  operand precisions.
-
-* ``PadicRational`` --  unit * p^val in Q_p with the unit known modulo
-  p^rel (capped relative precision), so the value is known modulo
-  p^(val+rel).  Denominators are always powers of p, stored as a
-  negative valuation.  Zero is representable only up to a bound: a zero
-  PadicRational records the absolute precision w below which it is
-  indistinguishable from 0, printed as ``O(p^w)``.
+A ``PadicRational`` is unit * p^val in Q_p with the unit known modulo
+p^rel (capped relative precision), so the value is known modulo
+p^(val+rel).  Denominators are always powers of p, stored as a negative
+valuation.  Zero is representable only up to a bound: a zero
+PadicRational records the absolute precision w below which it is
+indistinguishable from 0, printed as ``O(p^w)``.  An element of Z/p^k is
+``PadicRational(ctx, n, 0, k)``: its stray p-powers move into the
+valuation, so it is known modulo p^k.
 
 Canonical rendering is ``u*p^v + O(p^w)``.
 
@@ -19,7 +15,7 @@ All values are immutable; operations are pure functions.
 """
 
 from .context import Context
-from .errors import DivisionByZero, PrecisionExhausted, ArithJetError
+from .errors import DivisionByZero, ArithJetError
 
 _INF = float("inf")
 
@@ -33,120 +29,6 @@ def vp(n: int, p: int) -> int | float:
         n //= p
         v += 1
     return v
-
-
-class PadicScalar:
-    """Element of Z_p known modulo p^prec."""
-
-    __slots__ = ("ctx", "residue", "prec")
-
-    def __init__(self, ctx: Context, value: int, prec: int | None = None):
-        if prec is None:
-            prec = ctx.N
-        if prec < 1:
-            raise PrecisionExhausted("scalar with precision < 1")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "residue", value % ctx.pk(prec))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PadicScalar is immutable")
-
-    # -- queries ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        """Indistinguishable from 0 at this precision."""
-        return self.residue == 0
-
-    def valuation(self) -> int | None:
-        """Exact valuation, or None meaning >= prec."""
-        if self.residue == 0:
-            return None
-        return vp(self.residue, self.ctx.p)
-
-    def lift(self) -> int:
-        """Canonical integer lift in [0, p^prec)."""
-        return self.residue
-
-    def lift_centered(self) -> int:
-        """Symmetric lift in (-p^prec/2, p^prec/2]."""
-        m = self.ctx.pk(self.prec)
-        r = self.residue
-        return r - m if r > m // 2 else r
-
-    # -- arithmetic ------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return PadicScalar(self.ctx, other, self.prec)
-        if isinstance(other, PadicScalar):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        k = min(self.prec, o.prec)
-        return PadicScalar(self.ctx, self.residue + o.residue, k)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PadicScalar(self.ctx, -self.residue, self.prec)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        k = min(self.prec, o.prec)
-        return PadicScalar(self.ctx, self.residue * o.residue, k)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return PadicScalar(self.ctx, pow(self.residue, e, self.ctx.pk(self.prec)), self.prec)
-
-    def inverse(self):
-        """Inverse in Z_p if a unit; promotes to PadicRational otherwise.
-
-        Raises DivisionByZero when the operand is indistinguishable from 0.
-        """
-        if self.residue == 0:
-            raise DivisionByZero(f"inverse of 0 at precision O(p^{self.prec})")
-        v = vp(self.residue, self.ctx.p)
-        if v == 0:
-            inv = pow(self.residue, -1, self.ctx.pk(self.prec))
-            return PadicScalar(self.ctx, inv, self.prec)
-        return self.to_rational().inverse()
-
-    def to_rational(self) -> "PadicRational":
-        return PadicRational(self.ctx, self.residue, 0, self.prec)
-
-    # -- comparison / rendering -----------------------------------------
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        k = min(self.prec, o.prec)
-        return (self.residue - o.residue) % self.ctx.pk(k) == 0
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"{self.residue} + O({self.ctx.p}^{self.prec})"
 
 
 class PadicRational:
@@ -244,8 +126,6 @@ class PadicRational:
     def _coerce(self, other):
         if isinstance(other, int):
             return PadicRational.from_int(self.ctx, other)
-        if isinstance(other, PadicScalar):
-            return other.to_rational()
         if isinstance(other, PadicRational):
             return other
         return NotImplemented

@@ -28,7 +28,7 @@ from math import gcd
 from operator import add
 
 from .context import Context
-from .padic import PadicRational, PadicScalar
+from .padic import PadicRational
 from .errors import (
     VariableMismatch, NonzeroConstantTerm, NonUnitLinearCoefficient,
     DivisionByZero, ArithJetError,
@@ -85,8 +85,6 @@ class TruncatedSeries:
                     if c == 0:
                         continue
                     c = PadicRational.from_int(ctx, c)
-                elif isinstance(c, PadicScalar):
-                    c = c.to_rational()
                 if c.is_zero() and absprec is not None and c.val >= absprec:
                     continue
                 cleaned[tuple(e)] = c
@@ -166,7 +164,7 @@ class TruncatedSeries:
             raise VariableMismatch("series built over different contexts")
 
     def _coerce(self, other):
-        if isinstance(other, (int, PadicScalar, PadicRational)):
+        if isinstance(other, (int, PadicRational)):
             return TruncatedSeries.const(self.ctx, self.vars, other)
         if isinstance(other, TruncatedSeries):
             self._chk(other)
@@ -203,8 +201,6 @@ class TruncatedSeries:
         """Multiply by a scalar."""
         if isinstance(c, int):
             c = PadicRational.from_int(self.ctx, c)
-        elif isinstance(c, PadicScalar):
-            c = c.to_rational()
         if c.is_zero():
             mv = self.min_valuation()
             absp = None if mv is _INF else c.val + mv
@@ -230,7 +226,7 @@ class TruncatedSeries:
         (value mod p^A, A), so this is exactly the sum of the pairwise
         PadicRational products.  Output monomials come in first-hit order
         of the pair loop, the shorter operand outermost."""
-        if isinstance(other, (int, PadicScalar, PadicRational)):
+        if isinstance(other, (int, PadicRational)):
             return self.scale(other)
         o = self._coerce(other)
         if o is NotImplemented:

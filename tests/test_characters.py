@@ -67,7 +67,13 @@ def E01(ctx35):
 
 @pytest.fixture(scope="module")
 def E7():
-    return curve(Context(p=7, N=6, M=56), 1, 1)   # non-CL, a_7 = -3
+    return curve(Context(p=7, N=6, M=56), 1, 1)   # non-CL, a_7 = 3
+
+
+def test_fixture_traces(E11, Em10, E01, E7):
+    # the a_p in each fixture comment, from the point count
+    traces = [F.curve.invariants.a_p for F in (E11, Em10, E01, E7)]
+    assert traces == [-3, -2, 0, 3]
 
 
 # -- log projections ---------------------------------------------------------
@@ -202,6 +208,20 @@ def test_elliptic_ranks_supersingular(E01):
     lat1 = solve_character_lattice(E01, 1)
     lat2 = solve_character_lattice(E01, 2)
     assert (lat1.rank, lat2.rank) == (0, 1)
+
+
+def test_additive_character_lattice(ctx35):
+    # L_i = w_i for G_a, so Theta = sum c_i w_i is integral exactly when
+    # every c_i lies in Z_p: the u-scaled lattice (u_i = p^i c_i) has
+    # exponents 0..n, and its exponent-0 direction is Theta = w_0
+    Ga = FormalGroupLaw.additive(ctx35)
+    for n in range(3):
+        lat = solve_character_lattice(Ga, n)
+        assert lat.rank == n + 1
+        assert lat.exponents == list(range(n + 1))
+        (th,) = lat.basis
+        assert th.c[0] == 1
+        assert all(ci.is_zero() for ci in th.c[1:])
 
 
 def test_order2_needs_degree_budget(ctx):
@@ -557,6 +577,24 @@ def test_charpoly_nonCL_second_curve(ctx35):
     assert iso.ranks_Xn == (0, 1)
     assert (iso.trace - (-1)).valuation() >= ctx35.N - 3
     assert (iso.determinant - 5).valuation() >= ctx35.N - 3
+
+
+# j - j' has valuation 3 on these curves at p = 5, N = 8: nonzero at its
+# claim (6 digits), so non-CL, as none has a rational CM j-invariant
+NONZERO_J_DISTANCE_3 = ((4, 1), (4, -1), (-2, 3), (-2, -3))
+
+
+def test_classify_CL_reads_a_nonzero_j_distance_as_non_CL(ctx):
+    for a4, a6 in NONZERO_J_DISTANCE_3:
+        assert classify_CL(WeierstrassCurve(0, 0, 0, a4, a6, ctx)) is False
+
+
+def test_analyze_group_on_a_nonzero_j_distance_3(ctx35):
+    ga = analyze_group(curve(ctx35, 4, 1))
+    iso = ga.iso
+    assert iso.is_CL is False
+    assert iso.hdelta_rank == 2 and len(iso.frobenius_matrix) == 2
+    check_point_count(ga.F, iso.frobenius_matrix)
 
 
 def test_point_count_gate_rejects_wrong_matrix(ga11, gam10, gagm):

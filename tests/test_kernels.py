@@ -29,7 +29,7 @@ from arithjet.formalgroup import (
     WeierstrassCurve, _w_coefficients, _w_series, elliptic_log_coefficients,
     formal_group_from_curve,
 )
-from arithjet.errors import IdentityViolation
+from arithjet.errors import IdentityViolation, PrecisionExhausted
 from arithjet.jet import ghost_series, lateral_frobenius_map
 from arithjet.padic import PadicRational
 from arithjet.series import TruncatedSeries, _INF, _minp
@@ -490,4 +490,18 @@ def test_canonical_lift_test_rejects_an_even_log_coefficient(monkeypatch):
     monkeypatch.setattr(canonical, "elliptic_log_coefficients", corrupted)
     E = WeierstrassCurve(0, 0, 0, 1, 1, Context(p=5, N=8, M=12))
     with pytest.raises(IdentityViolation):
+        canonical_lift_test(E)
+
+
+def test_canonical_lift_test_names_N_for_a_short_zero(monkeypatch):
+    # y^2 = x^3 - x is CL; cut both j-invariants to 4 digits, so j - j'
+    # is zero to fewer than N - 3 = 5 digits and decides nothing
+    real = canonical.j_invariant
+
+    def short(A, B, ctx):
+        return real(A, B, ctx) + PadicRational.zero(ctx, 4)
+
+    monkeypatch.setattr(canonical, "j_invariant", short)
+    E = WeierstrassCurve(0, 0, 0, -1, 0, Context(p=5, N=8, M=12))
+    with pytest.raises(PrecisionExhausted, match="N = 8"):
         canonical_lift_test(E)

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from arithjet.context import Context
-from arithjet.padic import PadicScalar
+from arithjet.padic import PadicRational
 from arithjet.exactpoly import ExactPoly
 from arithjet.witt import (
     WittVector, structure_polynomials, witt_arith_ghost_mod,
-    witt_polynomial, delta_map, delta_int, c_pi_int, check_delta_axioms,
+    witt_polynomial, delta_map, delta_int, c_pi, c_pi_int, check_delta_axioms,
 )
 from arithjet import witt
-from arithjet.errors import IdentityViolation, LengthMismatch, LengthTooShort
+from arithjet.errors import (
+    ArithJetError, IdentityViolation, LengthMismatch, LengthTooShort,
+)
 
 
 @pytest.fixture
@@ -122,11 +124,12 @@ def test_backend_agreement_mod_pN(ctx5):
     for _ in range(40):
         av = [rng.randrange(m) for _ in range(3)]
         bv = [rng.randrange(m) for _ in range(3)]
-        a = WittVector(ctx5, [PadicScalar(ctx5, c) for c in av])
-        b = WittVector(ctx5, [PadicScalar(ctx5, c) for c in bv])
+        a = WittVector(ctx5, [PadicRational(ctx5, c, 0, ctx5.N) for c in av])
+        b = WittVector(ctx5, [PadicRational(ctx5, c, 0, ctx5.N) for c in bv])
         for op, got in (("add", a + b), ("mul", a * b), ("neg", -a)):
             oracle = witt_arith_ghost_mod(ctx5, av, bv, op)
-            assert [c.lift() for c in got.components] == oracle
+            assert all(c.absprec >= ctx5.N for c in got.components)
+            assert [c.lift() % m for c in got.components] == oracle
 
 
 def test_structure_polynomials_reject_a_corrupted_set(ctx5, monkeypatch):
@@ -158,22 +161,34 @@ def test_tf_ft_commute_where_defined(ctx5):
 
 
 def test_delta_examples(ctx5):
-    assert delta_map(PadicScalar(ctx5, 2)).lift_centered() == -6
-    assert delta_map(PadicScalar(ctx5, 0)).is_zero()
-    assert delta_map(PadicScalar(ctx5, 1)).is_zero()
-    assert delta_map(PadicScalar(ctx5, 5)).lift_centered() == -624
+    def delta(n):
+        return delta_map(PadicRational(ctx5, n, 0, ctx5.N))
+
+    assert delta(2) == -6
+    assert delta(0).is_zero()
+    assert delta(1).is_zero()
+    assert delta(5) == -624
     assert delta_int(5, 5) == -624
-    assert delta_map(PadicScalar(ctx5, 2)).prec == ctx5.N - 1
+    assert delta(2).absprec == ctx5.N - 1
 
 
 def test_delta_defining_equation(ctx5):
     # p*delta(x) + x^p = x exactly at precision N
     rng = random.Random(4)
     for _ in range(50):
-        x = PadicScalar(ctx5, rng.randrange(ctx5.pk(ctx5.N)))
+        x = PadicRational(ctx5, rng.randrange(ctx5.pk(ctx5.N)), 0, ctx5.N)
         d = delta_map(x)
-        lhs = d * 5 + x ** 5
-        assert (lhs - x).residue % ctx5.pk(ctx5.N - 1) == 0
+        diff = d * 5 + x ** 5 - x
+        assert diff.is_zero() and diff.absprec >= ctx5.N
+
+
+def test_delta_rejects_a_non_integral_argument(ctx5):
+    x = PadicRational(ctx5, 2, -1)  # 2/5
+    one = PadicRational.one(ctx5)
+    with pytest.raises(ArithJetError):
+        delta_map(x)
+    with pytest.raises(ArithJetError):
+        c_pi(one, x)
 
 
 def test_delta_axiom_frozen_vector():
