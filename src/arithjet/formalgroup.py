@@ -138,6 +138,9 @@ class FormalGroupLaw:
     characters.deep_log_coefficients).  ``log_projection_cache`` holds
     the log projections L_0, L_1, ... built so far, L_i = log(w_i) on its
     own variables (x0..xi) (see characters.log_projections).
+    ``ghost_law_cache`` holds the ghost composes built so far, entry i
+    the law applied to the ghost polynomials, F(w_i(x), w_i(y)), on its
+    own variables (x0..xi, y0..yi) (see jet.jet_group_law).
     """
 
     def __init__(self, ctx: Context, kind: str, law_builder, log: TruncatedSeries,
@@ -149,6 +152,7 @@ class FormalGroupLaw:
         self.curve = curve
         self.deep_log_cache: list[PadicRational] = []
         self.log_projection_cache: list[TruncatedSeries] = []
+        self.ghost_law_cache: list[TruncatedSeries] = []
 
     @cached_property
     def law(self) -> TruncatedSeries:

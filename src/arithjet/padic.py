@@ -205,7 +205,9 @@ class PadicRational:
         if e < 0:
             return self.inverse() ** (-e)
         if self.is_zero():
-            return PadicRational.zero(self.ctx, self.val * max(e, 1))
+            if e == 0:
+                return PadicRational.one(self.ctx)
+            return PadicRational.zero(self.ctx, self.val * e)
         u = pow(self.unit, e, self.ctx.pk(self.rel))
         return PadicRational(self.ctx, u, self.val * e, self.rel)
 

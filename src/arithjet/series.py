@@ -19,7 +19,11 @@ integers: each operand is scaled to integers by its smallest nonzero
 valuation, monomials are packed into single ints, and only pairs within
 the degree cap are visited.  Whatever the kernel, a product coefficient
 must equal the PadicRational sum of the PadicRational pairwise products,
-value and precision alike (see TruncatedSeries.__mul__).  A composition
+value and precision alike (see TruncatedSeries.__mul__).  Evaluation at
+a point runs on integers under the same contract: it must equal the
+PadicRational sum of the PadicRational terms (see
+TruncatedSeries.evaluate), and both reduce their integer sums through
+one helper, _scaled_padic.  A composition
 computes each power arg^k it needs once per call, and reversion runs
 Newton iteration on the tracked operations (see TruncatedSeries.reversion).
 """
@@ -68,6 +72,29 @@ def _int_terms(coeffs: dict, cap: int, base: int, p: int):
         x = c.unit * p ** (c.val - m) if c.unit else 0
         terms.append((key, d, x, c.val, c.val + c.rel, e))
     return terms, m
+
+
+def _scaled_padic(ctx: Context, s: int, top: int):
+    """scaled(total, A): the PadicRational total * p^s known mod p^A, for
+    an integer total and A - s <= top whenever total is nonzero.  It
+    reduces total mod p^(A-s) and takes the valuation from
+    gcd(r, p^(A-s)) = p^t, from one table of p-powers shared by all the
+    calls."""
+    p = ctx.p
+    pw = [1]
+    while len(pw) <= top:
+        pw.append(pw[-1] * p)
+    exponent = {q: i for i, q in enumerate(pw)}
+
+    def scaled(total, A):
+        r = total % pw[A - s] if total and A > s else 0
+        if r:
+            g = gcd(r, pw[A - s])
+            t = exponent[g]
+            return PadicRational(ctx, r // g, s + t, A - s - t)
+        return PadicRational.zero(ctx, A)
+
+    return scaled
 
 
 class TruncatedSeries:
@@ -259,24 +286,11 @@ class TruncatedSeries:
                     entry[0] += x1 * x2
                     if prec < entry[1]:
                         entry[1] = prec
-        # value total * p^s known mod p^A: reduce mod p^(A-s), and take
-        # the valuation from gcd(r, p^(A-s)) = p^t
         ctx, s = self.ctx, sa + sb
         top = max((A for total, A, _, _ in acc.values() if total), default=s) - s
-        pw = [1]
-        while len(pw) <= top:
-            pw.append(pw[-1] * p)
-        exponent = {q: i for i, q in enumerate(pw)}
-        out = {}
-        for total, A, e1, e2 in acc.values():
-            r = total % pw[A - s] if total and A > s else 0
-            if r:
-                g = gcd(r, pw[A - s])
-                t = exponent[g]
-                c = PadicRational(ctx, r // g, s + t, A - s - t)
-            else:
-                c = PadicRational.zero(ctx, A)
-            out[tuple(map(add, e1, e2))] = c
+        scaled = _scaled_padic(ctx, s, top)
+        out = {tuple(map(add, e1, e2)): scaled(total, A)
+               for total, A, e1, e2 in acc.values()}
         return TruncatedSeries(ctx, self.vars, out, absp)
 
     __rmul__ = __mul__
@@ -335,6 +349,8 @@ class TruncatedSeries:
     def extend(self, variables) -> "TruncatedSeries":
         """View on a larger variable tuple (old variables must all appear)."""
         variables = tuple(variables)
+        if variables == self.vars:
+            return self
         idx = [variables.index(v) for v in self.vars]
         coeffs = {}
         for e, c in self.coeffs.items():
@@ -364,19 +380,42 @@ class TruncatedSeries:
 
     def evaluate(self, values: dict) -> PadicRational:
         """Numeric evaluation; values map every variable to a PadicRational
-        (topologically nilpotent for honest convergence mod p^N)."""
-        total = PadicRational.zero(self.ctx, 10 ** 9 if self.absprec is None
-                                   else self.absprec)
-        powers = {}  # (name, k) -> values[name] ** k
+        (topologically nilpotent for honest convergence mod p^N).
+
+        Runs on integers and must equal the PadicRational sum of the
+        PadicRational terms c * x^e.  A term's valuation v is the sum of
+        its factors' valuations (an O(p^w) zero counting w); it is known
+        to v plus the least relative precision among its factors, or is
+        O(p^v) when a factor is such a zero.  The sum is known to A, the
+        least of these claims and the series absprec, and add and mul are
+        canonical in (value mod p^A, A), so the exact integer sum of the
+        terms is reduced once, mod p^A."""
+        ctx, p = self.ctx, self.ctx.p
+        A = 10 ** 9 if self.absprec is None else self.absprec
+        xs = [values[name] for name in self.vars]
+        tables = [{} for _ in xs]  # k -> x.unit^k mod p^(x.rel)
+        terms = []  # (unit product, valuation) of the nonzero terms
         for e, c in self.coeffs.items():
-            term = c
-            for name, k in zip(self.vars, e):
+            u, v, rel = c.unit, c.val, c.rel
+            for x, k, table in zip(xs, e, tables):
                 if k:
-                    if (name, k) not in powers:
-                        powers[name, k] = values[name] ** k
-                    term = term * powers[name, k]
-            total = total + term
-        return total
+                    v += k * x.val
+                    if u:
+                        xk = table.get(k)
+                        if xk is None:
+                            xk = table[k] = pow(x.unit, k, p ** x.rel)
+                        u *= xk
+                        if x.rel < rel:
+                            rel = x.rel
+            if u:
+                terms.append((u, v))
+                if v + rel < A:
+                    A = v + rel
+            elif v < A:
+                A = v
+        s = min((v for _, v in terms), default=A)
+        total = sum(u * p ** (v - s) for u, v in terms)
+        return _scaled_padic(ctx, s, A - s)(total, A)
 
     # -- calculus (univariate) --------------------------------------------
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from arithjet import jet
 from arithjet.context import Context
 from arithjet.padic import PadicRational
 from arithjet.series import TruncatedSeries
@@ -12,8 +13,9 @@ from arithjet.jet import (
     jet_group_law, kernel_law, kernel_law_direct, jet_frobenius,
     lateral_frobenius_map, lateral_frobenius_point, witt_frobenius_series,
     ghost_series, verify_jet_identities, n1_group, psi1_series,
-    jet_point_product, random_jet_point, evaluate_map,
+    jet_point_product, random_jet_point, evaluate_map, jet_variables,
 )
+from arithjet.ghost import ghost_solve
 from arithjet.errors import ArithJetError
 
 INF = float("inf")
@@ -216,3 +218,56 @@ def test_verify_identities_linear_groups(ctx, group):
 def test_verify_identities_elliptic(ctx, Ell):
     rep = verify_jet_identities(Ell, samples=4, seed=2)
     assert rep.ok, [c for c in rep.checks if not c.passed]
+
+
+def coefficient_map(f):
+    return {e: (c.unit, c.val, c.rel) for e, c in f.coeffs.items()}, f.absprec
+
+
+@pytest.mark.parametrize("build", [
+    FormalGroupLaw.multiplicative,
+    lambda ctx: formal_group_from_curve(WeierstrassCurve(0, 0, 0, 1, 1, ctx)),
+], ids=["Gm", "E11"])
+def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
+    # u o law = law o (u, u): the first two components of the J^2 law
+    # equal the J^1 law of a separately built group, exactly, and the
+    # ghost solve of the composes made on all of J^2's variables
+    xs, ys = jet_variables(2)
+    allv = xs + ys
+    J2 = jet_group_law(build(ctx), 2)
+    J1 = jet_group_law(build(ctx), 1)
+    F = build(ctx)
+    direct = ghost_solve(ctx.p, [
+        F.law.compose([ghost_series(ctx, allv, xs, i),
+                       ghost_series(ctx, allv, ys, i)]) for i in range(2)],
+        TruncatedSeries.shift)
+    for i in range(2):
+        assert coefficient_map(J2.law[i]) == coefficient_map(J1.law[i].extend(allv))
+        assert coefficient_map(J2.law[i]) == coefficient_map(direct[i])
+
+
+def test_one_verification_composes_each_ghost_level_once(ctx, Ell, monkeypatch):
+    # F(w_i(x), w_i(y)) is composed once per level and group: levels 0-2 of
+    # F, read again by J^1 and by check (f), and levels 0-1 of N^1, read
+    # again by check (e).  F's fourth compose is the kernel law of N^1,
+    # which n1_group builds on the ghosts with x0 = y0 = 0.
+    kernel = {}
+    real_n1 = jet.n1_group
+
+    def n1_group_kept(F):
+        kernel["N1"] = real_n1(F)
+        return kernel["N1"]
+
+    counts = {"F": 0, "N1": 0}
+    real_compose = TruncatedSeries.compose
+
+    def counted(self, args, cap=None):
+        for name, G in (("F", Ell), ("N1", kernel.get("N1"))):
+            if G is not None and self is vars(G).get("law"):
+                counts[name] += 1
+        return real_compose(self, args, cap)
+
+    monkeypatch.setattr(jet, "n1_group", n1_group_kept)
+    monkeypatch.setattr(TruncatedSeries, "compose", counted)
+    assert verify_jet_identities(Ell).ok
+    assert counts == {"F": 4, "N1": 2}

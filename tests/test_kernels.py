@@ -1,10 +1,11 @@
 """Differential tests: the integer kernels against the loops they replaced.
 
 The reference implementations below are the straightforward versions: the
-per-pair PadicRational product loop of TruncatedSeries, the one-degree-
-at-a-time reversion loop, the O(deg^2) coefficient recurrences for
-w(t) and the elliptic logarithm, and the kernel log projection composed
-on its own from the restricted ghost polynomial.  The fast versions must
+per-pair PadicRational product loop of TruncatedSeries, its per-term
+PadicRational evaluation loop, the one-degree-at-a-time reversion loop,
+the O(deg^2) coefficient recurrences for w(t) and the elliptic
+logarithm, and the kernel log projection composed on its own from the
+restricted ghost polynomial.  The fast versions must
 agree with them bit for bit: the same monomials in the same order, the
 same (unit, val, rel, ctx.N) per coefficient and the same series absprec.
 Newton reversion agrees with the loop where the loop has a coefficient,
@@ -59,6 +60,21 @@ def reference_mul(f: TruncatedSeries, g: TruncatedSeries, cap=None):
             prev = out.get(e)
             out[e] = prod if prev is None else prev + prod
     return TruncatedSeries(f.ctx, f.vars, out, absp)
+
+
+def reference_evaluate(f: TruncatedSeries, values: dict) -> PadicRational:
+    """f at a point by the per-term PadicRational loop: each term c * x^e
+    a chain of PadicRational products, the terms summed by PadicRational
+    add from the series' own O(p^absprec) zero."""
+    total = PadicRational.zero(f.ctx, 10 ** 9 if f.absprec is None
+                               else f.absprec)
+    for e, c in f.coeffs.items():
+        term = c
+        for name, k in zip(f.vars, e):
+            if k:
+                term = term * values[name] ** k
+        total = total + term
+    return total
 
 
 def reference_reversion(f: TruncatedSeries) -> TruncatedSeries:
@@ -203,20 +219,28 @@ def coefficient(draw, ctx):
 
 
 @st.composite
-def series_pair(draw):
+def context_and_variables(draw):
     ctx = Context(p=draw(st.sampled_from([3, 5, 7])), N=draw(st.integers(2, 8)),
                   M=draw(st.integers(1, 9)))
     nv = draw(st.integers(1, 4))
-    variables = tuple(f"x{i}" for i in range(nv))
+    return ctx, tuple(f"x{i}" for i in range(nv))
 
-    def one():
-        keys = draw(st.lists(st.tuples(*[st.integers(0, ctx.M)] * nv),
-                             max_size=14, unique=True))
-        coeffs = {e: draw(coefficient(ctx)) for e in keys}
-        absprec = draw(st.one_of(st.none(), st.integers(-2, 12)))
-        return TruncatedSeries(ctx, variables, coeffs, absprec)
 
-    f, g = one(), one()
+@st.composite
+def series(draw, ctx, variables):
+    """Up to 14 terms of degree <= M, O(p^w) zeros and negative
+    valuations among them, with absprec None or set."""
+    keys = draw(st.lists(st.tuples(*[st.integers(0, ctx.M)] * len(variables)),
+                         max_size=14, unique=True))
+    coeffs = {e: draw(coefficient(ctx)) for e in keys}
+    absprec = draw(st.one_of(st.none(), st.integers(-2, 12)))
+    return TruncatedSeries(ctx, variables, coeffs, absprec)
+
+
+@st.composite
+def series_pair(draw):
+    ctx, variables = draw(context_and_variables())
+    f, g = draw(series(ctx, variables)), draw(series(ctx, variables))
     cap = draw(st.one_of(st.none(), st.integers(0, ctx.M)))
     return f, g, cap
 
@@ -383,6 +407,41 @@ def test_formal_group_log_agrees_with_series_route():
             got, want = log.get((k,)), ref.get((k,))
             assert (got - want).is_zero(), (p, a, k, got, want)
             assert got.rel <= ctx.N
+
+
+# -- evaluation ----------------------------------------------------------------
+
+
+@st.composite
+def series_and_point(draw):
+    # the point's coordinates include O(p^w) zeros, negative valuations
+    # and relative precisions down to 1
+    ctx, variables = draw(context_and_variables())
+    f = draw(series(ctx, variables))
+    return f, {name: draw(coefficient(ctx)) for name in variables}
+
+
+def fixed_series_and_point(absprec, x_is_zero):
+    """An O(5^3) zero and a negative valuation among the coefficients; x an
+    O(5^2) zero or of valuation -1, y known to one digit."""
+    ctx = Context(p=5, N=6, M=6)
+    f = TruncatedSeries(ctx, ("x", "y"), {
+        (1, 0): PadicRational.zero(ctx, 3), (0, 2): PadicRational(ctx, 7, -2, 5),
+        (2, 1): PadicRational(ctx, 3, 0, 6), (0, 0): PadicRational(ctx, 4, 1, 2)},
+        absprec)
+    x = PadicRational.zero(ctx, 2) if x_is_zero else PadicRational(ctx, 11, -1, 3)
+    return f, {"x": x, "y": PadicRational(ctx, 2, 1, 1)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(series_and_point())
+@example(fixed_series_and_point(None, True))
+@example(fixed_series_and_point(4, True))
+@example(fixed_series_and_point(None, False))
+@example(fixed_series_and_point(4, False))
+def test_evaluate_matches_per_term_loop(args):
+    f, point = args
+    assert triples([f.evaluate(point)]) == triples([reference_evaluate(f, point)])
 
 
 # -- composition and reversion ------------------------------------------------

@@ -137,3 +137,23 @@ def test_two_classifications_reach_every_classify_metric():
             assert characters.classify_CL(F) is cl
 
     assert unreached_metrics(behind, run) == []
+
+
+def test_one_jet_verification_reaches_every_jet_metric():
+    # verify_jet_identities on G_m and E11 at p=5, N=8 (a small M) must
+    # call every traced function behind a metric required on jet_p5
+    from arithjet import formalgroup, jet
+    from arithjet.context import Context
+
+    behind = metrics_behind_targets(("jet_p5",))
+    assert {"jet.jet_point_product.calls", "jet.ghost_series.calls",
+            "series.compose.calls", "formalgroup.law.s"} <= behind.keys()
+
+    def run():
+        ctx = Context(5, 8, 8)
+        E11 = formalgroup.WeierstrassCurve(0, 0, 0, 1, 1, ctx)
+        for F in (formalgroup.FormalGroupLaw.multiplicative(ctx),
+                  formalgroup.formal_group_from_curve(E11)):
+            assert jet.verify_jet_identities(F, samples=2).ok
+
+    assert unreached_metrics(behind, run) == []

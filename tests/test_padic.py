@@ -121,6 +121,18 @@ def test_shift_is_exact():
     assert x.shift(2).shift(-2) == x
 
 
+def test_zeroth_power_is_one_for_every_base():
+    # the empty product: an O(p^w) zero included, whose positive powers
+    # stay zeros of the scaled bound
+    ctx = Context(p=5, N=8)
+    for x in (PadicRational.zero(ctx, 4), PadicRational.zero(ctx, -2),
+              PadicRational.from_int(ctx, 10), PadicRational(ctx, 3, -1, 2)):
+        one = x ** 0
+        assert (one.unit, one.val) == (1, 0), x
+        assert one == PadicRational.one(ctx)
+    cube = PadicRational.zero(ctx, 4) ** 3
+    assert cube.is_zero() and cube.val == 12
+
 def test_context_validation():
     with pytest.raises(ArithJetError):
         Context(p=4)
