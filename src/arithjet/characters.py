@@ -708,10 +708,9 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     gamma_hat = xs[0]
 
     if is_cl:
-        # H_delta is the line [iota* Theta] = rho [Psi_1], rho = p c_1
+        # H_delta is the line [iota* Theta] = rho [Psi_1], rho = p c_1; the
+        # identity behind it, Lbar_1 = p Psi_1, is diff1's c-vector residual
         rho = theta.c[1].shift(1)
-        _, residuals["theta_psi_collinearity"] = _class_solve(
-            diff.iota_theta, [psi])
         lam = gamma_hat * rho.inverse()
         matrix = [[lam]]
         basis = ["[iota* Theta]"]
@@ -825,26 +824,8 @@ def _coord_rank(vectors, ctx) -> int:
 # -- spec-level wrappers -----------------------------------------------------
 
 
-@dataclass
-class SplittingData:
-    m_u: int
-    r_delta: int
-    filtration_dims: tuple[int, ...]
-    ranks_Xn: tuple[int, int]
-
-
-def splitting_numbers_and_rank(E) -> SplittingData:
-    ga = analyze_group(as_group(E))
-    return SplittingData(ga.iso.m_u, ga.iso.hdelta_rank,
-                         ga.iso.filtration_dims, ga.iso.ranks_Xn)
-
-
 def classify_CL(E) -> bool:
     return solve_character_lattice(as_group(E), 1).rank == 1
-
-
-def isocrystal_data(E) -> IsocrystalData:
-    return analyze_group(as_group(E)).iso
 
 
 def as_group(E) -> FormalGroupLaw:

@@ -102,12 +102,6 @@ class ExactPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def coefficient(self, expt: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(expt), 0)
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = ExactPoly.const(self.vars, other)

@@ -81,19 +81,10 @@ class WeierstrassCurve:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    @property
-    def is_short(self) -> bool:
-        return self.a1 == self.a2 == self.a3 == 0
-
     @cached_property
     def invariants(self) -> "CurveInvariants":
         """a_p, #E(F_p) and ordinarity, counted once per curve."""
         return count_points_ap(self)
-
-    def label(self) -> str:
-        if self.is_short:
-            return f"{self.a4},{self.a6}"
-        return f"{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}"
 
 
 @dataclass(frozen=True)
@@ -130,8 +121,9 @@ def count_points_ap(E: WeierstrassCurve) -> CurveInvariants:
 class FormalGroupLaw:
     """One-dimensional formal group law with its logarithm.
 
-    kind in {additive, multiplicative, elliptic, kernel}.  ``law`` is
-    F(t1, t2) truncated at total degree M; ``log`` satisfies
+    kind in {additive, multiplicative, elliptic, kernel}; a kernel group
+    is N^1 of a jet space, F's law and log scaled by p (jet.n1_group).
+    ``law`` is F(t1, t2) truncated at total degree M; ``log`` satisfies
     log(F(t1,t2)) = log(t1) + log(t2) with linear coefficient 1; ``exp``
     is its reversion (computed on demand).  ``deep_log_cache`` holds the
     longest [b_1, ...] of log coefficients computed beyond M so far (see
@@ -252,14 +244,6 @@ def _w_coefficients(E: WeierstrassCurve, deg: int,
     return w, _intpoly.newton_inverse_step(dphi(w, w2, n), g, n, mod)
 
 
-def _w_series(E: WeierstrassCurve, deg: int) -> TruncatedSeries:
-    """w(t) to total degree deg."""
-    ctx = E.ctx.with_degree(deg)
-    coeffs, _ = _w_coefficients(E, deg)
-    return TruncatedSeries(ctx, ("t",),
-                           {(k,): c for k, c in enumerate(coeffs) if c})
-
-
 def elliptic_log_coefficients(E: WeierstrassCurve, deg: int,
                               digits: int | None = None) -> list[PadicRational]:
     """[b_1, ..., b_deg]: coefficients of the formal logarithm, from
@@ -295,6 +279,18 @@ def elliptic_log_coefficients(E: WeierstrassCurve, deg: int,
     return out
 
 
+def _chord(E: WeierstrassCurve) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """w(t1) and the chord slope (w(t2) - w(t1))/(t2 - t1) on (t1, t2) to
+    degree M, exact and without a division: from the coefficients A_k of
+    w they are the tables {t1^k: A_k} and {t1^i t2^j: A_(i+j+1)}."""
+    ctx = E.ctx
+    A, _ = _w_coefficients(E, ctx.M + 1)
+    v = ("t1", "t2")
+    return (TruncatedSeries(ctx, v, {(k, 0): a for k, a in enumerate(A)}),
+            TruncatedSeries(ctx, v, {(i, d - i): a for d, a in enumerate(A[1:])
+                                     for i in range(d + 1)}))
+
+
 def formal_group_from_curve(E: WeierstrassCurve) -> FormalGroupLaw:
     """Formal group of E at the origin.
 
@@ -312,28 +308,10 @@ def formal_group_from_curve(E: WeierstrassCurve) -> FormalGroupLaw:
         ctx.N)
 
     def build_law() -> TruncatedSeries:
-        w = _w_series(E, ctx.M + 4)
+        w1, lam = _chord(E)
         v = ("t1", "t2")
         t1 = TruncatedSeries.variable(ctx, v, "t1")
         t2 = TruncatedSeries.variable(ctx, v, "t2")
-        # divided-difference slope of the chord, exact (no division):
-        # lambda = sum_k A_k * sum_{i+j=k-1} t1^i t2^j
-        lam = TruncatedSeries.zero(ctx, v)
-        pows1 = [TruncatedSeries.const(ctx, v, 1), t1]
-        pows2 = [TruncatedSeries.const(ctx, v, 1), t2]
-        top = max(e for (e,) in w.coeffs)
-        for k in range(2, top):
-            pows1.append(pows1[-1] * t1)
-            pows2.append(pows2[-1] * t2)
-        for (k,), A in sorted(w.coeffs.items()):
-            if k == 0 or k - 1 > ctx.M:
-                continue
-            dd = TruncatedSeries.zero(ctx, v)
-            for i in range(k):
-                if i <= ctx.M and k - 1 - i <= ctx.M:
-                    dd = dd + pows1[i] * pows2[k - 1 - i]
-            lam = lam + dd.scale(A)
-        w1 = w.compose([t1])
         nu = w1 - lam * t1
         c3 = (TruncatedSeries.const(ctx, v, 1) + lam.scale(E.a2)
               + (lam * lam).scale(E.a4) + (lam ** 3).scale(E.a6))
@@ -344,7 +322,7 @@ def formal_group_from_curve(E: WeierstrassCurve) -> FormalGroupLaw:
             return -t3
         # inversion series i(t) = -t * (1 - a1 t - a3 w(t))^(-1)
         ts = TruncatedSeries.variable(ctx, ("t",), "t")
-        wt = TruncatedSeries(ctx, ("t",), dict(w.coeffs), w.absprec)
+        wt = w1.set_zero(["t2"]).rename(("t",))
         inv_series = (-ts) * (TruncatedSeries.const(ctx, ("t",), 1)
                               - ts.scale(E.a1) - wt.scale(E.a3)).inverse()
         return inv_series.compose([t3])

@@ -5,8 +5,9 @@ group law is the base formal group law F evaluated through the Witt ring
 of the coordinate ring, computed here on the ghost side: apply F to each
 ghost coordinate and solve the components back with arithjet.ghost's
 ghost_solve (divisions by p^i are valuation shifts over Q_p
-coefficients).  Symbolic ghosts come from ghost_series, which claims
-N+i digits for w_i; numeric points use ghost_map.
+coefficients).  Symbolic ghosts are arithjet.ghost's ghost_map on
+coordinate series (ghost_series, which claims N+i digits for w_i);
+numeric points use ghost_map directly.
 
 The composes F(w_i(x), w_i(y)) are the costly part, and each is made
 once per group: F.ghost_law_cache keeps entry i on its own variables
@@ -15,7 +16,12 @@ J^2 reuses J^1's levels, and two checks of verify_jet_identities read
 the cache for their right-hand sides: phi-homomorphism-J1 reads F's
 entry 1, and lateral-homomorphism reads the N^1 group's entry 1 (f is
 w_1 on (x1, x2)).  truncation-functorial then compares two ghost solves
-of the same composes, and reads inf by construction.
+of the same composes, and reads inf by construction.  One verify
+composes F's law 3 times (levels 0-2) and N^1's twice.
+
+N^1 = ker(J^1G -> G) needs no compose, only p-scaling: its law is
+(1/p) F(p t1, p t2) and its log is Psi_1 = (1/p) log_G(p t), so the t^e
+coefficient of either is F's times p^(|e|-1).
 
 Structural maps, all formal-group independent in these coordinates:
 
@@ -52,28 +58,18 @@ def jet_variables(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(f"x{i}" for i in range(n + 1)), tuple(f"y{i}" for i in range(n + 1))
 
 
-def ghost_series(ctx: Context, variables, names, i: int,
-                 start: int = 0) -> TruncatedSeries:
-    """w_i over the listed coordinate names inside a larger variable tuple.
-
-    With start=k the names are treated as coordinates (x_k, x_{k+1}, ...)
-    all of whose earlier coordinates vanish, i.e. the j-th listed name
-    carries weight p^(start+j) and exponent p^(i-start-j).
-    """
-    p = ctx.p
-    coeffs = {}
+def ghost_series(ctx: Context, variables, names, i: int) -> TruncatedSeries:
+    """w_i of the coordinates (x_0, ..., x_i) named by names[:i+1], inside
+    a larger variable tuple; each coordinate's coefficient 1 claims N+i
+    digits."""
     variables = tuple(variables)
-    for j, name in enumerate(names):
-        level = start + j
-        if level > i:
-            break
+    coords = []
+    for name in names[:i + 1]:
         e = [0] * len(variables)
-        e[variables.index(name)] = p ** (i - level)
-        key = tuple(e)
-        prev = coeffs.get(key)
-        c = PadicRational.from_int(ctx, p ** level, ctx.N + i)
-        coeffs[key] = c if prev is None else prev + c
-    return TruncatedSeries(ctx, variables, coeffs)
+        e[variables.index(name)] = 1
+        coords.append(TruncatedSeries(
+            ctx, variables, {tuple(e): PadicRational(ctx, 1, 0, ctx.N + i)}))
+    return ghost_map(ctx.p, coords, TruncatedSeries.shift)[i]
 
 
 @dataclass(frozen=True)
@@ -85,13 +81,6 @@ class JetGroupLaw:
     @property
     def ctx(self) -> Context:
         return self.base.ctx
-
-
-@dataclass(frozen=True)
-class KernelLaw:
-    n: int
-    law: tuple[TruncatedSeries, ...]
-    base: FormalGroupLaw
 
 
 def _ghost_law_table(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
@@ -116,41 +105,29 @@ def jet_group_law(F: FormalGroupLaw, n: int) -> JetGroupLaw:
     return JetGroupLaw(n=n, law=tuple(comps), base=F)
 
 
-def kernel_law(J: JetGroupLaw) -> KernelLaw:
+def kernel_law(J: JetGroupLaw) -> tuple[TruncatedSeries, ...]:
     """Substitute x_0 = y_0 = 0 in the jet law: the group law of N^n."""
-    comps = [c.set_zero(["x0", "y0"]) for c in J.law[1:]]
-    return KernelLaw(n=J.n, law=tuple(comps), base=J.base)
+    return tuple(c.set_zero(["x0", "y0"]) for c in J.law[1:])
 
 
-def kernel_law_direct(F: FormalGroupLaw, n: int) -> KernelLaw:
-    """Group law of N^n computed on the restricted ghosts (x_0 = y_0 = 0)."""
-    if n > JET_LEVEL_CAP:
-        raise ArithJetError(f"jet level capped at n <= {JET_LEVEL_CAP}")
-    ctx = F.ctx
-    xs = tuple(f"x{i}" for i in range(1, n + 1))
-    ys = tuple(f"y{i}" for i in range(1, n + 1))
-    allv = xs + ys
-    ghosts = [TruncatedSeries.zero(ctx, allv)]
-    for i in range(1, n + 1):
-        gx = ghost_series(ctx, allv, xs, i, start=1)
-        gy = ghost_series(ctx, allv, ys, i, start=1)
-        ghosts.append(F.law.compose([gx, gy]))
-    comps = ghost_solve(ctx.p, ghosts, TruncatedSeries.shift)
-    return KernelLaw(n=n, law=tuple(comps[1:]), base=F)
+def _scale_by_p(f: TruncatedSeries, variables) -> TruncatedSeries:
+    """(1/p) f(p t) on the given variables: the coefficient of t^e times
+    p^(|e|-1), with f's series absprec."""
+    return TruncatedSeries(f.ctx, variables,
+                           {e: c.shift(sum(e) - 1) for e, c in f.coeffs.items()},
+                           f.absprec)
 
 
 def psi1_series(F: FormalGroupLaw, var: str = "x1") -> TruncatedSeries:
     """Fundamental character series (1/p) log_G(p*x) on the kernel coordinate."""
-    ctx = F.ctx
-    t = TruncatedSeries.variable(ctx, (var,), var)
-    return F.log.compose([t.shift(1)]).shift(-1)
+    return _scale_by_p(F.log, (var,))
 
 
 def n1_group(F: FormalGroupLaw) -> FormalGroupLaw:
-    """N^1 G as a one-dimensional formal group; its log is Psi_1."""
-    k = kernel_law_direct(F, 1)
-    law = k.law[0].rename(("t1", "t2"))
-    return FormalGroupLaw.from_kernel_law(F.ctx, law, psi1_series(F, "t"))
+    """N^1 G as a one-dimensional formal group: its law is
+    (1/p) F(p t1, p t2), its log is Psi_1."""
+    return FormalGroupLaw.from_kernel_law(
+        F.ctx, _scale_by_p(F.law, ("t1", "t2")), psi1_series(F, "t"))
 
 
 def witt_frobenius_series(ctx: Context, names, power: int = 1
@@ -201,10 +178,6 @@ def jet_point_product(F: FormalGroupLaw, a, b) -> list[PadicRational]:
               for v in (a, b))
     ghosts = [F.law.evaluate({"t1": x, "t2": y}) for x, y in zip(ga, gb)]
     return ghost_solve(ctx.p, ghosts, PadicRational.shift)
-
-
-def evaluate_map(series_tuple, values: dict) -> list[PadicRational]:
-    return [s.evaluate(values) for s in series_tuple]
 
 
 def lateral_frobenius_point(p: int, xs) -> list[int]:
@@ -281,7 +254,7 @@ def verify_jet_identities(F: FormalGroupLaw, samples: int = 8,
     JN1 = jet_group_law(N1, 1)
     relabel = ("x1", "x2", "y1", "y2")
     transported = [c.rename(relabel) for c in JN1.law]
-    resid = _min_resid([a - b for a, b in zip(K2.law, transported)])
+    resid = _min_resid([a - b for a, b in zip(K2, transported)])
     rep.add("kernel-identification", resid, thr,
             "kernel law of J^2 = jet law of N^1 under coordinate match")
 
@@ -303,7 +276,7 @@ def verify_jet_identities(F: FormalGroupLaw, samples: int = 8,
     # (e) lateral Frobenius is a homomorphism of kernel laws; N1.law is
     #     the kernel law of N^1 and f is w_1 on (x1, x2), so N1.law(f, f)
     #     is N^1's cached level-1 ghost compose in (x1, x2, y1, y2)
-    lhs = f.compose([K2.law[0], K2.law[1]])
+    lhs = f.compose(list(K2))
     rhs = _ghost_law_table(N1, 1)[1].rename(("x1", "x2", "y1", "y2"))
     rep.add("lateral-homomorphism", (lhs - rhs).residual_valuation(), thr)
 
@@ -338,10 +311,8 @@ def verify_jet_identities(F: FormalGroupLaw, samples: int = 8,
         abc1 = jet_point_product(F, ab, c)
         abc2 = jet_point_product(F, a, jet_point_product(F, b, c))
         worst_assoc = min(worst_assoc, _point_resid(abc1, abc2))
-        env_ab = {n: v for n, v in zip(xs, ab)}
-        lhs_pts = evaluate_map(phi_series, env_ab)
-        pa = evaluate_map(phi_series, dict(zip(xs, a)))
-        pb = evaluate_map(phi_series, dict(zip(xs, b)))
+        lhs_pts, pa, pb = ([s.evaluate(dict(zip(xs, pt))) for s in phi_series]
+                           for pt in (ab, a, b))
         rhs_pts = jet_point_product(F, pa, pb)
         worst_phi = min(worst_phi, _point_resid(lhs_pts, rhs_pts))
     rep.add("commutativity-sampled", worst_comm, thr, f"{samples} random pairs")

@@ -10,7 +10,7 @@ from arithjet.characters import (
     log_projections, kernel_log_projection, fundamental_character,
     solve_character_lattice, primitive_quotient, differential_gamma, upsilon,
     iota_star, phi_star, restrict_lateral, verify_diff_relation,
-    analyze_group, classify_CL, splitting_numbers_and_rank, isocrystal_data,
+    analyze_group, as_group, classify_CL,
     order_one_span_identity, frob_up_matrix_identity, DeltaCharacter,
     check_point_count, f_star,
 )
@@ -20,7 +20,8 @@ from arithjet.errors import (
     ArithJetError, IdentityViolation, IntegralityViolation, PrecisionExhausted,
 )
 from test_kernels import (
-    reference_kernel_log_projection, reference_restrict_lateral,
+    reference_kernel_law, reference_kernel_log_projection,
+    reference_restrict_lateral,
 )
 
 INF = float("inf")
@@ -158,10 +159,9 @@ def test_psi1_elliptic_leading_terms(E11):
 
 
 def test_psi1_additivity_for_kernel_law(ctx, Gm):
-    from arithjet.jet import kernel_law_direct
-    K = kernel_law_direct(Gm, 1)
+    K = reference_kernel_law(Gm, 1)
     psi = fundamental_character(Gm)
-    lhs = psi.rename(("t",)).compose([K.law[0]])
+    lhs = psi.rename(("t",)).compose([K[0]])
     x1 = TruncatedSeries.variable(ctx, ("x1", "y1"), "x1")
     y1 = TruncatedSeries.variable(ctx, ("x1", "y1"), "y1")
     rhs = psi.rename(("t",)).compose([x1]) + psi.rename(("t",)).compose([y1])
@@ -673,7 +673,5 @@ def test_classify_and_wrappers(ctx35):
     assert classify_CL(E) is True
     E2 = WeierstrassCurve(0, 0, 0, 1, 1, ctx35)
     assert classify_CL(E2) is False
-    sd = splitting_numbers_and_rank(E2)
-    assert (sd.m_u, sd.r_delta) == (2, 2)
-    iso = isocrystal_data(E2)
-    assert iso.hdelta_rank == 2
+    iso = analyze_group(as_group(E2)).iso
+    assert (iso.m_u, iso.hdelta_rank) == (2, 2)

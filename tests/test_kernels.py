@@ -8,6 +8,10 @@ logarithm, and the kernel log projection composed on its own from the
 restricted ghost polynomial.  The fast versions must
 agree with them bit for bit: the same monomials in the same order, the
 same (unit, val, rel, ctx.N) per coefficient and the same series absprec.
+The coefficient maps agree with the composes and loops they replaced in
+(unit, val, rel) and series absprec, in any monomial order: the ghost
+polynomial by its monomial loop, N^1's law and Psi_1 by composing with
+p*t, and the chord slope of the elliptic law by its products of powers.
 Newton reversion agrees with the loop where the loop has a coefficient,
 and keeps the O(p^w) zeros that the loop leaves out; the kernel log
 projection read from the log-projection table may claim a lower series
@@ -27,11 +31,14 @@ from arithjet import _intpoly, canonical
 from arithjet.canonical import canonical_lift_test, short_model
 from arithjet.context import Context
 from arithjet.formalgroup import (
-    WeierstrassCurve, _w_coefficients, _w_series, elliptic_log_coefficients,
-    formal_group_from_curve,
+    FormalGroupLaw, WeierstrassCurve, _chord, _w_coefficients,
+    elliptic_log_coefficients, formal_group_from_curve,
 )
 from arithjet.errors import IdentityViolation, PrecisionExhausted
-from arithjet.jet import ghost_series, lateral_frobenius_map
+from arithjet.ghost import ghost_solve
+from arithjet.jet import (
+    ghost_series, lateral_frobenius_map, n1_group, psi1_series,
+)
 from arithjet.padic import PadicRational
 from arithjet.series import TruncatedSeries, _INF, _minp
 
@@ -146,12 +153,20 @@ def reference_log(E: WeierstrassCurve, deg: int, digits: int):
     return out
 
 
+def w_series(E: WeierstrassCurve, deg: int) -> TruncatedSeries:
+    """w(t) to total degree deg, in a context of degree cap deg."""
+    ctx = E.ctx.with_degree(deg)
+    coeffs, _ = _w_coefficients(E, deg)
+    return TruncatedSeries(ctx, ("t",),
+                           {(k,): c for k, c in enumerate(coeffs) if c})
+
+
 def reference_series_log(E: WeierstrassCurve) -> TruncatedSeries:
     """The logarithm to degree M by series arithmetic: integrate
     P = (w - t w') / (w (-2 + a1 t + a3 w)), both parts divided by t^3."""
     ctx = E.ctx
     pad = ctx.with_degree(ctx.M + 4)
-    w = _w_series(E, ctx.M + 4)
+    w = w_series(E, ctx.M + 4)
     wq = TruncatedSeries(pad, ("t",), {(e - 3,): c for (e,), c in w.coeffs.items()})
     t = TruncatedSeries.variable(pad, ("t",), "t")
     num = wq.scale(-2) - t * wq.derivative()
@@ -161,11 +176,80 @@ def reference_series_log(E: WeierstrassCurve) -> TruncatedSeries:
     return TruncatedSeries(ctx, ("t",), dict(log.coeffs), log.absprec)
 
 
+def reference_ghost_series(ctx: Context, variables, names, i: int,
+                           start: int = 0) -> TruncatedSeries:
+    """w_i by the monomial loop: the j-th listed name is the coordinate
+    x_(start+j), all earlier coordinates zero, so it carries weight
+    p^(start+j) and exponent p^(i-start-j); each coefficient claims N+i
+    digits."""
+    p = ctx.p
+    coeffs = {}
+    variables = tuple(variables)
+    for j, name in enumerate(names):
+        level = start + j
+        if level > i:
+            break
+        e = [0] * len(variables)
+        e[variables.index(name)] = p ** (i - level)
+        key = tuple(e)
+        prev = coeffs.get(key)
+        c = PadicRational.from_int(ctx, p ** level, ctx.N + i)
+        coeffs[key] = c if prev is None else prev + c
+    return TruncatedSeries(ctx, variables, coeffs)
+
+
+def reference_kernel_law(F, n: int) -> tuple[TruncatedSeries, ...]:
+    """The group law of N^n, F composed with the ghosts restricted to
+    x0 = y0 = 0 and ghost-solved, in (x1..xn, y1..yn)."""
+    ctx = F.ctx
+    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    ys = tuple(f"y{i}" for i in range(1, n + 1))
+    allv = xs + ys
+    ghosts = [TruncatedSeries.zero(ctx, allv)]
+    for i in range(1, n + 1):
+        ghosts.append(F.law.compose(
+            [reference_ghost_series(ctx, allv, names, i, start=1)
+             for names in (xs, ys)]))
+    return tuple(ghost_solve(ctx.p, ghosts, TruncatedSeries.shift)[1:])
+
+
+def reference_psi1(F, var: str = "x1") -> TruncatedSeries:
+    """Psi_1 = (1/p) log_G(p x): the log composed with p*x, shifted down."""
+    t = TruncatedSeries.variable(F.ctx, (var,), var)
+    return F.log.compose([t.shift(1)]).shift(-1)
+
+
+def reference_chord_slope(E: WeierstrassCurve):
+    """w(t1) by compose, and the chord slope
+    sum_k A_k sum_(i+j=k-1) t1^i t2^j from products of powers of t1, t2."""
+    ctx = E.ctx
+    w = w_series(E, ctx.M + 4)
+    v = ("t1", "t2")
+    t1 = TruncatedSeries.variable(ctx, v, "t1")
+    t2 = TruncatedSeries.variable(ctx, v, "t2")
+    lam = TruncatedSeries.zero(ctx, v)
+    pows1 = [TruncatedSeries.const(ctx, v, 1), t1]
+    pows2 = [TruncatedSeries.const(ctx, v, 1), t2]
+    top = max(e for (e,) in w.coeffs)
+    for k in range(2, top):
+        pows1.append(pows1[-1] * t1)
+        pows2.append(pows2[-1] * t2)
+    for (k,), A in sorted(w.coeffs.items()):
+        if k == 0 or k - 1 > ctx.M:
+            continue
+        dd = TruncatedSeries.zero(ctx, v)
+        for i in range(k):
+            if i <= ctx.M and k - 1 - i <= ctx.M:
+                dd = dd + pows1[i] * pows2[k - 1 - i]
+        lam = lam + dd.scale(A)
+    return w.compose([t1]), lam
+
+
 def reference_kernel_log_projection(F, j: int, variables) -> TruncatedSeries:
     """Lbar_j = log_G(w_j(0, x1..xj)) composed on its own, from the ghost
     polynomial with x0 = 0 (start=1), in the given kernel variables."""
     variables = tuple(variables)
-    w = ghost_series(F.ctx, variables, variables[:j], j, start=1)
+    w = reference_ghost_series(F.ctx, variables, variables[:j], j, start=1)
     return F.log.compose([w])
 
 
@@ -407,6 +491,62 @@ def test_formal_group_log_agrees_with_series_route():
             got, want = log.get((k,)), ref.get((k,))
             assert (got - want).is_zero(), (p, a, k, got, want)
             assert got.rel <= ctx.N
+
+
+# -- coefficient maps ---------------------------------------------------------
+
+
+def claims(f: TruncatedSeries):
+    return {e: (c.unit, c.val, c.rel) for e, c in f.coeffs.items()}, f.absprec
+
+
+def with_zeros(F: FormalGroupLaw) -> FormalGroupLaw:
+    """F with O(p^3) zeros in its law and its log, both series then bounded
+    by O(p^(N+1)); the degree-8 zero of the law scales to O(p^10) and
+    leaves."""
+    ctx, zero = F.ctx, PadicRational.zero(F.ctx, 3)
+    law = TruncatedSeries(ctx, F.law.vars,
+                          {**F.law.coeffs, (2, 1): zero, (5, 3): zero}, ctx.N + 1)
+    log = TruncatedSeries(ctx, F.log.vars, {**F.log.coeffs, (4,): zero}, ctx.N + 1)
+    return FormalGroupLaw.from_kernel_law(ctx, law, log)
+
+
+def coefficient_map_group(kind: str, ctx: Context):
+    if kind == "Ga":
+        return FormalGroupLaw.additive(ctx)
+    if kind == "Gm":
+        return FormalGroupLaw.multiplicative(ctx)
+    if kind == "zeros":
+        return with_zeros(FormalGroupLaw.multiplicative(ctx))
+    a = (0, 0, 0, 1, 1) if kind == "short" else (1, 2, 3, 4, 1)
+    return formal_group_from_curve(WeierstrassCurve(*a, ctx))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("kind", ["Ga", "Gm", "short", "long", "zeros"])
+def test_coefficient_maps_match_the_routes_they_replaced(kind, p):
+    # N^1's law and Psi_1 by p-scaling, the chord of the elliptic law as a
+    # table, and ghost_series on ghost_map, against the composes and loops
+    # they replaced: the same (unit, val, rel) and series absprec
+    ctx = Context(p=p, N=8, M=2 * p + 4)
+    F = coefficient_map_group(kind, ctx)
+    N1 = n1_group(F)
+    assert claims(N1.law) == claims(reference_kernel_law(F, 1)[0].rename(N1.law.vars))
+    assert claims(N1.log) == claims(reference_psi1(F, "t"))
+    assert claims(psi1_series(F)) == claims(reference_psi1(F))
+    if F.curve is not None:
+        assert ([claims(f) for f in _chord(F.curve)]
+                == [claims(f) for f in reference_chord_slope(F.curve)])
+    xs = ("x0", "x1", "x2", "x3")
+    for i in range(4):
+        assert (claims(ghost_series(ctx, xs + ("y0",), xs, i))
+                == claims(reference_ghost_series(ctx, xs + ("y0",), xs, i)))
+
+
+def test_ghost_series_rejects_a_name_outside_its_variables():
+    # such a name is an error, not a coordinate that reads as a constant
+    with pytest.raises(ValueError):
+        ghost_series(Context(p=5, N=8, M=12), ("x0", "x1"), ("x0", "z1"), 1)
 
 
 # -- evaluation ----------------------------------------------------------------

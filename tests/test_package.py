@@ -157,3 +157,35 @@ def test_one_jet_verification_reaches_every_jet_metric():
             assert jet.verify_jet_identities(F, samples=2).ok
 
     assert unreached_metrics(behind, run) == []
+
+
+def test_every_public_name_of_arithjet_has_a_use():
+    # a public function, class or method of src/arithjet must be named
+    # somewhere in src, tests or perfbench besides its own def: as a name,
+    # an attribute, an imported name or a string that is an identifier
+    used = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rpartition(".")[2])
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and node.value.isidentifier()):
+                    used.add(node.value)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for path in sorted((ROOT / "src" / "arithjet").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, defs):
+                continue
+            named = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                named += [(f"{node.name}.{m.name}", m) for m in node.body
+                          if isinstance(m, defs)]
+            unused += [f"{path.stem}.{q}" for q, m in named
+                       if not m.name.startswith("_") and m.name not in used]
+    assert unused == []
