@@ -19,6 +19,14 @@ Inverses use Newton iteration g <- g - g (f g - 1), doubling the length
 each step (Brent-Kung, J. ACM 1978); `newton_inverse_step` is one such
 step, for callers that refine an inverse as f changes.
 
+`inverse`, the w(t) iteration of the formal-group layer and series
+reversion climb one Newton schedule, `newton_schedule`: the precisions
+halved down from the target, ceil(target/2), ... to what is already
+known, taken in ascending order.  A step at most doubles what it knows
+and ceil(n/2) doubled is at least n, so every step is as short as the
+next one allows and the last lands on the target; a doubling loop
+overshoots instead (full steps at 64 and then at 66 for a target of 66).
+
 With ``mod`` given every result coefficient lies in [0, mod); without it
 results are exact integers.
 """
@@ -102,6 +110,16 @@ def newton_inverse_step(f: list[int], g: list[int], k: int,
     return g
 
 
+def newton_schedule(target: int, known: int) -> list[int]:
+    """The precisions target, ceil(target/2), ... that exceed `known`,
+    in ascending order: newton_schedule(66, 1) = [2, 3, 5, 9, 17, 33, 66]."""
+    steps = []
+    while target > known:
+        steps.append(target)
+        target = (target + 1) // 2
+    return steps[::-1]
+
+
 def inverse(f: list[int], n: int, mod: int | None = None) -> list[int]:
     """The first n coefficients of 1/f.  f[0] must be a unit: invertible
     mod `mod`, or +-1 when exact."""
@@ -111,8 +129,6 @@ def inverse(f: list[int], n: int, mod: int | None = None) -> list[int]:
         g = [f[0]]
     else:
         g = [pow(f[0], -1, mod)]
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
+    for k in newton_schedule(n, 1):
         g = newton_inverse_step(f, g, k, mod)
     return g

@@ -151,15 +151,27 @@ def deep_tower_degree(F: FormalGroupLaw) -> int:
     return p ** j
 
 
-def deep_log_coefficients(F: FormalGroupLaw, deg: int) -> list[PadicRational]:
-    """[b_1..b_deg] of log_G, beyond the series budget M.  The longest
-    list computed so far is kept in F.deep_log_cache."""
-    if len(F.deep_log_cache) >= deg:
-        return F.deep_log_cache[:deg]
+def _tower_reads(p: int, j: int, n: int) -> list[int | None]:
+    """The log indices that the deep row of x0^j reads from L_0..L_n:
+    [x0^j] L_i = b_(j/p^i) when p^i divides j, nothing (None) else."""
+    return [j // p ** i if j % p ** i == 0 else None for i in range(n + 1)]
+
+
+def deep_log_coefficients(F: FormalGroupLaw, deg: int) -> dict[int, PadicRational]:
+    """{k: b_k} of log_G beyond the series budget M, for the k that some
+    deep row x0^j (p | j <= deg) reads at an order up to ORDER_CAP: p | k,
+    or k <= deg/p (1125 of 3125 at p = 5).  No other b_k is built, and
+    reading one raises KeyError.  The dict is kept in F.deep_log_cache
+    and rebuilt when a read needs more."""
+    p = F.ctx.p
+    want = {k for j in range(p, deg + 1, p)
+            for k in _tower_reads(p, j, ORDER_CAP) if k is not None}
+    if want <= F.deep_log_cache.keys():
+        return F.deep_log_cache
     if F.kind == ELLIPTIC:
-        out = elliptic_log_coefficients(F.curve, deg)
+        out = elliptic_log_coefficients(F.curve, want)
     elif F.kind == MULTIPLICATIVE:
-        out = multiplicative_log_coefficients(F.ctx, deg)
+        out = multiplicative_log_coefficients(F.ctx, want)
     else:
         raise ArithJetError(f"no deep log for kind {F.kind!r}")
     F.deep_log_cache = out
@@ -299,13 +311,8 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
         for j in range(ctx.M + 1, deep + 1):
             if j % p:
                 continue
-            row = []
-            for i in range(n + 1):
-                if j % p ** i:
-                    row.append(None)
-                    continue
-                b = bs[j // p ** i - 1]
-                row.append(b.shift(-i))
+            row = [None if k is None else bs[k].shift(-i)
+                   for i, k in enumerate(_tower_reads(p, j, n))]
             if all(x is None or x.is_zero() for x in row):
                 continue
             deep_rows.append(row)

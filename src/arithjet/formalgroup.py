@@ -12,7 +12,8 @@ differential, which in these parameters is dt/G_w for the curve
 G(t, w) = w - t^3 - ... = 0 (Silverman, AEC, ch. IV.1): log' = 1/G_w(t, w(t)),
 the inverse that the same Newton iteration for w refines at every step.
 The log has one route: elliptic_log_coefficients computes it mod
-p^digits on integers, the deep Frobenius tower reads it as is, and
+p^digits on integers, the deep Frobenius tower reads the coefficients
+it needs as they are, and
 formal_group_from_curve caps it at relative precision N for F.log.  The
 exponential is the reversion of the log.  The law is computed lazily
 (the character solver only consumes the logarithm).
@@ -126,8 +127,8 @@ class FormalGroupLaw:
     ``law`` is F(t1, t2) truncated at total degree M; ``log`` satisfies
     log(F(t1,t2)) = log(t1) + log(t2) with linear coefficient 1; ``exp``
     is its reversion (computed on demand).  ``deep_log_cache`` holds the
-    longest [b_1, ...] of log coefficients computed beyond M so far (see
-    characters.deep_log_coefficients).  ``log_projection_cache`` holds
+    log coefficients beyond M that the character solver reads, as the
+    dict {k: b_k} over just those k (see characters.deep_log_coefficients).  ``log_projection_cache`` holds
     the log projections L_0, L_1, ... built so far, L_i = log(w_i) on its
     own variables (x0..xi) (see characters.log_projections).
     ``ghost_law_cache`` holds the ghost composes built so far, entry i
@@ -142,7 +143,7 @@ class FormalGroupLaw:
         self._law_builder = law_builder
         self.log = log
         self.curve = curve
-        self.deep_log_cache: list[PadicRational] = []
+        self.deep_log_cache: dict[int, PadicRational] = {}
         self.log_projection_cache: list[TruncatedSeries] = []
         self.ghost_law_cache: list[TruncatedSeries] = []
 
@@ -171,7 +172,7 @@ class FormalGroupLaw:
     def multiplicative(cls, ctx: Context) -> "FormalGroupLaw":
         log = TruncatedSeries(ctx, ("t",), {
             (k,): b for k, b in
-            enumerate(multiplicative_log_coefficients(ctx, ctx.M), 1)})
+            multiplicative_log_coefficients(ctx, range(1, ctx.M + 1)).items()})
 
         def build():
             t1 = TruncatedSeries.variable(ctx, ("t1", "t2"), "t1")
@@ -187,10 +188,17 @@ class FormalGroupLaw:
 
 
 def multiplicative_log_coefficients(ctx: Context,
-                                    deg: int) -> list[PadicRational]:
-    """[b_1, ..., b_deg] of log(1 + t): b_k = (-1)^(k+1)/k."""
-    return [PadicRational.from_int(ctx, (-1) ** (k + 1))
-            / PadicRational.from_int(ctx, k) for k in range(1, deg + 1)]
+                                    indices) -> dict[int, PadicRational]:
+    """{k: b_k} for k in `indices`, b_k = (-1)^(k+1)/k the coefficients of
+    log(1 + t).  For k = u p^v, b_k is +-u^(-1) mod p^N over p^v: the
+    triple that PadicRational division of +-1 by k gives."""
+    p, mod = ctx.p, ctx.pk(ctx.N)
+    out = {}
+    for k in indices:
+        v = vp(k, p)
+        u = pow(k // ctx.pk(v), -1, mod)
+        out[k] = PadicRational(ctx, u if k % 2 else -u, -v, ctx.N)
+    return out
 
 
 def _w_coefficients(E: WeierstrassCurve, deg: int,
@@ -206,10 +214,12 @@ def _w_coefficients(E: WeierstrassCurve, deg: int,
     with g = 1/Phi'(w) refined alongside by one Newton step
     g <- g - g (Phi'(w) g - 1) per step of w (the coupled iteration of
     Brent-Kung, J. ACM 1978).  Phi'(w) has constant term 1, so g is
-    integral, and each step doubles the number of correct coefficients
-    of both (w = t^3 is right mod t^4, g = 1 + a1 t mod t^2).  Phi' is
-    the partial derivative G_w of the curve's equation
-    G(t, w) = Phi(w), and dt/G_w(t, w(t)) is the invariant differential
+    integral, and each step at most doubles the number of correct
+    coefficients of both (w = t^3 is right mod t^4, g = 1 + a1 t mod
+    t^2); the lengths climb _intpoly.newton_schedule(deg + 1, 4),
+    7, 13, ..., 1563, 3126 for deg = 3125.  Phi' is the partial
+    derivative G_w of the curve's equation G(t, w) = Phi(w), and
+    dt/G_w(t, w(t)) is the invariant differential
     (Silverman, AEC, ch. IV.1), so the second output is log'.  Both are
     the exact series mod t^(deg+1) (mod `mod`), so they do not depend on
     how they were computed.
@@ -223,9 +233,8 @@ def _w_coefficients(E: WeierstrassCurve, deg: int,
 
     w = [0] * min(n, 3) + [1] * (n > 3)
     g = [1, a1 if mod is None else a1 % mod]
-    while len(w) < n:
+    for k in _intpoly.newton_schedule(n, len(w)):
         j = len(w)  # w is right mod t^j (j >= 4), so Phi(w) = O(t^j)
-        k = min(2 * j, n)
         w = w + [0] * (k - j)
         w2 = _intpoly.mul(w, w, k, mod)
         w3 = _intpoly.mul(w2, w, k, mod) if a6 else [0] * k
@@ -233,7 +242,7 @@ def _w_coefficients(E: WeierstrassCurve, deg: int,
         phi = [x - a1 * y - a2 * z - a3 * u - a4 * v - a6 * s
                for x, y, z, u, v, s in zip(w[j:], tw[j:], t2w[j:], w2[j:],
                                            tw2[j:], w3[j:])]
-        # Phi'(w) is right mod t^j; g was right mod t^(j/2) (t^2 at first)
+        # Phi'(w) is right mod t^j; g was right mod t^ceil(j/2) (t^2 at first)
         g = _intpoly.newton_inverse_step(dphi(w, w2, j), g, j, mod)
         step = _intpoly.mul(phi, g, k - j, mod)
         w[j:] = [x - y for x, y in zip(w[j:], step)]
@@ -244,22 +253,25 @@ def _w_coefficients(E: WeierstrassCurve, deg: int,
     return w, _intpoly.newton_inverse_step(dphi(w, w2, n), g, n, mod)
 
 
-def elliptic_log_coefficients(E: WeierstrassCurve, deg: int,
-                              digits: int | None = None) -> list[PadicRational]:
-    """[b_1, ..., b_deg]: coefficients of the formal logarithm, from
-    integer polynomials mod p^digits (fast enough for the deep Frobenius
-    tower).
+def elliptic_log_coefficients(E: WeierstrassCurve, indices,
+                              digits: int | None = None) -> dict[int, PadicRational]:
+    """{j: b_j} for j in `indices`: coefficients of the formal logarithm,
+    from integer polynomials mod p^digits (fast enough for the deep
+    Frobenius tower).  Only the listed b_j are built, so a reader that
+    needs few of them (the deep rows of the character solver) pays for
+    few PadicRationals; reading any other index raises KeyError.
 
     log' = P = 1/G_w(t, w(t)), the invariant differential dt/G_w of the
     curve G(t, w) = 0 in the parameters of _w_coefficients (Silverman,
-    AEC, ch. IV.1): its second output, mod (p^digits, t^deg).  Then
-    b_j = P_(j-1)/j.  P is unique mod p^digits, so every b_j is P_(j-1)/j
-    known to exactly digits absolute digits before the division
-    (relative precision digits - v(P_(j-1))), whatever algorithm found P.
-    digits defaults to N plus the number of p-power denominators j can
-    carry.
+    AEC, ch. IV.1): its second output, mod (p^digits, t^deg) for deg the
+    largest index.  Then b_j = P_(j-1)/j.  P is unique mod p^digits, so
+    every b_j is P_(j-1)/j known to exactly digits absolute digits before
+    the division (relative precision digits - v(P_(j-1))), whatever
+    algorithm found P.  digits defaults to N plus the number of p-power
+    denominators j can carry.
     """
     ctx = E.ctx
+    deg = max(indices, default=0)
     if digits is None:
         j, t = 0, 1
         while t < deg:
@@ -268,14 +280,14 @@ def elliptic_log_coefficients(E: WeierstrassCurve, deg: int,
         digits = ctx.N + j
     mod = ctx.pk(digits)
     _, P = _w_coefficients(E, max(deg - 1, 0), mod=mod)
-    out = []
-    for j in range(1, deg + 1):
+    out = {}
+    for j in indices:
         # b_j = P_(j-1)/j = (P_(j-1)/p^v) * u^(-1) for j = u p^v
         v = vp(j, ctx.p)
         b = PadicRational(ctx, P[j - 1], -v, digits)
         if b.unit:
             b = b * PadicRational(ctx, pow(j // ctx.pk(v), -1, mod), 0, digits)
-        out.append(b)
+        out[j] = b
     return out
 
 
@@ -304,7 +316,8 @@ def formal_group_from_curve(E: WeierstrassCurve) -> FormalGroupLaw:
         raise ArithJetError("elliptic formal group needs M >= 4")
     log = TruncatedSeries(ctx, ("t",), {
         (k,): PadicRational(ctx, b.unit, b.val, min(b.rel, ctx.N))
-        for k, b in enumerate(elliptic_log_coefficients(E, ctx.M), 1) if b.unit},
+        for k, b in elliptic_log_coefficients(E, range(1, ctx.M + 1)).items()
+        if b.unit},
         ctx.N)
 
     def build_law() -> TruncatedSeries:

@@ -23,14 +23,19 @@ value and precision alike (see TruncatedSeries.__mul__).  Evaluation at
 a point runs on integers under the same contract: it must equal the
 PadicRational sum of the PadicRational terms (see
 TruncatedSeries.evaluate), and both reduce their integer sums through
-one helper, _scaled_padic.  A composition
-computes each power arg^k it needs once per call, and reversion runs
-Newton iteration on the tracked operations (see TruncatedSeries.reversion).
+one helper, _scaled_padic.  A power of a single stored term with no
+series absprec is an exponent shift, c^n t^(n e), not a product chain.
+A composition computes each power arg^k it needs once per call, and
+reversion runs Newton iteration on the tracked operations with one
+compose a step, g <- g - (f(g) - t) g', its degrees halved down from M
+(_intpoly.newton_schedule; see TruncatedSeries.reversion for why the
+step is exact Newton).
 """
 
 from math import gcd
 from operator import add
 
+from . import _intpoly
 from .context import Context
 from .padic import PadicRational
 from .errors import (
@@ -305,6 +310,11 @@ class TruncatedSeries:
         if md is not _INF and md * n > cap:
             return TruncatedSeries.zero(self.ctx, self.vars,
                                         _addp(self.absprec, 0))
+        if len(self.coeffs) == 1 and self.absprec is None:
+            # (c t^e)^n = c^n t^(n e), as the products would give it
+            (e, c), = self.coeffs.items()
+            return TruncatedSeries(self.ctx, self.vars,
+                                   {tuple(n * x for x in e): c ** n})
         r = None
         b = self
         k = n
@@ -509,18 +519,25 @@ class TruncatedSeries:
         """Compositional inverse g with self(g) = t mod degree M.
 
         Requires a univariate input u*t + O(t^2) with u a unit.  Newton
-        iteration g <- g - (f(g) - t) * f'(g)^(-1) doubles the degree to
-        which g is known (Brent-Kung, J. ACM 1978); keys come in ascending
-        degree.
+        iteration g <- g - (f(g) - t) * g' doubles the degree to which g
+        is known (Brent-Kung, J. ACM 1978) with one compose a step: let
+        h = f^(-1) and g = h + d with d = O(t^(m+1)).  Then
+        f(g) - t = f(h + d) - f(h) = f'(h) d + O(t^(2m+2)) and
+        g' = h' + O(t^m), and f'(h) h' = 1 (the derivative of f(h) = t),
+        so (f(g) - t) g' = d + O(t^(2m+1)): the step leaves g right to
+        degree 2m, as the step by f'(g)^(-1) does, without composing f'
+        or inverting a series.  The degrees climb
+        _intpoly.newton_schedule(M, 1), [2, 3, 5, 9, 17, 33, 66] for
+        M = 66; keys come in ascending degree.
 
         Why the claims hold: run exactly, the iteration returns the
         reversion of whatever input it is given, and each step (compose,
-        derivative, inverse, truncation, products, differences) claims
-        only what holds for every input within the claims of its operands.
-        So each coefficient of g holds its claim for every f' within the
-        claims of f.  This needs the O(p^w) zeros kept: f(g) - t cancels
-        to such zeros below the new degree, and dropping them would claim
-        them exact.
+        truncation, derivative, products, differences) claims only what
+        holds for every input within the claims of its operands.  So each
+        coefficient of g holds its claim for every f' within the claims of
+        f.  This needs the O(p^w) zeros kept: f(g) - t cancels to such
+        zeros below the new degree, and dropping them would claim them
+        exact.
         """
         self._require_univariate()
         if not self.constant_term().is_zero():
@@ -529,14 +546,10 @@ class TruncatedSeries:
         u = self.linear_coefficient(self.vars[0])
         if u.is_zero() or u.val != 0:
             raise NonUnitLinearCoefficient("linear coefficient is not a unit")
-        df = self.derivative()
         g = t.scale(u.inverse())
-        n = 1
-        while n < self.ctx.M:
-            n = min(2 * n, self.ctx.M)
+        for n in _intpoly.newton_schedule(self.ctx.M, 1):
             err = self.truncate(n).compose([g], cap=n) - t
-            slope = df.truncate(n - 1).compose([g], cap=n - 1)
-            g = g - err.__mul__(slope.inverse(n - 1), n)
+            g = g - err.__mul__(g.derivative(), n)
         return TruncatedSeries(self.ctx, self.vars, dict(sorted(g.coeffs.items())),
                                g.absprec)
 

@@ -1,11 +1,13 @@
 """Differential tests: the integer kernels against the loops they replaced.
 
 The reference implementations below are the straightforward versions: the
-per-pair PadicRational product loop of TruncatedSeries, its per-term
-PadicRational evaluation loop, the one-degree-at-a-time reversion loop,
-the O(deg^2) coefficient recurrences for w(t) and the elliptic
-logarithm, and the kernel log projection composed on its own from the
-restricted ghost polynomial.  The fast versions must
+per-pair PadicRational product loop of TruncatedSeries (and repeated
+squaring on it for powers), its per-term PadicRational evaluation loop,
+the one-degree-at-a-time reversion loop, the O(deg^2) coefficient
+recurrences for w(t) and the elliptic logarithm, the PadicRational
+division (-1)^(k+1)/k for the log of G_m, and the kernel log projection
+composed on its own from the restricted ghost polynomial.  The fast
+versions must
 agree with them bit for bit: the same monomials in the same order, the
 same (unit, val, rel, ctx.N) per coefficient and the same series absprec.
 The coefficient maps agree with the composes and loops they replaced in
@@ -13,7 +15,9 @@ The coefficient maps agree with the composes and loops they replaced in
 polynomial by its monomial loop, N^1's law and Psi_1 by composing with
 p*t, and the chord slope of the elliptic law by its products of powers.
 Newton reversion agrees with the loop where the loop has a coefficient,
-and keeps the O(p^w) zeros that the loop leaves out; the kernel log
+and keeps the O(p^w) zeros that the loop leaves out; on an input without
+a series absprec it agrees bit for bit with the Newton step that inverts
+f'(g), two composes and a series inverse a step.  The kernel log
 projection read from the log-projection table may claim a lower series
 absprec than its reference.  The lateral Frobenius pullback f* by
 composition is the reference for the ghost index shift of
@@ -30,9 +34,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from arithjet import _intpoly, canonical
 from arithjet.canonical import canonical_lift_test, short_model
 from arithjet.context import Context
+from arithjet.characters import deep_log_coefficients, deep_tower_degree
 from arithjet.formalgroup import (
-    FormalGroupLaw, WeierstrassCurve, _chord, _w_coefficients,
-    elliptic_log_coefficients, formal_group_from_curve,
+    ELLIPTIC, MULTIPLICATIVE, FormalGroupLaw, WeierstrassCurve, _chord,
+    _w_coefficients, elliptic_log_coefficients, formal_group_from_curve,
 )
 from arithjet.errors import IdentityViolation, PrecisionExhausted
 from arithjet.ghost import ghost_solve
@@ -96,6 +101,23 @@ def reference_reversion(f: TruncatedSeries) -> TruncatedSeries:
         if not ck.is_zero():
             g[(k,)] = -(ck * uinv)
     return TruncatedSeries(ctx, f.vars, g)
+
+
+def reference_newton_reversion(f: TruncatedSeries) -> TruncatedSeries:
+    """Compositional inverse by Newton iteration with the slope inverted:
+    g <- g - (f(g) - t) * f'(g)^(-1), two composes and one series inverse
+    a step, the known degree doubled (capped at M) each step."""
+    t = TruncatedSeries.variable(f.ctx, f.vars, f.vars[0])
+    df = f.derivative()
+    g = t.scale(f.linear_coefficient(f.vars[0]).inverse())
+    n = 1
+    while n < f.ctx.M:
+        n = min(2 * n, f.ctx.M)
+        err = f.truncate(n).compose([g], cap=n) - t
+        slope = df.truncate(n - 1).compose([g], cap=n - 1)
+        g = g - err.__mul__(slope.inverse(n - 1), n)
+    return TruncatedSeries(f.ctx, f.vars, dict(sorted(g.coeffs.items())),
+                           g.absprec)
 
 
 def reference_w(E: WeierstrassCurve, deg: int, mod=None):
@@ -358,6 +380,48 @@ def test_product_with_far_zero_bound():
     assert shape(f * g) == shape(reference_mul(f, g))
 
 
+def reference_pow(f: TruncatedSeries, n: int, cap=None):
+    """f^n (n >= 2) by repeated squaring on reference_mul."""
+    r, b = None, f
+    while n:
+        if n & 1:
+            r = b if r is None else reference_mul(r, b, cap)
+        n >>= 1
+        if n:
+            b = reference_mul(b, b, cap)
+    return r
+
+
+@st.composite
+def monomial_power(draw):
+    """c x^e with no series absprec, n >= 2 and a cap near n |e|."""
+    ctx, variables = draw(context_and_variables())
+    e = draw(st.tuples(*[st.integers(0, 3)] * len(variables)))
+    n = draw(st.integers(2, 5))
+    cap = draw(st.integers(max(n * sum(e) - 2, 0), n * sum(e) + 2))
+    ctx = ctx.with_degree(max(ctx.M, cap, sum(e)))
+    f = TruncatedSeries(ctx, variables, {e: draw(coefficient(ctx))})
+    return f, n, draw(st.sampled_from([None, cap]))
+
+
+def fixed_monomial_power(c, n, cap):
+    ctx = Context(p=5, N=6, M=12)
+    f = TruncatedSeries(ctx, ("x", "y"), {(1, 2): c(ctx)})
+    return f, n, cap
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(monomial_power())
+@example(fixed_monomial_power(lambda ctx: PadicRational.zero(ctx, 3), 3, 9))
+@example(fixed_monomial_power(lambda ctx: PadicRational(ctx, 7, -2, 4), 3, 9))
+@example(fixed_monomial_power(lambda ctx: PadicRational(ctx, 7, -2, 4), 4, 11))
+@example(fixed_monomial_power(lambda ctx: PadicRational.zero(ctx, -1), 4, 12))
+def test_monomial_power_matches_repeated_squaring(args):
+    # one stored term and no series absprec: the power is c^n x^(n e)
+    f, n, cap = args
+    assert shape(f.__pow__(n, cap)) == shape(reference_pow(f, n, cap))
+
+
 def schoolbook(a, b, n, mod):
     want = [0] * n
     for i, x in enumerate(a):
@@ -430,6 +494,22 @@ def test_intpoly_inverse_of_an_even_series_matches_schoolbook(f0, tail, s, n, mo
 
 # long forms with every a_i nonzero and good reduction at p
 LONG_CURVES = [(5, (1, 2, 3, 4, 1)), (7, (1, 2, 3, 4, 5))]
+# degrees at the edges of the Newton schedule of _w_coefficients: lengths
+# deg + 1 = 7, 8 take one step from 4 and 9, 10 take two; 63..66 and
+# 128, 129 lie on either side of a power of two
+W_DEGREES = (0, 2, 3, 4, 5, 6, 7, 8, 9, 60, 62, 63, 64, 65, 127, 128)
+
+
+def test_newton_schedule_halves_down_from_the_target():
+    assert _intpoly.newton_schedule(66, 1) == [2, 3, 5, 9, 17, 33, 66]
+    assert _intpoly.newton_schedule(3126, 4) == [
+        7, 13, 25, 49, 98, 196, 391, 782, 1563, 3126]
+    assert _intpoly.newton_schedule(4, 4) == []
+    for target in range(2, 200):
+        steps = _intpoly.newton_schedule(target, 1)
+        assert steps[-1] == target
+        # each step at most doubles what the one before it knew
+        assert all(b <= 2 * a for a, b in zip([1] + steps, steps))
 
 
 def test_exact_w_matches_recurrence():
@@ -438,7 +518,7 @@ def test_exact_w_matches_recurrence():
     A, B = short_model(WeierstrassCurve(*LONG_CURVES[0][1], ctx=ctx5))
     for p, a in LONG_CURVES + [(5, (0, 0, 0, 1, 1)), (5, (0, 0, 0, A, B))]:
         E = WeierstrassCurve(*a, ctx=Context(p=p, N=6, M=12))
-        for deg in (0, 2, 3, 4, 5, 60):
+        for deg in W_DEGREES:
             assert _w_coefficients(E, deg)[0] == reference_w(E, deg)[0]
         assert (_w_coefficients(E, 61, mod=p ** 7)[0]
                 == reference_w(E, 61, p ** 7)[0])
@@ -448,9 +528,9 @@ def test_log_matches_recurrence_on_long_form_curves():
     for p, a in LONG_CURVES:
         E = WeierstrassCurve(*a, ctx=Context(p=p, N=6, M=12))
         digits = 6 + 3
-        got = elliptic_log_coefficients(E, 300, digits=digits)
-        assert triples(got) == triples(reference_log(E, 300, digits))
-        assert {c.ctx.N for c in got} == {6}
+        got = elliptic_log_coefficients(E, range(1, 301), digits=digits)
+        assert triples(got.values()) == triples(reference_log(E, 300, digits))
+        assert {c.ctx.N for c in got.values()} == {6}
 
 
 # short and long forms with good reduction at p
@@ -462,7 +542,7 @@ def test_w_second_output_is_the_log_derivative():
     # 1/Phi'(w) = 1/G_w(t, w(t)) against the defining fraction of log'
     for p, a in LOG_CURVES:
         E = WeierstrassCurve(*a, ctx=Context(p=p, N=6, M=12))
-        for deg in (0, 1, 2, 3, 4, 5, 60):
+        for deg in (1,) + W_DEGREES:
             assert _w_coefficients(E, deg)[1] == reference_dlog(E, deg), (a, deg)
         assert _w_coefficients(E, 61, mod=p ** 7)[1] == reference_dlog(E, 61, p ** 7)
 
@@ -474,9 +554,42 @@ def test_log_coefficients_hold_their_claimed_digits():
         E = WeierstrassCurve(*a, ctx=Context(p=p, N=6, M=12))
         exact = exact_log(E, 120)
         for deg in (30, 120):
-            got = elliptic_log_coefficients(E, deg)
-            for j, (c, x) in enumerate(zip(got, exact), 1):
+            got = elliptic_log_coefficients(E, range(1, deg + 1))
+            for j, (c, x) in enumerate(zip(got.values(), exact), 1):
                 assert vp_fraction(x - value(c), p) >= c.absprec, (p, a, deg, j, c)
+
+
+def reference_multiplicative_log(ctx: Context, deg: int) -> list[PadicRational]:
+    """[b_1..b_deg] of log(1 + t) by PadicRational division, (-1)^(k+1)/k."""
+    return [PadicRational.from_int(ctx, (-1) ** (k + 1))
+            / PadicRational.from_int(ctx, k) for k in range(1, deg + 1)]
+
+
+@pytest.mark.parametrize("p, kind, a4, a6", [
+    (5, ELLIPTIC, 1, 1), (5, ELLIPTIC, -1, 0), (5, MULTIPLICATIVE, 0, 0),
+    (7, ELLIPTIC, 1, 1)])
+def test_deep_log_is_built_at_the_indices_the_solver_reads(p, kind, a4, a6):
+    # the index set is p | k or k <= deg/p, each b_k as in the full list;
+    # any other index is not there to read
+    ctx = Context(p=p, N=8 if p == 5 else 6, M=12)
+    if kind == MULTIPLICATIVE:
+        F = FormalGroupLaw.multiplicative(ctx)
+    else:
+        F = formal_group_from_curve(WeierstrassCurve(0, 0, 0, a4, a6, ctx))
+    deg = deep_tower_degree(F)
+    bs = deep_log_coefficients(F, deg)
+    want = {k for k in range(1, deg + 1) if k % p == 0 or k <= deg // p}
+    assert set(bs) == want
+    assert len(want) == {5: 1125, 7: 637}[p]
+    if kind == MULTIPLICATIVE:
+        full = reference_multiplicative_log(ctx, deg)
+    else:
+        full = list(elliptic_log_coefficients(F.curve, range(1, deg + 1)).values())
+    assert triples(bs[k] for k in sorted(want)) == triples(full[k - 1]
+                                                           for k in sorted(want))
+    with pytest.raises(KeyError):
+        bs[deg // p + 1]
+    assert deep_log_coefficients(F, deg) is bs  # kept in F.deep_log_cache
 
 
 def test_formal_group_log_agrees_with_series_route():
@@ -621,7 +734,9 @@ def exact_reversion(f: list[Fraction]) -> list[Fraction]:
 
 
 @st.composite
-def inexact_series_and_perturbations(draw):
+def reversion_input(draw, absprec=st.none()):
+    """u t + up to M - 1 drawn terms (O(p^w) zeros and negative valuations
+    among them) with u a unit, and a series absprec drawn from `absprec`."""
     p = draw(st.sampled_from([3, 5, 7]))
     ctx = Context(p=p, N=draw(st.integers(2, 8)), M=draw(st.integers(2, 10)))
     unit = draw(st.integers(1, p ** 8))
@@ -630,37 +745,61 @@ def inexact_series_and_perturbations(draw):
     for k in range(2, ctx.M + 1):
         if draw(st.booleans()):
             coeffs[(k,)] = draw(coefficient(ctx))
-    f = TruncatedSeries(ctx, ("t",), coeffs)
-    # each coefficient moved by delta * p^absprec, within its claim
-    shifts = [[0] * len(f.coeffs)] + [
-        draw(st.lists(st.integers(-p ** 2, p ** 2), min_size=len(f.coeffs),
-                      max_size=len(f.coeffs))) for _ in range(2)]
-    return f, shifts
+    return TruncatedSeries(ctx, ("t",), coeffs, draw(absprec))
+
+
+@st.composite
+def inexact_series_and_perturbations(draw):
+    f = draw(reversion_input(st.one_of(st.none(), st.integers(1, 10))))
+    # the t^k coefficient moved by delta * p^A, within its claim: A is its
+    # absprec, or the series absprec when it is absent (exact when None)
+    claim = [None] + [f.coeffs[(k,)].absprec if (k,) in f.coeffs else f.absprec
+                      for k in range(1, f.ctx.M + 1)]
+    p = f.ctx.p
+    shifts = [[0] * len(claim)] + [
+        draw(st.lists(st.integers(-p ** 2, p ** 2), min_size=len(claim),
+                      max_size=len(claim))) for _ in range(2)]
+    return f, claim, shifts
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(inexact_series_and_perturbations())
 def test_reversion_holds_its_claimed_digits(args):
     # every coefficient of the reversion, an absent one included (claimed
-    # exactly zero), must hold its claim for every input within its claims
-    f, shifts = args
+    # zero to the series absprec, exactly when that is None), must hold
+    # its effective claim min(c.absprec, g.absprec) for every input within
+    # the claims of f
+    f, claim, shifts = args
     p, M = f.ctx.p, f.ctx.M
     g = f.reversion()
     for deltas in shifts:
         exact = [Fraction(0)] * (M + 1)
-        for ((k,), c), d in zip(f.coeffs.items(), deltas):
-            exact[k] = value(c) + d * Fraction(p) ** c.absprec
+        for k in range(1, M + 1):
+            c = f.get((k,))
+            if claim[k] is not None:
+                exact[k] = value(c) + deltas[k] * Fraction(p) ** claim[k]
         want = exact_reversion(exact)
         for k in range(1, M + 1):
             c = g.get((k,))
-            assert vp_fraction(want[k] - value(c), p) >= c.absprec, (f, k, c)
+            held = _minp(c.absprec, g.absprec)
+            assert vp_fraction(want[k] - value(c), p) >= held, (f, k, c)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reversion_input())
+def test_reversion_matches_the_slope_inverting_step(f):
+    # g <- g - (f(g) - t) g' gives what g <- g - (f(g) - t) f'(g)^(-1)
+    # gave, claims included, on every input without a series absprec
+    assert claims(f.reversion()) == claims(reference_newton_reversion(f))
+
+
+@pytest.mark.parametrize("a4, a6", [(1, 1), (-1, 0), (0, 1)])
 @pytest.mark.parametrize("p, N, deg", [(5, 8, 52), (7, 6, 66)])
-def test_canonical_exp_matches_reference_reversion(monkeypatch, p, N, deg):
-    # the exp of canonical_lift_test's log (y^2 = x^3 + x + 1) against the
-    # one-degree-at-a-time loop: the same triples where the loop has a
-    # coefficient, and only the O(p^w) zeros that the loop leaves out beside
+def test_canonical_exp_matches_reference_reversion(monkeypatch, p, N, deg, a4, a6):
+    # the exp of canonical_lift_test's log (y^2 = x^3 + a4 x + a6) against
+    # the one-degree-at-a-time loop: the same triples where the loop has a
+    # coefficient, and only the O(p^w) zeros that the loop leaves out
+    # beside; and against the slope-inverting Newton step, claims included
     seen = []
     newton = TruncatedSeries.reversion
 
@@ -669,21 +808,39 @@ def test_canonical_exp_matches_reference_reversion(monkeypatch, p, N, deg):
         return seen[-1][1]
 
     monkeypatch.setattr(TruncatedSeries, "reversion", recording)
-    canonical_lift_test(WeierstrassCurve(0, 0, 0, 1, 1, Context(p=p, N=N, M=12)))
+    canonical_lift_test(WeierstrassCurve(0, 0, 0, a4, a6, Context(p=p, N=N, M=12)))
     (log, exp), = seen
     assert log.ctx.M == deg
     ref = reference_reversion(log)
     assert list(exp.coeffs) == sorted(exp.coeffs)
     assert triples(exp.coeffs[e] for e in ref.coeffs) == triples(ref.coeffs.values())
     assert all(exp.coeffs[e].is_zero() for e in exp.coeffs.keys() - ref.coeffs.keys())
+    assert claims(exp) == claims(reference_newton_reversion(log))
+
+
+def test_canonical_lift_test_composes_once_per_newton_step(monkeypatch):
+    # the reversion at M = 66 climbs 2, 3, 5, 9, 17, 33, 66 with one compose
+    # and no series inverse a step; [p] = exp(p log) adds one compose and
+    # x(t) one inverse
+    counts = {"compose": 0, "inverse": 0}
+    for name in counts:
+        real = getattr(TruncatedSeries, name)
+
+        def counted(self, *args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(TruncatedSeries, name, counted)
+    canonical_lift_test(WeierstrassCurve(0, 0, 0, 1, 1, Context(p=7, N=6, M=12)))
+    assert counts == {"compose": 8, "inverse": 1}
 
 
 def test_canonical_lift_test_rejects_an_even_log_coefficient(monkeypatch):
     real = canonical.elliptic_log_coefficients
 
-    def corrupted(E, deg, digits=None):
-        bs = real(E, deg, digits=digits)
-        bs[3] = bs[3] + PadicRational.from_int(E.ctx, 5)  # b_4
+    def corrupted(E, indices, digits=None):
+        bs = real(E, indices, digits=digits)
+        bs[4] = bs[4] + PadicRational.from_int(E.ctx, 5)  # b_4
         return bs
 
     monkeypatch.setattr(canonical, "elliptic_log_coefficients", corrupted)
