@@ -19,10 +19,11 @@ Inverses use Newton iteration g <- g - g (f g - 1), doubling the length
 each step (Brent-Kung, J. ACM 1978); `newton_inverse_step` is one such
 step, for callers that refine an inverse as f changes.
 
-`inverse`, the w(t) iteration of the formal-group layer and series
-reversion climb one Newton schedule, `newton_schedule`: the precisions
-halved down from the target, ceil(target/2), ... to what is already
-known, taken in ascending order.  A step at most doubles what it knows
+`inverse`, the w(t) iteration of the formal-group layer, series
+reversion and the series inverse (TruncatedSeries.inverse) climb one
+Newton schedule, `newton_schedule`: the precisions halved down from the
+target, ceil(target/2), ... to what is already known, taken in
+ascending order.  A step at most doubles what it knows
 and ceil(n/2) doubled is at least n, so every step is as short as the
 next one allows and the last lands on the target; a doubling loop
 overshoots instead (full steps at 64 and then at 66 for a target of 66).

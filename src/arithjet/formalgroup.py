@@ -128,12 +128,10 @@ class FormalGroupLaw:
     log(F(t1,t2)) = log(t1) + log(t2) with linear coefficient 1; ``exp``
     is its reversion (computed on demand).  ``deep_log_cache`` holds the
     log coefficients beyond M that the character solver reads, as the
-    dict {k: b_k} over just those k (see characters.deep_log_coefficients).  ``log_projection_cache`` holds
-    the log projections L_0, L_1, ... built so far, L_i = log(w_i) on its
-    own variables (x0..xi) (see characters.log_projections).
-    ``ghost_law_cache`` holds the ghost composes built so far, entry i
-    the law applied to the ghost polynomials, F(w_i(x), w_i(y)), on its
-    own variables (x0..xi, y0..yi) (see jet.jet_group_law).
+    dict {k: b_k} over just those k (see characters.deep_log_coefficients).
+    ``log_projection_cache`` holds the log projections L_0, L_1, ... built
+    so far, L_i = log(w_i) on its own variables (x0..xi) (see
+    characters.log_projections).
     """
 
     def __init__(self, ctx: Context, kind: str, law_builder, log: TruncatedSeries,
@@ -145,7 +143,6 @@ class FormalGroupLaw:
         self.curve = curve
         self.deep_log_cache: dict[int, PadicRational] = {}
         self.log_projection_cache: list[TruncatedSeries] = []
-        self.ghost_law_cache: list[TruncatedSeries] = []
 
     @cached_property
     def law(self) -> TruncatedSeries:

@@ -88,7 +88,7 @@ class PadicRational:
     @classmethod
     def from_int(cls, ctx: Context, n: int, rel: int | None = None) -> "PadicRational":
         if n == 0:
-            return cls.zero(ctx, (rel or ctx.N))
+            return cls.zero(ctx, ctx.N if rel is None else rel)
         v = vp(n, ctx.p)
         return cls(ctx, n // ctx.pk(v), v, rel if rel is not None else ctx.N)
 

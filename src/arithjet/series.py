@@ -332,15 +332,12 @@ class TruncatedSeries:
         if c0.is_zero() or c0.val != 0:
             raise DivisionByZero("series inverse requires a unit constant term")
         cap = self.ctx.M if cap is None else min(cap, self.ctx.M)
-        inv0 = c0.inverse()
-        g = TruncatedSeries.const(self.ctx, self.vars, inv0)
-        deg = 1
-        while deg <= cap:
-            deg *= 2
-            # Newton: g <- g*(2 - f*g)
-            fg = self.__mul__(g, min(deg, cap))
+        g = TruncatedSeries.const(self.ctx, self.vars, c0.inverse())
+        for n in _intpoly.newton_schedule(cap + 1, 1):
+            # Newton: g <- g*(2 - f*g), right to degree n - 1
+            fg = self.__mul__(g, n - 1)
             two_minus = TruncatedSeries.const(self.ctx, self.vars, 2) - fg
-            g = g.__mul__(two_minus, min(deg, cap))
+            g = g.__mul__(two_minus, n - 1)
         return g
 
     def truncate(self, deg: int) -> "TruncatedSeries":

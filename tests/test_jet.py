@@ -10,12 +10,12 @@ from arithjet.formalgroup import FormalGroupLaw, WeierstrassCurve, formal_group_
 from arithjet.exactpoly import ExactPoly
 from arithjet.witt import structure_polynomials
 from arithjet.jet import (
-    jet_group_law, kernel_law, jet_frobenius,
+    jet_group_law, kernel_law,
     lateral_frobenius_map, lateral_frobenius_point, witt_frobenius_series,
     ghost_series, verify_jet_identities, n1_group, psi1_series,
     jet_point_product, random_jet_point, jet_variables,
 )
-from arithjet.ghost import ghost_solve
+from arithjet.ghost import ghost_map, ghost_solve
 from arithjet.errors import ArithJetError
 from test_kernels import reference_kernel_law
 
@@ -68,17 +68,15 @@ def test_elliptic_jet_base_component_is_law(ctx, Ell):
     assert (base - Ell.law).residual_valuation() >= ctx.N - 1
 
 
-def test_jet_frobenius_base_coordinate(ctx, Gm):
-    J = jet_group_law(Gm, 1)
-    phi = jet_frobenius(J, 1)
+def test_jet_frobenius_base_coordinate(ctx):
+    phi = witt_frobenius_series(ctx, ("x0", "x1"), power=1)
     want = ghost_series(ctx, ("x0", "x1"), ("x0", "x1"), 1)
     assert len(phi) == 1
     assert (phi[0] - want).residual_valuation() == INF
 
 
-def test_jet_frobenius_squared_is_w2(ctx, Gm):
-    J = jet_group_law(Gm, 2)
-    phi2 = jet_frobenius(J, 2)
+def test_jet_frobenius_squared_is_w2(ctx):
+    phi2 = witt_frobenius_series(ctx, ("x0", "x1", "x2"), power=2)
     want = ghost_series(ctx, ("x0", "x1", "x2"), ("x0", "x1", "x2"), 2)
     assert len(phi2) == 1
     assert (phi2[0] - want).residual_valuation() == INF
@@ -249,9 +247,9 @@ def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
 
 def test_one_verification_composes_each_ghost_level_once(ctx, Ell, monkeypatch):
     # F(w_i(x), w_i(y)) is composed once per level and group: levels 0-2 of
-    # F, read again by J^1 and by check (f), and levels 0-1 of N^1, read
-    # again by check (e).  n1_group composes nothing: N^1's law is F's
-    # scaled by p, (1/p) F(p t1, p t2).
+    # F for J^2, whose level 1 check (f) reads again, and levels 0-1 of
+    # N^1 for its J^1, whose level 1 check (e) reads again.  n1_group
+    # composes nothing: N^1's law is F's scaled by p, (1/p) F(p t1, p t2).
     kernel = {}
     real_n1 = jet.n1_group
 
@@ -272,3 +270,41 @@ def test_one_verification_composes_each_ghost_level_once(ctx, Ell, monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "compose", counted)
     assert verify_jet_identities(Ell).ok
     assert counts == {"F": 3, "N1": 2}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("build", [
+    FormalGroupLaw.multiplicative,
+    lambda ctx: formal_group_from_curve(WeierstrassCurve(0, 0, 0, 1, 1, ctx)),
+], ids=["Gm", "E11"])
+def test_jet_law_keeps_the_ghost_composes_it_solves(ctx, build, n):
+    # ghosts[i] is F(w_i(x), w_i(y)) composed on all of J^n's variables,
+    # triple for triple, and the ghost map of the law gives it back to
+    # the precision the two claim
+    F = build(ctx)
+    J = jet_group_law(F, n)
+    xs, ys = jet_variables(n)
+    allv = xs + ys
+    assert len(J.ghosts) == len(J.law) == n + 1
+    for i in range(n + 1):
+        want = F.law.compose([ghost_series(ctx, allv, xs, i),
+                              ghost_series(ctx, allv, ys, i)])
+        assert J.ghosts[i].vars == allv
+        assert coefficient_map(J.ghosts[i]) == coefficient_map(want)
+    for w, g in zip(ghost_map(ctx.p, list(J.law), TruncatedSeries.shift),
+                    J.ghosts):
+        assert (w - g).residual_valuation() == INF
+
+
+def test_one_verification_builds_two_jet_laws(ctx, Ell, monkeypatch):
+    # J^2 of the group, from which J^1 is read, and J^1 of N^1
+    levels = []
+    real = jet.jet_group_law
+
+    def counted(F, n):
+        levels.append((F.kind, n))
+        return real(F, n)
+
+    monkeypatch.setattr(jet, "jet_group_law", counted)
+    assert verify_jet_identities(Ell, samples=1).ok
+    assert levels == [("elliptic", 2), ("kernel", 1)]

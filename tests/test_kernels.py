@@ -17,7 +17,10 @@ p*t, and the chord slope of the elliptic law by its products of powers.
 Newton reversion agrees with the loop where the loop has a coefficient,
 and keeps the O(p^w) zeros that the loop leaves out; on an input without
 a series absprec it agrees bit for bit with the Newton step that inverts
-f'(g), two composes and a series inverse a step.  The kernel log
+f'(g), two composes and a series inverse a step.  The series inverse
+on its Newton schedule agrees with the doubling loop it replaced in
+(unit, val, rel) and series absprec on a univariate input without a
+series absprec, in any monomial order.  The kernel log
 projection read from the log-projection table may claim a lower series
 absprec than its reference.  The lateral Frobenius pullback f* by
 composition is the reference for the ghost index shift of
@@ -27,6 +30,7 @@ claim.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -791,6 +795,121 @@ def test_reversion_matches_the_slope_inverting_step(f):
     # g <- g - (f(g) - t) g' gives what g <- g - (f(g) - t) f'(g)^(-1)
     # gave, claims included, on every input without a series absprec
     assert claims(f.reversion()) == claims(reference_newton_reversion(f))
+
+
+def monomials(nv: int, cap: int) -> list[tuple[int, ...]]:
+    """The exponents of total degree <= cap in nv variables, by degree."""
+    return sorted((e for e in product(range(cap + 1), repeat=nv)
+                   if sum(e) <= cap), key=sum)
+
+
+def exact_inverse(f: dict, monos) -> dict:
+    """{e: g_e} with f g = 1 over Q at the exponents monos (closed under
+    going down, by degree), f = {e: Fraction} with f[0] != 0."""
+    zero = monos[0]
+    g = {zero: 1 / f[zero]}
+    for e in monos[1:]:
+        acc = sum(c * g[tuple(x - y for x, y in zip(e, d))]
+                  for d, c in f.items()
+                  if d != zero and all(x <= y for x, y in zip(d, e)))
+        g[e] = -acc / f[zero]
+    return g
+
+
+def reference_doubling_inverse(f: TruncatedSeries, cap=None):
+    """1/f by Newton steps right to degrees 2, 4, 8, ..., each capped at
+    cap: the loop that the Newton schedule replaced, which takes its last
+    full-length step twice when cap is a power of two."""
+    cap = f.ctx.M if cap is None else min(cap, f.ctx.M)
+    g = TruncatedSeries.const(f.ctx, f.vars, f.constant_term().inverse())
+    deg = 1
+    while deg <= cap:
+        deg *= 2
+        fg = f.__mul__(g, min(deg, cap))
+        g = g.__mul__(TruncatedSeries.const(f.ctx, f.vars, 2) - fg,
+                      min(deg, cap))
+    return g
+
+
+@st.composite
+def unit_series(draw, nvars=st.integers(1, 2)):
+    """A unit constant term and up to 14 drawn terms in nvars variables
+    (O(p^w) zeros and negative valuations among them), a series absprec
+    that is None or set, and a cap."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    ctx = Context(p=p, N=draw(st.integers(2, 8)), M=draw(st.integers(1, 10)))
+    variables = ("s", "t")[-draw(nvars):]
+    f = draw(series(ctx, variables))
+    unit = draw(st.integers(1, p ** 8))
+    coeffs = dict(f.coeffs) | {(0,) * len(variables): PadicRational(
+        ctx, unit if unit % p else unit + 1, 0, draw(st.integers(1, 8)))}
+    cap = draw(st.one_of(st.none(), st.integers(0, ctx.M)))
+    return TruncatedSeries(ctx, variables, coeffs, f.absprec), cap
+
+
+@st.composite
+def inexact_unit_series_and_perturbations(draw):
+    """A unit series and a cap, and two perturbations within the claims of
+    the series besides none, one shift per monomial up to the cap."""
+    f, cap = draw(unit_series())
+    p = f.ctx.p
+    monos = monomials(len(f.vars), f.ctx.M if cap is None else cap)
+    shifts = [[0] * len(monos)] + [
+        draw(st.lists(st.integers(-p ** 2, p ** 2), min_size=len(monos),
+                      max_size=len(monos))) for _ in range(2)]
+    return f, cap, monos, shifts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(inexact_unit_series_and_perturbations())
+def test_inverse_holds_its_claimed_digits(args):
+    # every coefficient of 1/f up to the cap, an absent one included, must
+    # hold its effective claim min(c.absprec, g.absprec) for every input
+    # within the claims of f: a coefficient moved by delta * p^A, A its
+    # absprec or, when absent, the series absprec (exact when None)
+    f, cap, monos, shifts = args
+    p = f.ctx.p
+    g = f.inverse(cap)
+    for deltas in shifts:
+        exact = {}
+        for e, delta in zip(monos, deltas):
+            c = f.get(e)
+            claim = c.absprec if e in f.coeffs else f.absprec
+            if claim is not None:
+                exact[e] = value(c) + delta * Fraction(p) ** claim
+        want = exact_inverse(exact, monos)
+        for e in monos:
+            c = g.get(e)
+            held = _minp(c.absprec, g.absprec)
+            assert vp_fraction(want[e] - value(c), p) >= held, (f, cap, e, c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(unit_series(nvars=st.just(1)))
+def test_inverse_matches_the_doubling_loop_on_univariate_input(args):
+    # on a univariate input without a series absprec the Newton schedule
+    # gives the doubling loop's triples and absprec (in another monomial
+    # order)
+    f, cap = args
+    f = TruncatedSeries(f.ctx, f.vars, f.coeffs)
+    assert claims(f.inverse(cap)) == claims(reference_doubling_inverse(f, cap))
+
+
+def test_inverse_takes_one_full_length_step(monkeypatch):
+    # a dense unit series at M = 64: Newton right to degrees 1, 2, 4, ...,
+    # 64, one product pair each, so one pair at the full cap
+    ctx = Context(p=5, N=8, M=64)
+    f = TruncatedSeries(ctx, ("t",), {(k,): k + 1 for k in range(65)})
+    caps = []
+    real = TruncatedSeries.__mul__
+
+    def counted(self, other, cap=None):
+        caps.append(cap)
+        return real(self, other, cap)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    f.inverse()
+    assert caps == [1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 32, 32, 64, 64]
 
 
 @pytest.mark.parametrize("a4, a6", [(1, 1), (-1, 0), (0, 1)])

@@ -113,6 +113,17 @@ def test_rational_inverse_and_division():
     assert q == PadicRational.from_int(ctx, 3)
 
 
+def test_from_int_reads_rel_zero_as_no_digits():
+    # rel = 0 claims no relative digits, for zero as for any n: 0 is then
+    # O(p^0), as 5 is O(5^1); an absent rel claims N
+    ctx = Context(p=5, N=4)
+    zero = PadicRational.from_int(ctx, 0, 0)
+    assert zero.is_zero() and zero.absprec == 0
+    assert PadicRational.from_int(ctx, 5, 0).absprec == 1
+    assert PadicRational.from_int(ctx, 0).absprec == 4
+    assert PadicRational.from_int(ctx, 0, 3).absprec == 3
+
+
 def test_shift_is_exact():
     ctx = Context(p=5, N=4)
     x = PadicRational.from_int(ctx, 7)
