@@ -20,8 +20,9 @@ so it is computed here from honest moduli data:
   roots) give the power sums of x(t_Q) = t_Q/w(t_Q), hence the Velu
   sums, hence E/C;
 * E is CL iff j(E) - j(E/C) = 0: a difference nonzero at its claimed
-  precision means non-CL, a zero one means CL when it holds to N-3
-  digits, and a shorter zero raises PrecisionExhausted.
+  precision means non-CL, a zero one means CL when it holds to
+  max(N-3, 2) digits (one never decides: j(E/C) = j(E) mod p), and a
+  shorter zero raises PrecisionExhausted.
 
 Monsky-Washnitzer cohomology is never consulted here, so the crystalline
 comparison stays an independent cross-check of the same bit.
@@ -168,8 +169,9 @@ def canonical_lift_test(E: WeierstrassCurve) -> CanonicalLiftReport:
         raise IdentityViolation(
             "[p]-series ordinarity disagrees with the point count")
     jE = j_invariant(A, B, ctx)
+    thr = max(N - 3, 2)  # j(E/C) = j(E)^p = j(E) mod p on every E
     if not ordinary:
-        return CanonicalLiftReport(False, False, 0.0, N - 3, None, jE)
+        return CanonicalLiftReport(False, False, 0.0, thr, None, jE)
 
     r = p - 1
     W = _hensel_series_factor(g, r, p, K)
@@ -210,7 +212,6 @@ def canonical_lift_test(E: WeierstrassCurve) -> CanonicalLiftReport:
     jq = j_invariant(Ar - T * 5, Br - Wv * 7, ctx)
     diff = jE - jq
     dist = diff.valuation()  # for a zero difference this is the absprec bound
-    thr = N - 3
     if diff.is_zero() and dist < thr:
         raise PrecisionExhausted(
             f"j - j' = O({p}^{dist}) is zero to fewer than {thr} digits at "

@@ -14,12 +14,16 @@ one c-combination of one table per group: each L_i is built once, on
 extended, and the kernel projections Lbar_j = L_j(0, x1..xj) are the same
 table restricted to x0 = 0.
 
-The solver works in u-coordinates u_i = p^i c_i (the linear x_i
-coefficient of Theta is p^i c_i, forcing u into Z_p^(n+1)), reduces the
-integrality lattice by Smith-style column reduction over Z/p^K, and takes
-as X_n basis the exponent-zero directions (exactly integral,
-lattice-primitive) together with verified Frobenius shifts of the
-X_(n-1) basis.
+The solver's rows need no jet series.  As w_i(x0, 0..0) = x0^(p^i), the x0^j
+coefficient of Theta is sum c_i b_(j/p^i) over p^i | j, for b_k those of
+log_G; each j <= M, and each p | j beyond M up to deep_tower_degree,
+gives one integrality row (_tower_reads).  In u-coordinates
+u_i = p^i c_i (the linear x_i coefficient of Theta is p^i c_i, forcing u
+into Z_p^(n+1)) it reduces the row lattice by Smith-style column
+reduction over Z/p^K, and takes as X_n basis the exponent-zero
+directions (exactly integral, lattice-primitive) together with verified
+Frobenius shifts of the X_(n-1) basis.  That integrality on the x0 tower
+gives it on the whole jet series is tested, not proved.
 
 Integrality alone cannot choose the order-2 basis vector of an elliptic
 curve with rk X_1 = 0 (ordinary non-CL, or supersingular).  The excluded
@@ -138,7 +142,7 @@ def fundamental_character(F: FormalGroupLaw) -> TruncatedSeries:
 
 
 def deep_tower_degree(F: FormalGroupLaw) -> int:
-    """Degree bound p^j for the deep pure-x0 integrality rows.
+    """Degree bound p^j for the solver's x0 tower rows beyond M.
 
     The tower x0^(p^j) is where log denominators accumulate; every
     ordinary curve carries a unit-root pseudo-character that is integral
@@ -152,17 +156,17 @@ def deep_tower_degree(F: FormalGroupLaw) -> int:
 
 
 def _tower_reads(p: int, j: int, n: int) -> list[int | None]:
-    """The log indices that the deep row of x0^j reads from L_0..L_n:
+    """The log indices that the row of x0^j reads from L_0..L_n:
     [x0^j] L_i = b_(j/p^i) when p^i divides j, nothing (None) else."""
     return [j // p ** i if j % p ** i == 0 else None for i in range(n + 1)]
 
 
 def deep_log_coefficients(F: FormalGroupLaw, deg: int) -> dict[int, PadicRational]:
-    """{k: b_k} of log_G beyond the series budget M, for the k that some
-    deep row x0^j (p | j <= deg) reads at an order up to ORDER_CAP: p | k,
-    or k <= deg/p (1125 of 3125 at p = 5).  No other b_k is built, and
-    reading one raises KeyError.  The dict is kept in F.deep_log_cache
-    and rebuilt when a read needs more."""
+    """{k: b_k} of log_G read by the solver's rows x0^j beyond M: the k
+    that a row with p | j <= deg reads at an order up to ORDER_CAP, i.e.
+    p | k or k <= deg/p (1125 of 3125 at p = 5), to more digits than
+    F.log.  No other b_k is built, and reading one raises KeyError.  The
+    dict is kept in F.deep_log_cache and rebuilt when a read needs more."""
     p = F.ctx.p
     want = {k for j in range(p, deg + 1, p)
             for k in _tower_reads(p, j, ORDER_CAP) if k is not None}
@@ -259,7 +263,8 @@ def _span_rank(int_vectors, p, K) -> int:
 def solve_character_lattice(F: FormalGroupLaw, n: int,
                             lower: CharacterLattice | None = None
                             ) -> CharacterLattice:
-    """X_n(G) inside the K-span of {L_0..L_n}.
+    """X_n(G) inside the K-span of {L_0..L_n}, from one integrality row per
+    x0^j: every j <= M, and the Frobenius tower p | j beyond M.
 
     ``lower`` is X_(n-1) of the same group, solved here when not given.
 
@@ -287,62 +292,40 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
         lower = solve_character_lattice(F, n - 1)
     if lower is not None and lower.order != n - 1:
         raise ArithJetError(f"order-{n} solve needs X_{n - 1}, got X_{lower.order}")
-    L = log_projections(F, n)
 
-    # budget rows: one per monomial of the u-scaled columns p^(-i) L_i
-    cols = [L[i].shift(-i) for i in range(n + 1)]
-    budget: dict[tuple, list] = {}
-    minval = 0
-    avail = _INF
-    for i, col in enumerate(cols):
-        for e, cc in col.coeffs.items():
-            budget.setdefault(e, [None] * (n + 1))[i] = cc
-        mv, ap = col.min_valuation(), col.effective_precision()
-        if mv is not _INF:
-            minval = min(minval, int(mv))
-        if ap is not None:
-            avail = min(avail, ap)
-
-    # deep rows: pure-x0 Frobenius tower beyond M; [x0^j] L_i = b_(j/p^i)
-    deep_rows: list[list] = []
+    # one integrality row per x0^j: [x0^j] L_i / p^i = b_(j/p^i) / p^i,
+    # b_k from F.log for j <= M, from the deep log for the tower p | j
+    # beyond M; None marks a zero entry
+    log = {k: c for (k,), c in F.log.coeffs.items()}
+    top, bs = ctx.M, {}
     if F.kind in (ELLIPTIC, MULTIPLICATIVE):
-        deep = deep_tower_degree(F)
-        bs = deep_log_coefficients(F, deep)
-        for j in range(ctx.M + 1, deep + 1):
-            if j % p:
-                continue
-            row = [None if k is None else bs[k].shift(-i)
-                   for i, k in enumerate(_tower_reads(p, j, n))]
-            if all(x is None or x.is_zero() for x in row):
-                continue
-            deep_rows.append(row)
-            for x in row:
-                if x is None or x.is_zero():
-                    continue
-                minval = min(minval, x.valuation())
-                avail = min(avail, x.absprec)
+        top = deep_tower_degree(F)
+        bs = deep_log_coefficients(F, top)
+    rows = {}
+    for j in range(1, top + 1):
+        if j > ctx.M and j % p:
+            continue
+        b = log if j <= ctx.M else bs
+        row = [b[k].shift(-i) if k in b and not b[k].is_zero() else None
+               for i, k in enumerate(_tower_reads(p, j, n))]
+        if any(x is not None for x in row):
+            rows[j] = row
 
-    d = -minval
+    entries = [x for row in rows.values() for x in row if x is not None]
+    d = -min([0] + [x.valuation() for x in entries])
+    avail = min(x.absprec for x in entries)
+    if F.log.absprec is not None:
+        avail = min(avail, F.log.absprec - n)
     K = int(min(d + 4, avail + d))
     if K < d + 1:
         raise PrecisionExhausted(f"only {K} digits available, need > {d}")
-    mod = p ** K
-
-    def lift_row(row):
-        out = []
-        for cc in row:
-            if cc is None or cc.is_zero():
-                out.append(0)
-            else:
-                out.append((cc.unit * p ** (cc.val + d)) % mod)
-        return out
-
-    deep_ints = [lift_row(r) for r in deep_rows]
+    ints = {j: [0 if x is None else (x.unit * p ** (x.val + d)) % p ** K
+                for x in row] for j, row in rows.items()}
 
     def zero_count(deg_cap, digits):
-        rows = [lift_row(v) for e, v in budget.items() if sum(e) <= deg_cap]
-        basis = kernel_lattice(rows + deep_ints, n + 1, p, m=d, K=digits)
-        return lattice_exponents(basis, p, digits)
+        cut = [r for j, r in ints.items() if j <= deg_cap or j > ctx.M]
+        return lattice_exponents(kernel_lattice(cut, n + 1, p, m=d, K=digits),
+                                 p, digits)
 
     exps = zero_count(ctx.M, K)
     zero_vectors = [col for s, col in exps if s == 0]
@@ -353,7 +336,8 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
 
     basis_chars: list[DeltaCharacter] = []
     if n == 2 and F.kind == ELLIPTIC and lower.rank == 0:
-        basis_chars.append(_honda_character(F, zero_vectors, deep_ints, d))
+        basis_chars.append(
+            _honda_character(F, zero_vectors, ints.values(), d))
     else:
         for col in zero_vectors:
             ch = DeltaCharacter(F, tuple(_normalize_c(
@@ -393,14 +377,14 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
                             [s for s, _ in exps])
 
 
-def _honda_character(F, zero_vectors, deep_ints, d) -> DeltaCharacter:
+def _honda_character(F, zero_vectors, rows, d) -> DeltaCharacter:
     """The order-2 character of an elliptic curve with rk X_1 = 0, in
     Honda's normal form c = (1, -a_p/p, 1/p), i.e. u = (1, -a_p, p).
 
-    The lattice solve verifies it: the Honda series must be integral on
-    the budget and deep rows, the lattice must have exactly one
-    exponent-0 direction, and that direction must agree with u mod p
-    (integrality pins it no better, see solve_character_lattice)."""
+    The lattice solve verifies it: the Honda jet series must be integral
+    to M and u must pass every x0 tower row, the lattice must have
+    exactly one exponent-0 direction, and that direction must agree with
+    u mod p (integrality pins it no better, see solve_character_lattice)."""
     ctx = F.ctx
     p = ctx.p
     a_p = F.curve.invariants.a_p
@@ -419,10 +403,10 @@ def _honda_character(F, zero_vectors, deep_ints, d) -> DeltaCharacter:
                             PadicRational.one(ctx).shift(-1)))
     if not ch.series.is_integral():
         raise IntegralityViolation("Honda character fails integrality to M")
-    # deep rows are lifted as p^d times the u-scaled columns
-    if any(sum(r * ui for r, ui in zip(row, u)) % p ** d for row in deep_ints):
+    # the rows are lifted as p^d times the u-scaled columns
+    if any(sum(r * ui for r, ui in zip(row, u)) % p ** d for row in rows):
         raise IntegralityViolation(
-            "Honda character fails integrality on the deep tower rows")
+            "Honda character fails integrality on the x0 tower rows")
     return ch
 
 

@@ -129,9 +129,9 @@ class FormalGroupLaw:
     is its reversion (computed on demand).  ``deep_log_cache`` holds the
     log coefficients beyond M that the character solver reads, as the
     dict {k: b_k} over just those k (see characters.deep_log_coefficients).
-    ``log_projection_cache`` holds the log projections L_0, L_1, ... built
-    so far, L_i = log(w_i) on its own variables (x0..xi) (see
-    characters.log_projections).
+    ``log_projection_cache`` holds the log projections L_i = log(w_i)
+    built so far, each on (x0..xi), for character jet series and kernel
+    projections (characters.log_projections); the solver never reads it.
     """
 
     def __init__(self, ctx: Context, kind: str, law_builder, log: TruncatedSeries,
@@ -255,7 +255,7 @@ def elliptic_log_coefficients(E: WeierstrassCurve, indices,
     """{j: b_j} for j in `indices`: coefficients of the formal logarithm,
     from integer polynomials mod p^digits (fast enough for the deep
     Frobenius tower).  Only the listed b_j are built, so a reader that
-    needs few of them (the deep rows of the character solver) pays for
+    needs few of them (the x0 tower rows of the character solver) pays for
     few PadicRationals; reading any other index raises KeyError.
 
     log' = P = 1/G_w(t, w(t)), the invariant differential dt/G_w of the

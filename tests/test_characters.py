@@ -224,6 +224,14 @@ def test_additive_character_lattice(ctx35):
         assert all(ci.is_zero() for ci in th.c[1:])
 
 
+def test_solver_builds_no_log_projection(ctx35):
+    # the rows read the univariate log alone, and a supersingular curve
+    # has no order-1 exponent-0 vector whose jet series would need L_0, L_1
+    F = curve(ctx35, 0, 1)
+    solve_character_lattice(F, 1)
+    assert F.log_projection_cache == []
+
+
 def test_order2_needs_degree_budget(ctx):
     E = curve(ctx, 1, 1)  # M = 12 < p^2 + p
     with pytest.raises(PrecisionExhausted):
@@ -587,6 +595,31 @@ NONZERO_J_DISTANCE_3 = ((4, 1), (4, -1), (-2, 3), (-2, -3))
 def test_classify_CL_reads_a_nonzero_j_distance_as_non_CL(ctx):
     for a4, a6 in NONZERO_J_DISTANCE_3:
         assert classify_CL(WeierstrassCurve(0, 0, 0, a4, a6, ctx)) is False
+
+
+def test_one_digit_of_j_distance_decides_nothing():
+    # at N = 3, j - j' is known to 1 digit, and j(E/C) = j(E) mod p makes
+    # that digit zero on every ordinary curve: y^2 = x^3 + x + 1 (non-CL)
+    # must not read as a canonical lift
+    E = WeierstrassCurve(0, 0, 0, 1, 1, Context(p=5, N=3, M=35))
+    with pytest.raises(PrecisionExhausted, match="N = 3"):
+        classify_CL(E)
+    with pytest.raises(PrecisionExhausted, match="N = 3"):
+        analyze_group(as_group(E))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "j - j' is zero to all the digits it claims on these non-CL curves:"
+    " y^2 = x^3 + 4x + 1 at p=5, N=5 and y^2 = x^3 + 2x + 1 at p=7, N=3"
+    " analyse as rank 1 with is_CL True"))
+def test_a_short_budget_never_calls_a_non_CL_curve_CL():
+    for p, N, M, a4, a6 in ((5, 5, 35, 4, 1), (7, 3, 56, 2, 1)):
+        E = WeierstrassCurve(0, 0, 0, a4, a6, Context(p=p, N=N, M=M))
+        try:
+            is_cl = analyze_group(as_group(E)).iso.is_CL
+        except PrecisionExhausted:
+            continue
+        assert is_cl is False, (p, N, a4, a6)
 
 
 def test_analyze_group_on_a_nonzero_j_distance_3(ctx35):

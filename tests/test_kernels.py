@@ -25,7 +25,10 @@ projection read from the log-projection table may claim a lower series
 absprec than its reference.  The lateral Frobenius pullback f* by
 composition is the reference for the ghost index shift of
 arithjet.characters.f_star, which must agree with it to the compose's
-claim.
+claim.  The character solver's rows, the x0^j coefficients of the log
+projections read from the univariate log, give the Smith exponents of the
+reference's rows: every monomial of the multivariate log projections to
+degree M, and the deep x0 tower.
 """
 
 import random
@@ -38,13 +41,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 from arithjet import _intpoly, canonical
 from arithjet.canonical import canonical_lift_test, short_model
 from arithjet.context import Context
-from arithjet.characters import deep_log_coefficients, deep_tower_degree
+from arithjet.characters import (
+    deep_log_coefficients, deep_tower_degree, log_projections,
+    solve_character_lattice,
+)
 from arithjet.formalgroup import (
     ELLIPTIC, MULTIPLICATIVE, FormalGroupLaw, WeierstrassCurve, _chord,
     _w_coefficients, elliptic_log_coefficients, formal_group_from_curve,
 )
 from arithjet.errors import IdentityViolation, PrecisionExhausted
 from arithjet.ghost import ghost_solve
+from arithjet.linalg import kernel_lattice, lattice_exponents
 from arithjet.jet import (
     ghost_series, lateral_frobenius_map, n1_group, psi1_series,
 )
@@ -284,6 +291,49 @@ def reference_restrict_lateral(chi: TruncatedSeries) -> TruncatedSeries:
     f : N^(m+1) -> N^m, m = len(chi.vars): the coefficientwise route that
     the ghost index shift replaced for every f* but f* Psi_1."""
     return chi.compose(lateral_frobenius_map(chi.ctx, len(chi.vars) + 1))
+
+
+def reference_monomial_rows(F, n: int) -> tuple[list[list[int]], int, int]:
+    """The integrality rows of the order-n character solve built from the
+    multivariate log projections: one row per monomial of the u-scaled
+    columns L_i / p^i to total degree M, then the pure-x0 rows
+    [x0^j] L_i / p^i = b_(j/p^i) / p^i for p | j beyond M, read from the
+    deep log.  Returns (rows, d, K): each entry lifted as p^d times its
+    value mod p^K, d the deepest denominator and K = min(d + 4, d plus the
+    fewest digits any entry or column claims)."""
+    ctx, p = F.ctx, F.ctx.p
+    cols = [L.shift(-i) for i, L in enumerate(log_projections(F, n))]
+    budget: dict = {}
+    minval, avail = 0, _INF
+    for i, col in enumerate(cols):
+        for e, c in col.coeffs.items():
+            budget.setdefault(e, [None] * (n + 1))[i] = c
+        mv, ap = col.min_valuation(), col.effective_precision()
+        if mv is not _INF:
+            minval = min(minval, int(mv))
+        if ap is not None:
+            avail = min(avail, ap)
+    rows = list(budget.values())
+    if F.kind in (ELLIPTIC, MULTIPLICATIVE):
+        deg = deep_tower_degree(F)
+        bs = deep_log_coefficients(F, deg)
+        for j in range(ctx.M + 1, deg + 1):
+            if j % p:
+                continue
+            row = [bs[j // p ** i].shift(-i) if j % p ** i == 0 else None
+                   for i in range(n + 1)]
+            if all(x is None or x.is_zero() for x in row):
+                continue
+            rows.append(row)
+            for x in row:
+                if x is not None and not x.is_zero():
+                    minval = min(minval, x.valuation())
+                    avail = min(avail, x.absprec)
+    d = -minval
+    K = int(min(d + 4, avail + d))
+    mod = p ** K
+    return ([[0 if x is None or x.is_zero() else (x.unit * p ** (x.val + d)) % mod
+              for x in row] for row in rows], d, K)
 
 
 def exact_log(E: WeierstrassCurve, deg: int) -> list[Fraction]:
@@ -980,3 +1030,35 @@ def test_canonical_lift_test_names_N_for_a_short_zero(monkeypatch):
     E = WeierstrassCurve(0, 0, 0, -1, 0, Context(p=5, N=8, M=12))
     with pytest.raises(PrecisionExhausted, match="N = 8"):
         canonical_lift_test(E)
+
+
+# -- the character solver's integrality rows ----------------------------------
+
+
+def row_sweep_groups():
+    """The 20 good-reduction short curves mod 5 and G_m at p=5, N=8, M=35,
+    and y^2 = x^3 + x + 1 at p=7, N=6, M=56."""
+    ctx = Context(p=5, N=8, M=35)
+    for a4, a6 in product(range(5), repeat=2):
+        if (4 * a4 ** 3 + 27 * a6 ** 2) % 5:
+            yield formal_group_from_curve(WeierstrassCurve(0, 0, 0, a4, a6, ctx))
+    yield FormalGroupLaw.multiplicative(ctx)
+    yield formal_group_from_curve(WeierstrassCurve(0, 0, 0, 1, 1, Context(p=7, N=6, M=56)))
+
+
+def test_x0_tower_rows_give_the_monomial_rows_lattice():
+    # the solver reads the univariate log alone; the monomial rows of the
+    # multivariate log projections give the same Smith exponents at orders
+    # 1 and 2, and every basis character's jet series is integral
+    groups = list(row_sweep_groups())
+    assert len(groups) == 22
+    for F in groups:
+        lower = None
+        for n in (1, 2):
+            lat = solve_character_lattice(F, n, lower=lower)
+            rows, d, K = reference_monomial_rows(F, n)
+            basis = kernel_lattice(rows, n + 1, F.ctx.p, m=d, K=K)
+            assert [s for s, _ in lattice_exponents(basis, F.ctx.p, K)] \
+                == lat.exponents, (F.ctx.p, F.curve, n)
+            assert all(ch.series.is_integral() for ch in lat.basis), (F.curve, n)
+            lower = lat
