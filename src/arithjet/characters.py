@@ -668,6 +668,11 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
             f"analyze_group needs an elliptic or multiplicative group,"
             f" got the {F.kind} group")
     ctx = F.ctx
+    if ctx.N - 3 < 1:
+        # the residual and point-count gates hold mod p^(N - 3)
+        raise PrecisionExhausted(
+            f"the gates of analyze_group check mod p^(N - 3), so nothing at"
+            f" N = {ctx.N}; raise N to N >= 4")
     lat0 = solve_character_lattice(F, 0)
     lat1 = solve_character_lattice(F, 1, lower=lat0)
     lat2 = solve_character_lattice(F, 2, lower=lat1)

@@ -6,6 +6,7 @@ scalars is the identity, so q = p throughout.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import ArithJetError
 
@@ -51,3 +52,16 @@ class Context:
     def pk(self, k: int) -> int:
         """p^k (k >= 0)."""
         return self.p ** k
+
+    @cached_property
+    def _powers(self) -> tuple[list, dict]:
+        return [1], {1: 0}
+
+    def p_powers(self, top: int) -> tuple[list, dict]:
+        """([1, p, ..., p^k], {p^i: i}) with k >= top: one table per
+        Context, extended as far as a caller needs it."""
+        pw, exponent = self._powers
+        while len(pw) <= top:
+            exponent[pw[-1] * self.p] = len(pw)
+            pw.append(pw[-1] * self.p)
+        return pw, exponent

@@ -9,6 +9,17 @@ indistinguishable from 0, printed as ``O(p^w)``.  An element of Z/p^k is
 ``PadicRational(ctx, n, 0, k)``: its stray p-powers move into the
 valuation, so it is known modulo p^k.
 
+Canonical form, the one invariant every value keeps: a nonzero value has
+``unit`` prime to p in [1, p^rel) and rel >= 1; a zero has unit = rel =
+0 and ``val`` holding its absolute precision w.  Two constructors make
+values.  ``PadicRational(ctx, unit, val, rel)`` validates: it takes any
+integer unit, reduces it mod p^rel and moves its stray p-powers into the
+valuation, and is the one for input from callers.  ``_padic(ctx, unit,
+val, rel)`` trusts: it stores its arguments as given, and only the
+kernels that already hold their result in canonical form call it (the
+arithmetic below, ``zero``, and the integer kernels of
+arithjet.series).
+
 Canonical rendering is ``u*p^v + O(p^w)``.
 
 All values are immutable; operations are pure functions.
@@ -34,9 +45,8 @@ def vp(n: int, p: int) -> int | float:
 class PadicRational:
     """unit * p^val in Q_p, unit known modulo p^rel.
 
-    Invariants: for nonzero values ``unit`` is prime to p and lies in
-    [1, p^rel); zero values have unit == 0, rel == 0, and ``val`` holds
-    the absolute precision bound (the value is O(p^val)).
+    The constructor validates (see the module docstring for the
+    canonical form it produces); kernel outputs go through _padic.
     """
 
     __slots__ = ("ctx", "unit", "val", "rel")
@@ -45,29 +55,19 @@ class PadicRational:
         if rel is None:
             rel = ctx.N
         unit %= ctx.pk(max(rel, 1))
-        if unit == 0 or rel <= 0:
-            object.__setattr__(self, "ctx", ctx)
-            object.__setattr__(self, "unit", 0)
-            object.__setattr__(self, "val", val + max(rel, 0))
-            object.__setattr__(self, "rel", 0)
-            return
-        w = vp(unit, ctx.p)
-        if w:
-            # normalize stray p-powers into the valuation
-            unit //= ctx.pk(w)
-            val += w
-            rel -= w
-            if rel <= 0:
-                object.__setattr__(self, "ctx", ctx)
-                object.__setattr__(self, "unit", 0)
-                object.__setattr__(self, "val", val + max(rel, 0))
-                object.__setattr__(self, "rel", 0)
-                return
-            unit %= ctx.pk(rel)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "rel", rel)
+        if unit and rel > 0:
+            w = vp(unit, ctx.p)
+            if w:
+                # normalize stray p-powers into the valuation
+                val += w
+                rel -= w
+                unit = unit // ctx.pk(w) % ctx.pk(rel) if rel > 0 else 0
+        if not unit or rel <= 0:
+            unit, val, rel = 0, val + max(rel, 0), 0
+        _set_ctx(self, ctx)
+        _set_unit(self, unit)
+        _set_val(self, val)
+        _set_rel(self, rel)
 
     def __setattr__(self, *a):
         raise AttributeError("PadicRational is immutable")
@@ -76,14 +76,7 @@ class PadicRational:
 
     @classmethod
     def zero(cls, ctx: Context, absprec: int | None = None) -> "PadicRational":
-        if absprec is None:
-            absprec = ctx.N
-        self = object.__new__(cls)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "unit", 0)
-        object.__setattr__(self, "val", absprec)
-        object.__setattr__(self, "rel", 0)
-        return self
+        return _padic(ctx, 0, ctx.N if absprec is None else absprec, 0)
 
     @classmethod
     def from_int(cls, ctx: Context, n: int, rel: int | None = None) -> "PadicRational":
@@ -136,31 +129,33 @@ class PadicRational:
             return o
         a, b = self, o
         if a.is_zero() and b.is_zero():
-            return PadicRational.zero(a.ctx, min(a.absprec, b.absprec))
+            return _padic(a.ctx, 0, min(a.absprec, b.absprec), 0)
         if a.is_zero():
             a, b = b, a
         # a nonzero now
         absp = min(a.absprec, b.absprec)
         if b.is_zero():
             if a.val >= absp:
-                return PadicRational.zero(a.ctx, absp)
-            return PadicRational(a.ctx, a.unit, a.val, absp - a.val)
+                return _padic(a.ctx, 0, absp, 0)
+            rel = absp - a.val
+            return _padic(a.ctx, a.unit % a.ctx.pk(rel), a.val, rel)
         m = min(a.val, b.val)
         if absp <= m:
-            return PadicRational.zero(a.ctx, absp)
-        p = a.ctx.p
-        s = (a.unit * a.ctx.pk(a.val - m) + b.unit * b.ctx.pk(b.val - m)) % a.ctx.pk(absp - m)
+            return _padic(a.ctx, 0, absp, 0)
+        pk = a.ctx.pk
+        s = (a.unit * pk(a.val - m) + b.unit * pk(b.val - m)) % pk(absp - m)
         if s == 0:
-            return PadicRational.zero(a.ctx, absp)
-        t = vp(s, p)
-        return PadicRational(a.ctx, s // a.ctx.pk(t), m + t, absp - m - t)
+            return _padic(a.ctx, 0, absp, 0)
+        # 0 < s < p^(absp-m), so t < absp - m and the unit is in range
+        t = vp(s, a.ctx.p)
+        return _padic(a.ctx, s // pk(t), m + t, absp - m - t)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero():
             return self
-        return PadicRational(self.ctx, self.ctx.pk(self.rel) - self.unit, self.val, self.rel)
+        return _padic(self.ctx, self.ctx.pk(self.rel) - self.unit, self.val, self.rel)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -179,9 +174,10 @@ class PadicRational:
             # O(p^A) * (u p^v + O(..)) = O(p^(A+v))
             av = self.val if self.is_zero() else self.valuation()
             bv = o.val if o.is_zero() else o.valuation()
-            return PadicRational.zero(self.ctx, av + bv)
+            return _padic(self.ctx, 0, av + bv, 0)
         rel = min(self.rel, o.rel)
-        return PadicRational(self.ctx, self.unit * o.unit, self.val + o.val, rel)
+        return _padic(self.ctx, self.unit * o.unit % self.ctx.pk(rel),
+                      self.val + o.val, rel)
 
     __rmul__ = __mul__
 
@@ -189,7 +185,7 @@ class PadicRational:
         if self.is_zero():
             raise DivisionByZero(f"inverse of O(p^{self.val})")
         inv = pow(self.unit, -1, self.ctx.pk(self.rel))
-        return PadicRational(self.ctx, inv, -self.val, self.rel)
+        return _padic(self.ctx, inv, -self.val, self.rel)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -207,15 +203,15 @@ class PadicRational:
         if self.is_zero():
             if e == 0:
                 return PadicRational.one(self.ctx)
-            return PadicRational.zero(self.ctx, self.val * e)
+            return _padic(self.ctx, 0, self.val * e, 0)
         u = pow(self.unit, e, self.ctx.pk(self.rel))
-        return PadicRational(self.ctx, u, self.val * e, self.rel)
+        return _padic(self.ctx, u, self.val * e, self.rel)
 
     def shift(self, k: int) -> "PadicRational":
         """Multiply by p^k (exact valuation shift)."""
         if self.is_zero():
-            return PadicRational.zero(self.ctx, self.val + k)
-        return PadicRational(self.ctx, self.unit, self.val + k, self.rel)
+            return _padic(self.ctx, 0, self.val + k, 0)
+        return _padic(self.ctx, self.unit, self.val + k, self.rel)
 
     # -- comparison / rendering -----------------------------------------
 
@@ -233,3 +229,19 @@ class PadicRational:
             return f"O({p}^{self.val})"
         return f"{self.unit}*{p}^{self.val} + O({p}^{self.absprec})"
 
+
+_new = object.__new__
+_set_ctx, _set_unit, _set_val, _set_rel = (
+    PadicRational.__dict__[k].__set__ for k in PadicRational.__slots__)
+
+
+def _padic(ctx: Context, unit: int, val: int, rel: int) -> PadicRational:
+    """The PadicRational with exactly these fields, unchecked: the caller
+    holds it in canonical form (module docstring).  The slot setters
+    bypass the immutability guard without PadicRational's validation."""
+    x = _new(PadicRational)
+    _set_ctx(x, ctx)
+    _set_unit(x, unit)
+    _set_val(x, val)
+    _set_rel(x, rel)
+    return x

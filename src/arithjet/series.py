@@ -8,6 +8,17 @@ ambient bound already covers it (w >= absprec), also in an exact series:
 there an absent monomial claims O(p^(10^9)), so dropping the zero would
 overstate its precision ((1 + O(5^3)) t - t keeps an O(5^3) t-term).
 
+That is the canonical form every series keeps: tuple keys of degree
+<= M, PadicRational values (each canonical, see arithjet.padic), and no
+O(p^w) zero with w >= absprec.  ``TruncatedSeries(ctx, vars, coeffs,
+absprec)`` validates: it takes any mapping with int or PadicRational
+values, drops keys above M, int zeros and covered zeros, and is the one
+for input from callers.  ``_series`` trusts: it stores its arguments as
+given, for kernel outputs that are canonical by construction.  Products
+and sums can cancel to new zeros, so they drop the covered ones before
+building the result unchecked; negation, shifts, scaling, truncation,
+renaming and extension only carry canonical coefficients over.
+
 Supported operations: ring arithmetic, scalar multiplication, p-power
 shifts, composition (recursive Horner), reversion of a univariate series,
 substitution of zero for variables, numeric evaluation, derivative and
@@ -33,11 +44,11 @@ step is exact Newton).
 """
 
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from . import _intpoly
 from .context import Context
-from .padic import PadicRational
+from .padic import PadicRational, _padic
 from .errors import (
     VariableMismatch, NonzeroConstantTerm, NonUnitLinearCoefficient,
     DivisionByZero, ArithJetError,
@@ -59,23 +70,20 @@ def _addp(a, k):
     return None if a is None else a + k
 
 
-def _int_terms(coeffs: dict, cap: int, base: int, p: int):
+def _int_terms(coeffs: dict, cap: int, weights: list, p: int):
     """([(key, degree, x, v, A, e)], m) for the coefficients of degree
-    <= cap: e is the exponent tuple and key packs it in base `base`,
-    x * p^m is the coefficient's value with m the smallest nonzero
-    valuation (x = 0 for an O(p^w) zero), v its valuation and A its
-    absprec."""
+    <= cap: e is the exponent tuple and key = sum(e[i] * weights[i])
+    packs it (weights are the powers of a base above cap), x * p^m is the
+    coefficient's value with m the smallest nonzero valuation (x = 0 for
+    an O(p^w) zero), v its valuation and A its absprec."""
     m = min((c.val for c in coeffs.values() if c.unit), default=0)
     terms = []
     for e, c in coeffs.items():
         d = sum(e)
         if d > cap:
             continue
-        key = 0
-        for x in reversed(e):
-            key = key * base + x
         x = c.unit * p ** (c.val - m) if c.unit else 0
-        terms.append((key, d, x, c.val, c.val + c.rel, e))
+        terms.append((sum(map(mul, e, weights)), d, x, c.val, c.val + c.rel, e))
     return terms, m
 
 
@@ -83,31 +91,41 @@ def _scaled_padic(ctx: Context, s: int, top: int):
     """scaled(total, A): the PadicRational total * p^s known mod p^A, for
     an integer total and A - s <= top whenever total is nonzero.  It
     reduces total mod p^(A-s) and takes the valuation from
-    gcd(r, p^(A-s)) = p^t, from one table of p-powers shared by all the
-    calls."""
+    gcd(r, p^(A-s)) = p^t, from the Context's table of p-powers.  The result is canonical (a unit r / p^t in
+    [1, p^(A-s-t)) prime to p, or the zero O(p^A)), so it is built
+    unchecked."""
     p = ctx.p
-    pw = [1]
-    while len(pw) <= top:
-        pw.append(pw[-1] * p)
-    exponent = {q: i for i, q in enumerate(pw)}
+    pw, exponent = ctx.p_powers(top)
 
     def scaled(total, A):
-        r = total % pw[A - s] if total and A > s else 0
-        if r:
-            g = gcd(r, pw[A - s])
-            t = exponent[g]
-            return PadicRational(ctx, r // g, s + t, A - s - t)
-        return PadicRational.zero(ctx, A)
+        if total and A > s:
+            r = total % pw[A - s]
+            if r % p:
+                return _padic(ctx, r, s, A - s)
+            if r:
+                g = gcd(r, pw[A - s])
+                t = exponent[g]
+                return _padic(ctx, r // g, s + t, A - s - t)
+        return _padic(ctx, 0, A, 0)
 
     return scaled
+
+
+def _series(ctx: Context, variables: tuple, coeffs: dict, absprec):
+    """The TruncatedSeries with exactly these fields, unchecked: the
+    caller holds coeffs in canonical form (module docstring)."""
+    f = _new(TruncatedSeries)
+    _set_ctx(f, ctx)
+    _set_vars(f, variables)
+    _set_coeffs(f, coeffs)
+    _set_absprec(f, absprec)
+    return f
 
 
 class TruncatedSeries:
     __slots__ = ("ctx", "vars", "coeffs", "absprec")
 
     def __init__(self, ctx: Context, variables, coeffs=None, absprec=None):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "vars", tuple(variables))
         cleaned = {}
         if coeffs:
             for e, c in coeffs.items():
@@ -120,8 +138,10 @@ class TruncatedSeries:
                 if c.is_zero() and absprec is not None and c.val >= absprec:
                     continue
                 cleaned[tuple(e)] = c
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "absprec", absprec)
+        _set_ctx(self, ctx)
+        _set_vars(self, tuple(variables))
+        _set_coeffs(self, cleaned)
+        _set_absprec(self, absprec)
 
     def __setattr__(self, *a):
         raise AttributeError("TruncatedSeries is immutable")
@@ -130,7 +150,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, ctx, variables, absprec=None):
-        return cls(ctx, variables, {}, absprec)
+        return _series(ctx, tuple(variables), {}, absprec)
 
     @classmethod
     def const(cls, ctx, variables, c):
@@ -212,13 +232,15 @@ class TruncatedSeries:
         for e, c in o.coeffs.items():
             prev = coeffs.get(e)
             coeffs[e] = c if prev is None else prev + c
-        return TruncatedSeries(self.ctx, self.vars, coeffs, absp)
+        if absp is not None:  # drop the zeros absp covers, as __init__ does
+            coeffs = {e: c for e, c in coeffs.items() if c.unit or c.val < absp}
+        return _series(self.ctx, self.vars, coeffs, absp)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.ctx, self.vars,
-                               {e: -c for e, c in self.coeffs.items()}, self.absprec)
+        return _series(self.ctx, self.vars,
+                       {e: -c for e, c in self.coeffs.items()}, self.absprec)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -237,15 +259,15 @@ class TruncatedSeries:
             mv = self.min_valuation()
             absp = None if mv is _INF else c.val + mv
             return TruncatedSeries.zero(self.ctx, self.vars, absp)
-        return TruncatedSeries(self.ctx, self.vars,
-                               {e: v * c for e, v in self.coeffs.items()},
-                               _addp(self.absprec, c.val))
+        return _series(self.ctx, self.vars,
+                       {e: v * c for e, v in self.coeffs.items()},
+                       _addp(self.absprec, c.val))
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply all coefficients by p^k (exact valuation shift)."""
-        return TruncatedSeries(self.ctx, self.vars,
-                               {e: c.shift(k) for e, c in self.coeffs.items()},
-                               _addp(self.absprec, k))
+        return _series(self.ctx, self.vars,
+                       {e: c.shift(k) for e, c in self.coeffs.items()},
+                       _addp(self.absprec, k))
 
     def __mul__(self, other, cap=None):
         """Product truncated at total degree cap (at most ctx.M).
@@ -253,11 +275,15 @@ class TruncatedSeries:
         Per output monomial e the loop sums the exact pairwise products
         S_e and takes A_e = min over the pairs of min(A1 + v2, v1 + A2)
         (v a coefficient's valuation, A its absprec; an O(p^w) zero has
-        v = A = w); the coefficient is S_e mod p^(A_e), normalised by
-        PadicRational.  PadicRational add and mul are canonical in
-        (value mod p^A, A), so this is exactly the sum of the pairwise
-        PadicRational products.  Output monomials come in first-hit order
-        of the pair loop, the shorter operand outermost."""
+        v = A = w); the coefficient is S_e mod p^(A_e), built by
+        _scaled_padic in canonical form: the unit S_e / p^t prime to p,
+        t the valuation of S_e mod p^(A_e), or the zero O(p^(A_e)).
+        PadicRational add and mul are canonical in (value mod p^A, A), so
+        this is exactly the sum of the pairwise PadicRational products.
+        The zeros the series absprec covers are dropped, as the
+        validating constructor would, and the result is built unchecked.
+        Output monomials come in first-hit order of the pair loop, the
+        shorter operand outermost."""
         if isinstance(other, (int, PadicRational)):
             return self.scale(other)
         o = self._coerce(other)
@@ -270,8 +296,9 @@ class TruncatedSeries:
         absp = _minp(t1, t2)
         a, b = (self, o) if len(self.coeffs) <= len(o.coeffs) else (o, self)
         p, base = self.ctx.p, cap + 1
-        ta, sa = _int_terms(a.coeffs, cap, base, p)
-        tb, sb = _int_terms(b.coeffs, cap, base, p)
+        weights = [base ** i for i in range(len(self.vars))]
+        ta, sa = _int_terms(a.coeffs, cap, weights, p)
+        tb, sb = _int_terms(b.coeffs, cap, weights, p)
         fitting: dict = {}  # room -> the terms of tb of degree <= room, in order
         acc: dict = {}  # packed key -> [sum, A, exponents of its first pair]
         for k1, d1, x1, v1, A1, e1 in ta:
@@ -294,9 +321,10 @@ class TruncatedSeries:
         ctx, s = self.ctx, sa + sb
         top = max((A for total, A, _, _ in acc.values() if total), default=s) - s
         scaled = _scaled_padic(ctx, s, top)
-        out = {tuple(map(add, e1, e2)): scaled(total, A)
-               for total, A, e1, e2 in acc.values()}
-        return TruncatedSeries(ctx, self.vars, out, absp)
+        keep = _INF if absp is None else absp  # a zero O(p^A) stays if A < keep
+        out = {tuple(map(add, e1, e2)): c for total, A, e1, e2 in acc.values()
+               if (c := scaled(total, A)).unit or A < keep}
+        return _series(ctx, self.vars, out, absp)
 
     __rmul__ = __mul__
 
@@ -313,8 +341,8 @@ class TruncatedSeries:
         if len(self.coeffs) == 1 and self.absprec is None:
             # (c t^e)^n = c^n t^(n e), as the products would give it
             (e, c), = self.coeffs.items()
-            return TruncatedSeries(self.ctx, self.vars,
-                                   {tuple(n * x for x in e): c ** n})
+            return _series(self.ctx, self.vars,
+                           {tuple(n * x for x in e): c ** n}, None)
         r = None
         b = self
         k = n
@@ -341,9 +369,9 @@ class TruncatedSeries:
         return g
 
     def truncate(self, deg: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.ctx, self.vars,
-                               {e: c for e, c in self.coeffs.items() if sum(e) <= deg},
-                               self.absprec)
+        return _series(self.ctx, self.vars,
+                       {e: c for e, c in self.coeffs.items() if sum(e) <= deg},
+                       self.absprec)
 
     # -- structure maps ---------------------------------------------------
 
@@ -351,7 +379,7 @@ class TruncatedSeries:
         variables = tuple(variables)
         if len(variables) != len(self.vars):
             raise VariableMismatch("rename must preserve arity")
-        return TruncatedSeries(self.ctx, variables, dict(self.coeffs), self.absprec)
+        return _series(self.ctx, variables, dict(self.coeffs), self.absprec)
 
     def extend(self, variables) -> "TruncatedSeries":
         """View on a larger variable tuple (old variables must all appear)."""
@@ -365,7 +393,7 @@ class TruncatedSeries:
             for j, k in zip(idx, e):
                 ee[j] = k
             coeffs[tuple(ee)] = c
-        return TruncatedSeries(self.ctx, variables, coeffs, self.absprec)
+        return _series(self.ctx, variables, coeffs, self.absprec)
 
     def set_zero(self, names) -> "TruncatedSeries":
         """Substitute 0 for the named variables and drop them."""
@@ -377,8 +405,8 @@ class TruncatedSeries:
             if any(e[i] for i in kill):
                 continue
             coeffs[tuple(e[i] for i in keep)] = c
-        return TruncatedSeries(self.ctx, tuple(self.vars[i] for i in keep),
-                               coeffs, self.absprec)
+        return _series(self.ctx, tuple(self.vars[i] for i in keep),
+                       coeffs, self.absprec)
 
     def linear_coefficient(self, name) -> PadicRational:
         e = [0] * len(self.vars)
@@ -501,7 +529,7 @@ class TruncatedSeries:
 
         acc = None
         for k in sorted(groups, reverse=True):
-            g = TruncatedSeries(self.ctx, self.vars, groups[k], self.absprec)
+            g = _series(self.ctx, self.vars, groups[k], self.absprec)
             gval = g._compose_rec(rest, args, powers, tgt, tctx, cap)
             if acc is None:
                 acc = gval
@@ -547,8 +575,8 @@ class TruncatedSeries:
         for n in _intpoly.newton_schedule(self.ctx.M, 1):
             err = self.truncate(n).compose([g], cap=n) - t
             g = g - err.__mul__(g.derivative(), n)
-        return TruncatedSeries(self.ctx, self.vars, dict(sorted(g.coeffs.items())),
-                               g.absprec)
+        return _series(self.ctx, self.vars, dict(sorted(g.coeffs.items())),
+                       g.absprec)
 
     # -- comparison --------------------------------------------------------
 
@@ -582,3 +610,8 @@ class TruncatedSeries:
             s += f" + ... [{len(bits)} terms]"
         return s
 
+
+
+_new = object.__new__
+_set_ctx, _set_vars, _set_coeffs, _set_absprec = (
+    TruncatedSeries.__dict__[k].__set__ for k in TruncatedSeries.__slots__)

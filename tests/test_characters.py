@@ -608,10 +608,18 @@ def test_one_digit_of_j_distance_decides_nothing():
         analyze_group(as_group(E))
 
 
+@pytest.mark.parametrize("a4, a6", [(-1, 0), (0, 1)])
+def test_analyze_group_refuses_a_budget_its_gates_cannot_check(a4, a6):
+    # at N = 3 the gates hold mod p^0: y^2 = x^3 - x would come back
+    # unchecked, and y^2 = x^3 + 1 (supersingular) met AmbiguousRank
+    E = WeierstrassCurve(0, 0, 0, a4, a6, Context(p=5, N=3, M=35))
+    with pytest.raises(PrecisionExhausted, match=r"N = 3.*N >= 4"):
+        analyze_group(as_group(E))
+
+
 @pytest.mark.xfail(strict=True, reason=(
-    "j - j' is zero to all the digits it claims on these non-CL curves:"
-    " y^2 = x^3 + 4x + 1 at p=5, N=5 and y^2 = x^3 + 2x + 1 at p=7, N=3"
-    " analyse as rank 1 with is_CL True"))
+    "j - j' is zero to all the digits it claims on the non-CL"
+    " y^2 = x^3 + 4x + 1 at p=5, N=5: it analyses as rank 1 with is_CL True"))
 def test_a_short_budget_never_calls_a_non_CL_curve_CL():
     for p, N, M, a4, a6 in ((5, 5, 35, 4, 1), (7, 3, 56, 2, 1)):
         E = WeierstrassCurve(0, 0, 0, a4, a6, Context(p=p, N=N, M=M))

@@ -308,3 +308,26 @@ def test_one_verification_builds_two_jet_laws(ctx, Ell, monkeypatch):
     monkeypatch.setattr(jet, "jet_group_law", counted)
     assert verify_jet_identities(Ell, samples=1).ok
     assert levels == [("elliptic", 2), ("kernel", 1)]
+
+
+def test_kernels_build_no_value_through_the_validating_constructor(
+        ctx, Ell, monkeypatch):
+    # products, composes and the ghost solve hold their outputs in canonical
+    # form and build them unchecked; PadicRational(...) is for input
+    xs, ys = jet_variables(1)
+    allv = xs + ys
+    w = [[ghost_series(ctx, allv, names, i) for names in (xs, ys)]
+         for i in range(2)]
+    g0 = Ell.law.compose(w[0])
+    built = []
+    real_init = PadicRational.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PadicRational, "__init__", counted)
+    Ell.law * Ell.law
+    g1 = Ell.law.compose(w[1])
+    ghost_solve(ctx.p, [g0, g1], TruncatedSeries.shift)
+    assert built == []

@@ -434,6 +434,47 @@ def test_product_with_far_zero_bound():
     assert shape(f * g) == shape(reference_mul(f, g))
 
 
+def revalidated(f: TruncatedSeries) -> TruncatedSeries:
+    """f's coefficients and absprec through the validating constructor."""
+    return TruncatedSeries(f.ctx, f.vars, dict(f.coeffs), f.absprec)
+
+
+def test_kernel_outputs_drop_the_zeros_the_constructor_drops():
+    # f - f' and the x0 x1 term of (a x0 + b x1)(a' x0 - b' x1), with
+    # a', b' the values of a, b at another precision, cancel to O(p^w)
+    # zeros; the series absprec X puts them below, at and above the
+    # output's absprec, or there is none
+    seen = set()
+    xy = ("x0", "x1")
+    for p in (3, 5, 7):
+        ctx = Context(p=p, N=6, M=4)
+        for rel1, rel2 in ((1, 3), (2, 2), (4, 1)):
+            a, b = PadicRational(ctx, 2, 0, rel1), PadicRational(ctx, 4, 1, rel1)
+            a2, b2 = PadicRational(ctx, 2, 0, rel2), PadicRational(ctx, 4, 1, rel2)
+            w = min(rel1, rel2)
+            for X in (None, *range(-1, 7)):
+                f = TruncatedSeries(ctx, xy, {(1, 0): a, (0, 1): b}, X)
+                for out, ws in (
+                        (f + TruncatedSeries(ctx, xy, {(1, 0): -a2, (0, 1): -b2}, X),
+                         (w, w + 1)),
+                        (f * TruncatedSeries(ctx, xy, {(1, 0): a2, (0, 1): -b2}, X),
+                         (w + 1,))):
+                    assert shape(out) == shape(revalidated(out))
+                    for wz in ws:
+                        seen.add("none" if out.absprec is None else
+                                 "below" if wz < out.absprec else
+                                 "at" if wz == out.absprec else "above")
+    assert seen == {"none", "below", "at", "above"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(series_pair())
+def test_sums_and_products_keep_the_constructors_zeros(args):
+    f, g, cap = args
+    for out in (f + g, f - f + g, f.__mul__(g, cap), (f - g) * (f + g)):
+        assert shape(out) == shape(revalidated(out))
+
+
 def reference_pow(f: TruncatedSeries, n: int, cap=None):
     """f^n (n >= 2) by repeated squaring on reference_mul."""
     r, b = None, f

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arithjet.context import Context
 from arithjet.padic import PadicRational
+from arithjet.series import _scaled_padic
 from arithjet.errors import DivisionByZero, ArithJetError
 
 
@@ -143,6 +145,85 @@ def test_zeroth_power_is_one_for_every_base():
         assert one == PadicRational.one(ctx)
     cube = PadicRational.zero(ctx, 4) ** 3
     assert cube.is_zero() and cube.val == 12
+
+
+# -- trusted producers against the validating constructor ----------------------
+
+
+def fields(x):
+    return x.unit, x.val, x.rel
+
+
+def validated(ctx, n, m, A):
+    """The validating constructor on n * p^m known mod p^A."""
+    k = min(m, A)
+    return PadicRational(ctx, n * ctx.p ** (m - k), k, A - k)
+
+
+@st.composite
+def padic(draw, ctx):
+    """A nonzero value (rel = 1 among them, negative valuations too) or an
+    O(p^w) zero."""
+    if draw(st.integers(0, 3)) == 0:
+        return PadicRational.zero(ctx, draw(st.integers(-3, 8)))
+    return PadicRational(ctx, draw(st.integers(-ctx.p ** 7, ctx.p ** 7)),
+                         draw(st.integers(-4, 6)), draw(st.integers(1, 6)))
+
+
+@st.composite
+def padic_pair(draw):
+    """(ctx, a, b), b drawn on its own or as -a at another precision, so
+    that a + b cancels to an O(p^w) zero."""
+    ctx = Context(p=draw(st.sampled_from([3, 5, 7])), N=6)
+    a = draw(padic(ctx))
+    if draw(st.booleans()) or a.is_zero():
+        return ctx, a, draw(padic(ctx))
+    rel = draw(st.integers(1, 6))
+    return ctx, a, PadicRational(ctx, -a.unit, a.val, rel)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(padic_pair(), st.integers(-3, 3), st.integers(-3, 4))
+@example((Context(5, 6), PadicRational(Context(5, 6), 7, 1, 1),
+          PadicRational(Context(5, 6), -7, 1, 3)), 0, 0)
+@example((Context(3, 6), PadicRational.zero(Context(3, 6), -2),
+          PadicRational(Context(3, 6), 2, -3, 1)), -2, 2)
+def test_trusted_producers_match_the_validating_constructor(args, k, e):
+    ctx, a, b = args
+    p = ctx.p
+    m = min(a.val, b.val)
+    want = validated(ctx, a.unit * p ** (a.val - m) + b.unit * p ** (b.val - m),
+                     m, min(a.absprec, b.absprec))
+    assert fields(a + b) == fields(want)
+    assert fields(-a) == fields(validated(ctx, -a.unit, a.val, a.absprec))
+    m = a.val + b.val
+    A = m + min(a.rel, b.rel) if a.unit and b.unit else m
+    assert fields(a * b) == fields(validated(ctx, a.unit * b.unit, m, A))
+    assert fields(a.shift(k)) == fields(validated(ctx, a.unit, a.val + k,
+                                                  a.absprec + k))
+    if a.is_zero():
+        want = validated(ctx, 1, 0, ctx.N) if e == 0 else validated(
+            ctx, 0, a.val * e, a.val * e)
+        if e >= 0:
+            assert fields(a ** e) == fields(want)
+        return
+    inv = pow(a.unit, -1, p ** a.rel)
+    assert fields(a.inverse()) == fields(validated(ctx, inv, -a.val, a.rel - a.val))
+    n, v = (a.unit, a.val) if e >= 0 else (inv, -a.val)
+    assert fields(a ** e) == fields(validated(ctx, n ** abs(e), v * abs(e),
+                                              v * abs(e) + a.rel))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(-5, 5), st.integers(-3, 6),
+       st.integers(-10 ** 12, 10 ** 12), st.integers(0, 4))
+@example(5, 0, 2, 5 ** 3, 1)  # the total cancels mod p^(A-s): O(p^2)
+@example(5, -1, 0, 5, 0)  # A = s: no digit is known, O(p^-1)
+def test_scaled_padic_matches_the_validating_constructor(p, s, d, n, t):
+    ctx = Context(p=p, N=6)
+    total, A = n * p ** t, s + d
+    got = _scaled_padic(ctx, s, max(d, 0))(total, A)
+    assert fields(got) == fields(validated(ctx, total, s, A))
 
 def test_context_validation():
     with pytest.raises(ArithJetError):
