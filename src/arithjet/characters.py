@@ -21,9 +21,11 @@ gives one integrality row (_tower_reads).  In u-coordinates
 u_i = p^i c_i (the linear x_i coefficient of Theta is p^i c_i, forcing u
 into Z_p^(n+1)) it reduces the row lattice by Smith-style column
 reduction over Z/p^K, and takes as X_n basis the exponent-zero
-directions (exactly integral, lattice-primitive) together with verified
-Frobenius shifts of the X_(n-1) basis.  That integrality on the x0 tower
-gives it on the whole jet series is tested, not proved.
+directions (exactly integral, lattice-primitive) together with the
+Frobenius shifts of the X_(n-1) basis, integral by construction (phi*
+composes with the Witt Frobenius).  That integrality on the x0 tower gives
+it on the whole jet series is tested, not proved, so each basis vector's
+jet series is re-checked.
 
 Integrality alone cannot choose the order-2 basis vector of an elliptic
 curve with rk X_1 = 0 (ordinary non-CL, or supersingular).  The excluded
@@ -41,10 +43,10 @@ the cotangent map Upsilon, the three lateral maps, the diff relation
 
     f*(iota* Theta) = iota* phi* Theta + sigma * gamma_Theta * Psi_1
 
-(the sign sigma is measured, not assumed, and reported with the run), the
-matrix of the lateral Frobenius on H_delta = lim Hom(N^n, G_a)/pullbacks,
-splitting numbers, the filtration F_(i+1) = X_prim + f* F_i, and the CL
-classification rk X_1 = 1.
+(sigma = -1 by construction, see below), the matrix of the lateral
+Frobenius on H_delta = lim Hom(N^n, G_a)/pullbacks, splitting numbers,
+the filtration F_(i+1) = X_prim + f* F_i, and the CL classification
+rk X_1 = 1.
 
 All three lateral maps act on c-vectors.  phi_star shifts c to
 (0, c_0..c_n); iota_star, the restriction to the kernel, is
@@ -56,17 +58,19 @@ f*(iota* Theta) = sum_(i>=1) c_i Lbar_(i+1), read from the kernel table.
 A character of the kernel N^m is a plain series in (x1..xm), and its
 pullback to a deeper kernel is the same series extended.
 
-On c-vectors the diff relation reads -c_0 Lbar_1 = sigma gamma Psi_1, and
-its order-2 form holds by construction, so verify_diff_relation also ties
-each shift to f at seeded points: the shifted series at x in pZ_p^(n+1)
-against the unshifted one at the exact numeric f(x).  One compose stays in
-the run: restrict_lateral, f* Psi_1 for the rank-2 matrix, which also
-checks f* Psi_1 = Lbar_2 / p coefficientwise.  A point check sees an error
-of valuation v in degree k as v + k, so the coefficientwise comparison of
-every shift with the compose is in the test suite.  analyze_group builds
-each lateral object once, in verify_diff_relation, and reads its solves
-and checks from that report.  Only elliptic curves and G_m are analysed;
-other kinds raise before any solve.
+On c-vectors the diff relation reads -c_0 Lbar_1 = sigma gamma Psi_1, with
+gamma = p c_0 b_1 (b_1 = 1) and Lbar_1 = p Psi_1 from the same log, so
+sigma = -1, and its order-2 form holds by construction; so
+verify_diff_relation also ties each shift to f at seeded points: the
+shifted series at x in pZ_p^(n+1) against the unshifted one at the exact
+numeric f(x).  One compose stays in the run: restrict_lateral, f* Psi_1
+for the rank-2 matrix, which also checks f* Psi_1 = Lbar_2 / p
+coefficientwise.  A point check sees an error of valuation v in degree k
+as v + k, so the coefficientwise comparison of every shift with the
+compose is in the test suite.  analyze_group builds each lateral object
+once, in verify_diff_relation, and reads its solves and checks from that
+report.  Only elliptic curves and G_m are analysed; other kinds raise
+before any solve.
 """
 
 import random
@@ -99,7 +103,7 @@ def _lift_int(x: PadicRational, K: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# log projections and the fundamental character
+# log projections and the deep log
 
 
 def _log_table(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
@@ -133,14 +137,6 @@ def _kernel_vars(m: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, m + 1))
 
 
-def fundamental_character(F: FormalGroupLaw) -> TruncatedSeries:
-    """Psi_1(x1) = (1/p) log_G(p x1); integral since p is odd (e = 1 <= p-1)."""
-    psi = psi1_series(F, "x1")
-    if not psi.is_integral():
-        raise IntegralityViolation("Psi_1 has a non-integral coefficient")
-    return psi
-
-
 def deep_tower_degree(F: FormalGroupLaw) -> int:
     """Degree bound p^j for the solver's x0 tower rows beyond M.
 
@@ -161,17 +157,17 @@ def _tower_reads(p: int, j: int, n: int) -> list[int | None]:
     return [j // p ** i if j % p ** i == 0 else None for i in range(n + 1)]
 
 
-def deep_log_coefficients(F: FormalGroupLaw, deg: int) -> dict[int, PadicRational]:
+def deep_log_coefficients(F: FormalGroupLaw) -> dict[int, PadicRational]:
     """{k: b_k} of log_G read by the solver's rows x0^j beyond M: the k
-    that a row with p | j <= deg reads at an order up to ORDER_CAP, i.e.
-    p | k or k <= deg/p (1125 of 3125 at p = 5), to more digits than
-    F.log.  No other b_k is built, and reading one raises KeyError.  The
-    dict is kept in F.deep_log_cache and rebuilt when a read needs more."""
-    p = F.ctx.p
+    that a row with p | j <= deep_tower_degree(F) reads at an order up to
+    ORDER_CAP, i.e. p | k or k <= deg/p (1125 of 3125 at p = 5), to more
+    digits than F.log.  No other b_k is built, and reading one raises
+    KeyError.  The dict is built once per group, in F.deep_log_cache."""
+    if F.deep_log_cache:
+        return F.deep_log_cache
+    p, deg = F.ctx.p, deep_tower_degree(F)
     want = {k for j in range(p, deg + 1, p)
             for k in _tower_reads(p, j, ORDER_CAP) if k is not None}
-    if want <= F.deep_log_cache.keys():
-        return F.deep_log_cache
     if F.kind == ELLIPTIC:
         out = elliptic_log_coefficients(F.curve, want)
     elif F.kind == MULTIPLICATIVE:
@@ -300,7 +296,7 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
     top, bs = ctx.M, {}
     if F.kind in (ELLIPTIC, MULTIPLICATIVE):
         top = deep_tower_degree(F)
-        bs = deep_log_coefficients(F, top)
+        bs = deep_log_coefficients(F)
     rows = {}
     for j in range(1, top + 1):
         if j > ctx.M and j % p:
@@ -362,9 +358,6 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
     shifts: list[DeltaCharacter] = []
     if lower is not None:
         shifts = [phi_star(th) for th in lower.basis + lower.shift_relations]
-        if not all(ch.series.is_integral() for ch in shifts):
-            raise IntegralityViolation(
-                "Frobenius shift of a character fails integrality")
 
     rank = _span_rank([ch.u_ints(K) for ch in basis_chars + shifts], p, K)
 
@@ -530,13 +523,11 @@ class DiffRelationReport:
     f*(iota* Theta) - iota* phi* Theta - sigma gamma Psi_1 and the point
     residual of f*(iota* Theta) against iota* Theta o f; residual_diff2
     (order 2) is the point residual of f*(iota* phi* Theta) against
-    iota* phi* Theta o f.  residual_wrong_sign is the c-vector residual
-    with the other sign."""
+    iota* phi* Theta o f.  sign is sigma = -1, fixed by the construction
+    (see verify_diff_relation)."""
 
     order: int
-    sign: int
     residual_diff1: float
-    residual_wrong_sign: float
     residual_diff2: float | None
     gamma: PadicRational
     threshold: float
@@ -544,6 +535,7 @@ class DiffRelationReport:
     iota_theta: TruncatedSeries
     fstar_iota_theta: TruncatedSeries
     pullback: TruncatedSeries
+    sign = -1
 
     @property
     def ok(self) -> bool:
@@ -553,12 +545,13 @@ class DiffRelationReport:
 
 
 def verify_diff_relation(theta: DeltaCharacter) -> DiffRelationReport:
-    """f*(iota* Theta) = iota* phi* Theta + sigma gamma Psi_1, sigma measured;
-    at order 2 also f*(iota* phi* Theta) = iota* (phi^2)* Theta.
+    """f*(iota* Theta) = iota* phi* Theta - gamma Psi_1; at order 2 also
+    f*(iota* phi* Theta) = iota* (phi^2)* Theta.
 
     Both f* are f_star, the index shift, so on c-vectors the first
-    relation reads -c_0 Lbar_1 = sigma gamma Psi_1, which checks gamma,
-    Psi_1 and the sign, and the second holds by construction.  What ties
+    relation reads -c_0 Lbar_1 = -gamma Psi_1, which checks the kernel
+    table's Lbar_1 (sigma = -1 by construction, see the module docstring),
+    and the second holds by construction.  What ties
     the shift to the lateral Frobenius is the point check: each shifted
     series is evaluated at seeded points x of pZ_p^(n+1) (n+2 for diff2)
     and compared with the unshifted series at the numeric f(x).  The
@@ -569,23 +562,17 @@ def verify_diff_relation(theta: DeltaCharacter) -> DiffRelationReport:
     if n > 2:
         raise ArithJetError("diff relation checked for order <= 2")
     _, gamma = differential_gamma(theta)
-    psi = fundamental_character(F)
+    psi = psi1_series(F)
     iota_theta = iota_star(theta)
     lhs = f_star(theta, iota_theta)
     rhs0 = iota_star(phi_star(theta))
     # all three series are on N^(n+1), in x1..x(n+1)
-    psil = psi.extend(_kernel_vars(n + 1))
-    gap = lhs - rhs0
-    r_minus = (gap + psil.scale(gamma)).residual_valuation()
-    r_plus = (gap - psil.scale(gamma)).residual_valuation()
-    sign = -1 if r_minus >= r_plus else 1
-    r1 = min(max(r_minus, r_plus), _point_residual(lhs, iota_theta))
+    gap = lhs - rhs0 + psi.extend(lhs.vars).scale(gamma)
+    r1 = min(gap.residual_valuation(), _point_residual(lhs, iota_theta))
     r2 = None
     if n == 2:
         r2 = _point_residual(f_star(phi_star(theta), rhs0), rhs0)  # on N^4
-    return DiffRelationReport(order=n, sign=sign,
-                              residual_diff1=r1,
-                              residual_wrong_sign=min(r_minus, r_plus),
+    return DiffRelationReport(order=n, residual_diff1=r1,
                               residual_diff2=r2, gamma=gamma,
                               threshold=ctx.N - 3, psi=psi,
                               iota_theta=iota_theta, fstar_iota_theta=lhs,
@@ -696,11 +683,10 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     # gamma_hat: the Psi_1 coefficient of f*(iota* Theta) modulo pullbacks.
     # The pullbacks are iota* phi* of the top lattice, which is {Theta}
     # since X_0 = 0; on the non-CL path X_1 = 0, so f* Psi_1 is expanded
-    # without one.  A missing column could only lower a solve residual,
-    # and a residual below the threshold raises.
+    # without one.  The target is pullback - gamma Psi_1 where diff1 holds,
+    # so the solve checks nothing; it gives gamma_hat's precision claim.
     psi_top = psi.extend(_kernel_vars(theta.order + 1))
-    xs, residuals["fstar_reduction"] = _class_solve(
-        diff.fstar_iota_theta, [psi_top, diff.pullback])
+    xs, _ = _class_solve(diff.fstar_iota_theta, [psi_top, diff.pullback])
     gamma_hat = xs[0]
 
     if is_cl:
@@ -862,6 +848,5 @@ def frob_up_matrix_identity(ga: GroupAnalysis) -> dict:
         "measured": ga.gamma_hat,
         "predicted": predicted,
         "residual": _INF if diff.is_zero() else diff.valuation(),
-        "solve_residual": ga.iso.residuals["fstar_reduction"],
         "sign": ga.iso.sign,
     }

@@ -15,8 +15,8 @@ The log has one route: elliptic_log_coefficients computes it mod
 p^digits on integers, the deep Frobenius tower reads the coefficients
 it needs as they are, and
 formal_group_from_curve caps it at relative precision N for F.log.  The
-exponential is the reversion of the log.  The law is computed lazily
-(the character solver only consumes the logarithm).
+law is computed lazily (the character solver only consumes the
+logarithm).
 
 Point counts over F_p are exhaustive (one quadratic per x), made once per
 curve (WeierstrassCurve.invariants), giving the trace a_p used by the
@@ -125,10 +125,10 @@ class FormalGroupLaw:
     kind in {additive, multiplicative, elliptic, kernel}; a kernel group
     is N^1 of a jet space, F's law and log scaled by p (jet.n1_group).
     ``law`` is F(t1, t2) truncated at total degree M; ``log`` satisfies
-    log(F(t1,t2)) = log(t1) + log(t2) with linear coefficient 1; ``exp``
-    is its reversion (computed on demand).  ``deep_log_cache`` holds the
-    log coefficients beyond M that the character solver reads, as the
-    dict {k: b_k} over just those k (see characters.deep_log_coefficients).
+    log(F(t1,t2)) = log(t1) + log(t2) with linear coefficient 1.
+    ``deep_log_cache`` holds the log coefficients beyond M that the
+    character solver reads, as the dict {k: b_k} over just those k, built
+    once (see characters.deep_log_coefficients).
     ``log_projection_cache`` holds the log projections L_i = log(w_i)
     built so far, each on (x0..xi), for character jet series and kernel
     projections (characters.log_projections); the solver never reads it.
@@ -147,10 +147,6 @@ class FormalGroupLaw:
     @cached_property
     def law(self) -> TruncatedSeries:
         return self._law_builder()
-
-    @cached_property
-    def exp(self) -> TruncatedSeries:
-        return self.log.reversion()
 
     # -- constructors -----------------------------------------------------
 

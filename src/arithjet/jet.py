@@ -12,11 +12,9 @@ numeric points use ghost_map directly.
 The composes F(w_i(x), w_i(y)) are the costly part.  jet_group_law
 makes them on all of J^n's variables (x0..xn, y0..yn) and keeps them in
 JetGroupLaw.ghosts beside the components they solve to.  One
-verify_jet_identities builds J^2 once and reads J^1 from it:
-phi-homomorphism-J1 compares w_1 of J^2's first two components with
-J^2's level-1 compose, and lateral-homomorphism reads the level-1
-compose of N^1's jet law (f is w_1 on (x1, x2)).  One verify composes
-F's law 3 times (levels 0-2) and N^1's twice.
+verify_jet_identities builds J^2 once, and lateral-homomorphism reads
+the level-1 compose of N^1's jet law (f is w_1 on (x1, x2)).  One verify
+composes F's law 3 times (levels 0-2) and N^1's twice.
 
 N^1 = ker(J^1G -> G) needs no compose, only p-scaling: its law is
 (1/p) F(p t1, p t2) and its log is Psi_1 = (1/p) log_G(p t), so the t^e
@@ -32,10 +30,11 @@ Structural maps, all formal-group independent in these coordinates:
   identification N^m = J^(m-1)(N^1G) (coordinates match up literally),
   again a Witt Frobenius coordinate map, here on (x_1,...,x_m).
 
-verify_jet_identities checks phi-fra (phi^2 o iota = phi o iota o f), the
-kernel identification, phi o iota = multiplication by p on the kernel
-coordinate, and homomorphism properties, each reported with the residual
-valuation actually achieved.
+verify_jet_identities checks the kernel identification, f as a kernel
+homomorphism, the identity section, and at sampled points commutativity,
+associativity and phi as a homomorphism, each reported with the residual
+valuation achieved.  What these coordinates fix by construction (phi-fra,
+phi o iota = p, the ghost round trip, the base reduction) is left to tests.
 """
 
 import random
@@ -45,7 +44,7 @@ from .context import Context
 from .padic import PadicRational
 from .series import TruncatedSeries
 from .formalgroup import FormalGroupLaw
-from .errors import ArithJetError
+from .errors import ArithJetError, LengthMismatch
 from .ghost import ghost_map, ghost_solve
 
 _INF = float("inf")
@@ -107,7 +106,8 @@ def _scale_by_p(f: TruncatedSeries, variables) -> TruncatedSeries:
 
 
 def psi1_series(F: FormalGroupLaw, var: str = "x1") -> TruncatedSeries:
-    """Fundamental character series (1/p) log_G(p*x) on the kernel coordinate."""
+    """Fundamental character series (1/p) log_G(p*x) on the kernel coordinate;
+    its x^k coefficient b_k p^(k-1) is integral, as b_k lies in (1/k)Z_p."""
     return _scale_by_p(F.log, (var,))
 
 
@@ -150,6 +150,8 @@ def random_jet_point(ctx: Context, n: int, rng: random.Random) -> list[PadicRati
 def jet_point_product(F: FormalGroupLaw, a, b) -> list[PadicRational]:
     """Group product of two numeric jet points via the ghost construction;
     the ghosts of a and b are capped at O(p^(N+n))."""
+    if len(a) != len(b):
+        raise LengthMismatch(f"jet points of lengths {len(a)} and {len(b)}")
     ctx = F.ctx
     cap = PadicRational.zero(ctx, ctx.N + len(a) - 1)
     ga, gb = ([g + cap for g in ghost_map(ctx.p, v, PadicRational.shift)]
@@ -222,11 +224,6 @@ def verify_jet_identities(F: FormalGroupLaw, samples: int = 8,
     f = lateral_frobenius_map(ctx, 2)[0]
     xs, ys = jet_variables(2)
 
-    # (a) phi-fra: phi^2 o iota = phi o iota o f  (coordinate identity)
-    phi2 = witt_frobenius_series(ctx, ("x0", "x1", "x2"), power=2)[0]
-    rep.add("phi-fra", (phi2.set_zero(["x0"]) - f.shift(1)).residual_valuation(),
-            thr, "phi^2 . iota = phi . iota . lateral")
-
     # (b) kernel identification N^2 = J^1(N^1): transported laws agree
     N1 = n1_group(F)
     JN1 = jet_group_law(N1, 1)
@@ -236,12 +233,6 @@ def verify_jet_identities(F: FormalGroupLaw, samples: int = 8,
     rep.add("kernel-identification", resid, thr,
             "kernel law of J^2 = jet law of N^1 under coordinate match")
 
-    # (c) phi o iota = multiplication by p on the kernel coordinate
-    phi1 = witt_frobenius_series(ctx, ("x0", "x1"), power=1)[0]
-    x1 = TruncatedSeries.variable(ctx, ("x1",), "x1")
-    rep.add("phi-iota-mult-p",
-            (phi1.set_zero(["x0"]) - x1.shift(1)).residual_valuation(), thr)
-
     # (e) lateral Frobenius is a homomorphism of kernel laws; N1.law is
     #     the kernel law of N^1 and f is w_1 on (x1, x2), so N1.law(f, f)
     #     is the level-1 ghost compose of N^1's jet law in (x1, x2, y1, y2)
@@ -249,22 +240,12 @@ def verify_jet_identities(F: FormalGroupLaw, samples: int = 8,
     rhs = JN1.ghosts[1].rename(relabel)
     rep.add("lateral-homomorphism", (lhs - rhs).residual_valuation(), thr)
 
-    # (f) phi homomorphism at n = 1 (symbolic): w_1 of the product's first
-    #     two components against F(w_1(x), w_1(y)), J^2's level-1 compose
-    lhs = (J2.law[0] ** ctx.p) + J2.law[1].shift(1)
-    rep.add("phi-homomorphism-J1", (lhs - J2.ghosts[1]).residual_valuation(),
-            thr)
-
     # (g) jet law identity section: law(x, 0) = x
     resid = _min_resid([
         J2.law[i].set_zero(ys) - TruncatedSeries.variable(ctx, xs, xs[i])
         for i in range(3)
     ])
     rep.add("identity-section", resid, thr)
-
-    # (h) reduction to the base law when higher coordinates vanish
-    base = J2.law[0].set_zero(["x1", "x2", "y1", "y2"]).rename(("t1", "t2"))
-    rep.add("base-reduction", (base - F.law).residual_valuation(), thr)
 
     # (i) numeric group-law checks at n = 2: commutativity, associativity,
     #     and phi homomorphism on sampled points

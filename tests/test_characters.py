@@ -7,7 +7,7 @@ from arithjet.formalgroup import (
     FormalGroupLaw, WeierstrassCurve, count_points_ap, formal_group_from_curve,
 )
 from arithjet.characters import (
-    log_projections, kernel_log_projection, fundamental_character,
+    log_projections, kernel_log_projection,
     solve_character_lattice, primitive_quotient, differential_gamma, upsilon,
     iota_star, phi_star, restrict_lateral, verify_diff_relation,
     analyze_group, as_group, classify_CL,
@@ -15,7 +15,7 @@ from arithjet.characters import (
     check_point_count, f_star,
 )
 from arithjet import characters, formalgroup
-from arithjet.jet import ghost_series, n1_group
+from arithjet.jet import ghost_series, n1_group, psi1_series
 from arithjet.errors import (
     ArithJetError, IdentityViolation, IntegralityViolation, PrecisionExhausted,
 )
@@ -136,13 +136,13 @@ def test_log_projection_table_extends_to_the_direct_build(E11, Em10, E7):
 
 
 def test_psi1_additive(ctx, Ga):
-    psi = fundamental_character(Ga)
+    psi = psi1_series(Ga)
     x1 = TruncatedSeries.variable(ctx, ("x1",), "x1")
     assert psi == x1
 
 
 def test_psi1_multiplicative_integral(ctx, Gm):
-    psi = fundamental_character(Gm)
+    psi = psi1_series(Gm)
     for k in range(1, ctx.M + 1):
         want = (PadicRational.from_int(ctx, (-1) ** (k + 1))
                 / PadicRational.from_int(ctx, k)).shift(k - 1)
@@ -152,7 +152,7 @@ def test_psi1_multiplicative_integral(ctx, Gm):
 
 
 def test_psi1_elliptic_leading_terms(E11):
-    psi = fundamental_character(E11)
+    psi = psi1_series(E11)
     assert psi.get((1,)) == 1
     two = psi.get((2,))
     assert two.is_zero() or two.valuation() >= 1
@@ -160,7 +160,7 @@ def test_psi1_elliptic_leading_terms(E11):
 
 def test_psi1_additivity_for_kernel_law(ctx, Gm):
     K = reference_kernel_law(Gm, 1)
-    psi = fundamental_character(Gm)
+    psi = psi1_series(Gm)
     lhs = psi.rename(("t",)).compose([K[0]])
     x1 = TruncatedSeries.variable(ctx, ("x1", "y1"), "x1")
     y1 = TruncatedSeries.variable(ctx, ("x1", "y1"), "y1")
@@ -286,7 +286,7 @@ def test_upsilon_zero_character(Gm):
 def test_iota_star_gm_gives_psi1_multiple(Gm):
     th = solve_character_lattice(Gm, 1).basis[0]
     res = iota_star(th)
-    psi = fundamental_character(Gm)
+    psi = psi1_series(Gm)
     want = psi.scale(th.c[1].shift(1))   # iota* Theta = (p c_1) Psi_1
     assert (res - want).residual_valuation() >= Gm.ctx.N - 2
 
@@ -318,7 +318,7 @@ def test_iota_star_matches_the_restricted_jet_series(ctx35, Em10, E11, E7):
 
 
 def test_f_star_additive_psi(Ga):
-    psi = fundamental_character(Ga)
+    psi = psi1_series(Ga)
     img = restrict_lateral(psi)
     x1 = TruncatedSeries.variable(Ga.ctx, ("x1", "x2"), "x1")
     x2 = TruncatedSeries.variable(Ga.ctx, ("x1", "x2"), "x2")
@@ -367,12 +367,27 @@ def test_diff_relation_zero_character(Gm):
     assert rep.residual_diff1 == INF
 
 
+def wrong_sign_residual(rep):
+    """Residual of f*(iota* Theta) = iota* phi* Theta + gamma Psi_1, the
+    diff relation with sigma = +1, from the series the report carries."""
+    gap = rep.fstar_iota_theta - rep.pullback
+    return (gap - rep.psi.extend(gap.vars).scale(rep.gamma)).residual_valuation()
+
+
 def test_diff_relation_gm(Gm):
     th = solve_character_lattice(Gm, 1).basis[0]
     rep = verify_diff_relation(th)
     assert rep.sign == -1
     assert rep.residual_diff1 >= Gm.ctx.N - 2
-    assert rep.residual_wrong_sign <= 2
+    assert wrong_sign_residual(rep) <= 2
+
+
+def test_the_other_sign_fails_the_diff_relation(ga11, gam10):
+    # sigma = -1 by construction; with +1 the relation fails at once, on
+    # E11's order-2 Theta and Em10's order-1 Theta
+    for ga in (ga11, gam10):
+        assert ga.diff.residual_diff1 >= ga.F.ctx.N - 3, ga.F.curve
+        assert wrong_sign_residual(ga.diff) <= 2, ga.F.curve
 
 
 def test_diff_relation_elliptic_order2(E11):
@@ -515,6 +530,22 @@ def test_analyze_group_names_a_kind_it_cannot_analyse(Ga, Gm):
         with pytest.raises(ArithJetError, match=kind) as err:
             analyze_group(F)
         assert not isinstance(err.value, PrecisionExhausted)
+
+
+def test_frobenius_shifts_are_not_rebuilt_as_series(Em10):
+    # a shift phi* Theta is integral where Theta is, so the solver reads
+    # only its c-vector and never builds its jet series
+    lat = solve_character_lattice(Em10, 2)
+    assert lat.shift_relations
+    for ch in lat.shift_relations:
+        assert "series" not in vars(ch)
+
+
+def test_analysis_reports_only_residuals_that_can_fail(ga11, gam10):
+    # fstar_reduction read inf by construction and is not reported
+    assert set(ga11.iso.residuals) == {"diff1", "diff2", "fstar_shift",
+                                       "fstar_psi_expansion"}
+    assert set(gam10.iso.residuals) == {"diff1", "diff2"}
 
 
 def test_top_lattice_holds_theta_alone(ga11, gam10, ga01, gagm):

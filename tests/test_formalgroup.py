@@ -38,7 +38,7 @@ def test_additive_group(ctx):
     t2 = TruncatedSeries.variable(ctx, ("t1", "t2"), "t2")
     assert G.law == t1 + t2
     assert G.log == TruncatedSeries.variable(ctx, ("t",), "t")
-    assert G.exp == G.log
+    assert G.log.reversion() == G.log
 
 
 def test_multiplicative_log_series(ctx):
@@ -60,7 +60,8 @@ def test_multiplicative_log_is_homomorphism(ctx):
 def test_log_exp_roundtrip(ctx):
     G = FormalGroupLaw.multiplicative(ctx)
     t = TruncatedSeries.variable(ctx, ("t",), "t")
-    log, exp = G.log, G.exp
+    log = G.log
+    exp = log.reversion()
     assert exp.compose([log]) == t
     assert log.compose([exp]) == t
 
@@ -166,7 +167,8 @@ def test_multiplication_by_m(ctx):
 def test_exp_roundtrip_elliptic(ctx):
     F = formal_group_from_curve(curve(ctx, 1, 1))
     t = TruncatedSeries.variable(ctx, ("t",), "t")
-    assert (F.exp.compose([F.log]) - t).residual_valuation() >= ctx.N - 2
+    exp = F.log.reversion()
+    assert (exp.compose([F.log]) - t).residual_valuation() >= ctx.N - 2
 
 
 # -- point counting ---------------------------------------------------------

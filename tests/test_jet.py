@@ -16,7 +16,7 @@ from arithjet.jet import (
     jet_point_product, random_jet_point, jet_variables,
 )
 from arithjet.ghost import ghost_map, ghost_solve
-from arithjet.errors import ArithJetError
+from arithjet.errors import ArithJetError, LengthMismatch
 from test_kernels import reference_kernel_law
 
 INF = float("inf")
@@ -197,6 +197,15 @@ def test_jet_point_product_matches_symbolic(ctx, Gm):
         assert d.is_zero() or d.valuation() >= ctx.N - 2
 
 
+def test_jet_point_product_refuses_points_of_two_levels(ctx, Gm):
+    rng = random.Random(3)
+    a = random_jet_point(ctx, 2, rng)
+    b = random_jet_point(ctx, 1, rng)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(LengthMismatch):
+            jet_point_product(Gm, x, y)
+
+
 def test_level_cap(ctx, Ga):
     with pytest.raises(ArithJetError):
         jet_group_law(Ga, 3)
@@ -217,6 +226,16 @@ def test_verify_identities_linear_groups(ctx, group):
 def test_verify_identities_elliptic(ctx, Ell):
     rep = verify_jet_identities(Ell, samples=4, seed=2)
     assert rep.ok, [c for c in rep.checks if not c.passed]
+
+
+def test_verify_identities_reports_only_checks_that_can_fail(ctx, Ell):
+    # phi-fra, phi o iota = p, the level-1 ghost round trip and the base
+    # reduction hold by construction; the tests above check them
+    rep = verify_jet_identities(Ell, samples=1)
+    assert [c.name for c in rep.checks] == [
+        "kernel-identification", "lateral-homomorphism", "identity-section",
+        "commutativity-sampled", "associativity-sampled",
+        "phi-homomorphism-J2-sampled"]
 
 
 def coefficient_map(f):
@@ -247,9 +266,9 @@ def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
 
 def test_one_verification_composes_each_ghost_level_once(ctx, Ell, monkeypatch):
     # F(w_i(x), w_i(y)) is composed once per level and group: levels 0-2 of
-    # F for J^2, whose level 1 check (f) reads again, and levels 0-1 of
-    # N^1 for its J^1, whose level 1 check (e) reads again.  n1_group
-    # composes nothing: N^1's law is F's scaled by p, (1/p) F(p t1, p t2).
+    # F for J^2, and levels 0-1 of N^1 for its J^1, whose level 1 check (e)
+    # reads again.  n1_group composes nothing: N^1's law is F's scaled by
+    # p, (1/p) F(p t1, p t2).
     kernel = {}
     real_n1 = jet.n1_group
 

@@ -42,7 +42,7 @@ from arithjet import _intpoly, canonical
 from arithjet.canonical import canonical_lift_test, short_model
 from arithjet.context import Context
 from arithjet.characters import (
-    deep_log_coefficients, deep_tower_degree, log_projections,
+    deep_log_coefficients, deep_tower_degree, log_projections, phi_star,
     solve_character_lattice,
 )
 from arithjet.formalgroup import (
@@ -316,7 +316,7 @@ def reference_monomial_rows(F, n: int) -> tuple[list[list[int]], int, int]:
     rows = list(budget.values())
     if F.kind in (ELLIPTIC, MULTIPLICATIVE):
         deg = deep_tower_degree(F)
-        bs = deep_log_coefficients(F, deg)
+        bs = deep_log_coefficients(F)
         for j in range(ctx.M + 1, deg + 1):
             if j % p:
                 continue
@@ -672,7 +672,7 @@ def test_deep_log_is_built_at_the_indices_the_solver_reads(p, kind, a4, a6):
     else:
         F = formal_group_from_curve(WeierstrassCurve(0, 0, 0, a4, a6, ctx))
     deg = deep_tower_degree(F)
-    bs = deep_log_coefficients(F, deg)
+    bs = deep_log_coefficients(F)
     want = {k for k in range(1, deg + 1) if k % p == 0 or k <= deg // p}
     assert set(bs) == want
     assert len(want) == {5: 1125, 7: 637}[p]
@@ -684,7 +684,7 @@ def test_deep_log_is_built_at_the_indices_the_solver_reads(p, kind, a4, a6):
                                                            for k in sorted(want))
     with pytest.raises(KeyError):
         bs[deg // p + 1]
-    assert deep_log_coefficients(F, deg) is bs  # kept in F.deep_log_cache
+    assert deep_log_coefficients(F) is bs  # kept in F.deep_log_cache
 
 
 def test_formal_group_log_agrees_with_series_route():
@@ -1090,10 +1090,13 @@ def row_sweep_groups():
 def test_x0_tower_rows_give_the_monomial_rows_lattice():
     # the solver reads the univariate log alone; the monomial rows of the
     # multivariate log projections give the same Smith exponents at orders
-    # 1 and 2, and every basis character's jet series is integral
+    # 1 and 2, and every basis character's jet series is integral.  So are
+    # its Frobenius shift phi* Theta and Psi_1, which the run takes as
+    # integral by construction and does not check
     groups = list(row_sweep_groups())
     assert len(groups) == 22
     for F in groups:
+        assert psi1_series(F).is_integral(), F.curve
         lower = None
         for n in (1, 2):
             lat = solve_character_lattice(F, n, lower=lower)
@@ -1102,4 +1105,6 @@ def test_x0_tower_rows_give_the_monomial_rows_lattice():
             assert [s for s, _ in lattice_exponents(basis, F.ctx.p, K)] \
                 == lat.exponents, (F.ctx.p, F.curve, n)
             assert all(ch.series.is_integral() for ch in lat.basis), (F.curve, n)
+            assert all(phi_star(ch).series.is_integral() for ch in lat.basis), \
+                (F.curve, n)
             lower = lat
