@@ -12,7 +12,11 @@ p-integral.  A DeltaCharacter is its c-vector.  Every character series is
 one c-combination of one table per group: each L_i is built once, on
 (x0..xi), and kept in F.log_projection_cache; log_projections reads it
 extended, and the kernel projections Lbar_j = L_j(0, x1..xj) are the same
-table restricted to x0 = 0.
+table restricted to x0 = 0.  Only the levels 1 <= i with p^i <= M are
+composed.  L_0 is log_G relabelled to x0, and once p^i > M the x0^(p^i)
+term of w_i falls outside the cap, so L_i = log_G(p w_(i-1)(x1..xi)) is
+L_(i-1) with its variables moved up by one and p-scaled by Witt weight
+(jet.ghost_compose).
 
 The solver's rows need no jet series.  As w_i(x0, 0..0) = x0^(p^i), the x0^j
 coefficient of Theta is sum c_i b_(j/p^i) over p^i | j, for b_k those of
@@ -85,7 +89,7 @@ from .formalgroup import (
     ELLIPTIC, MULTIPLICATIVE,
 )
 from .jet import (
-    ghost_series, lateral_frobenius_map, lateral_frobenius_point, psi1_series,
+    ghost_compose, lateral_frobenius_map, lateral_frobenius_point, psi1_series,
 )
 from .linalg import kernel_lattice, lattice_exponents, solve_padic
 from .errors import (
@@ -108,13 +112,16 @@ def _lift_int(x: PadicRational, K: int) -> int:
 
 def _log_table(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
     """F.log_projection_cache filled to L_n; each L_i = log_G(w_i) is built
-    once per group, on its own variables (x0..xi)."""
+    once per group, on its own variables (x0..xi): composed for
+    1 <= i with p^i <= M, else mapped from log_G (i = 0) or from L_(i-1)
+    (p^i > M), see jet.ghost_compose."""
     if n > ORDER_CAP + 2:
         raise ArithJetError("log projections supported up to L_4")
     table = F.log_projection_cache
     for i in range(len(table), n + 1):
         xs = tuple(f"x{k}" for k in range(i + 1))
-        table.append(F.log.compose([ghost_series(F.ctx, xs, xs, i)]))
+        table.append(ghost_compose(F.log, xs, (xs,), i,
+                                   table[i - 1] if i else None))
     return table
 
 

@@ -37,6 +37,10 @@ class Context:
     M: int = 12
 
     def __post_init__(self):
+        for name in ("p", "N", "M"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ArithJetError(f"{name} = {value!r} is not an int")
         if not _is_prime(self.p):
             raise ArithJetError(f"p = {self.p} is not prime")
         if self.p < 3:

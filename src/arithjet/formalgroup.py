@@ -64,6 +64,10 @@ class WeierstrassCurve:
     ctx: Context
 
     def __post_init__(self):
+        for name in ("a1", "a2", "a3", "a4", "a6"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ArithJetError(f"coefficient {name} = {value!r} is not an int")
         if self.discriminant % self.ctx.p == 0:
             raise BadReduction(
                 f"discriminant {self.discriminant} vanishes mod {self.ctx.p}")
@@ -132,6 +136,8 @@ class FormalGroupLaw:
     ``log_projection_cache`` holds the log projections L_i = log(w_i)
     built so far, each on (x0..xi), for character jet series and kernel
     projections (characters.log_projections); the solver never reads it.
+    Each L_i is composed only where 1 <= i and p^i <= M; the others are
+    mapped from log or from L_(i-1) (jet.ghost_compose).
     """
 
     def __init__(self, ctx: Context, kind: str, law_builder, log: TruncatedSeries,

@@ -9,12 +9,15 @@ coefficients).  Symbolic ghosts are arithjet.ghost's ghost_map on
 coordinate series (ghost_series, which claims N+i digits for w_i);
 numeric points use ghost_map directly.
 
-The composes F(w_i(x), w_i(y)) are the costly part.  jet_group_law
-makes them on all of J^n's variables (x0..xn, y0..yn) and keeps them in
-JetGroupLaw.ghosts beside the components they solve to.  One
-verify_jet_identities builds J^2 once, and lateral-homomorphism reads
-the level-1 compose of N^1's jet law (f is w_1 on (x1, x2)).  One verify
-composes F's law 3 times (levels 0-2) and N^1's twice.
+The ghosts F(w_i(x), w_i(y)) are the costly part.  jet_group_law
+builds them on all of J^n's variables (x0..xn, y0..yn) and keeps them in
+JetGroupLaw.ghosts beside the components they solve to.  Only the levels
+1 <= i with p^i <= M are composed (ghost_compose): level 0 is F's law
+relabelled, and once p^i > M level i is level i-1 moved up one
+coordinate and p-scaled by Witt weight.  One verify_jet_identities
+builds J^2 once, and lateral-homomorphism reads the level-1 compose of
+N^1's jet law (f is w_1 on (x1, x2)).  At p = 5, M < 25 one verify
+composes F's law once and N^1's once, each at level 1.
 
 N^1 = ker(J^1G -> G) needs no compose, only p-scaling: its law is
 (1/p) F(p t1, p t2) and its log is Psi_1 = (1/p) log_G(p t), so the t^e
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .context import Context
 from .padic import PadicRational
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _addp, _series
 from .formalgroup import FormalGroupLaw
 from .errors import ArithJetError, LengthMismatch
 from .ghost import ghost_map, ghost_solve
@@ -70,9 +73,55 @@ def ghost_series(ctx: Context, variables, names, i: int) -> TruncatedSeries:
     return ghost_map(ctx.p, coords, TruncatedSeries.shift)[i]
 
 
+def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
+                  below: TruncatedSeries | None) -> TruncatedSeries:
+    """G(w_i(b_1), ..., w_i(b_r)) on variables, with one block of
+    coordinate names b_j = (x_0, x_1, ...) per variable of G; below is
+    the level i-1 series, read when p^i > M.
+
+    Only 1 <= i with p^i <= M composes.  At level 0 the argument is a bare
+    coordinate, so G is relabelled, in the key order of the compose
+    (Horner: descending, the last variable's exponent first).  Once
+    p^i > M, the x_0^(p^i) term of w_i(x) = x_0^(p^i) + p w_(i-1)(x_1..x_i)
+    falls outside the cap, and level i is level i-1 with each coordinate
+    x_m moved to x_(m+1) and each coefficient of Witt weight k multiplied
+    by p^k: a monomial prod x_m^(e_m) of w_(i-1)^k has
+    k = sum_m e_m / p^(i-1-m), summed over the blocks.
+
+    Why this equals the compose key for key, claims included: every
+    monomial of w_(i-1)^k determines k, Horner's products and sums keep
+    that grading, and a product's claim min(A1 + v2, v1 + A2) and a sum's
+    min both shift by k on the weight-k terms; the series absprec shifts
+    by one, the valuation of w_i over w_(i-1).  This holds as long as the
+    coordinates' claims (N+i relative digits) never bind, and they do not:
+    log_G is capped at N relative digits and F's law is built from N-digit
+    integers.  Horner also drops an O(p^w) zero that its running series
+    absprec covers, and that bound does not shift; no such zero arises in
+    the cases the tests compare with the compose."""
+    ctx, variables = G.ctx, tuple(variables)
+    if i and ctx.p ** i <= ctx.M:
+        return G.compose([ghost_series(ctx, variables, b, i) for b in blocks])
+    if i == 0:
+        relabelled = G.rename([b[0] for b in blocks]).extend(variables)
+        return _series(ctx, variables, dict(sorted(
+            relabelled.coeffs.items(), key=lambda t: t[0][::-1], reverse=True)),
+            G.absprec)
+    moves = [(below.vars.index(b[m]), variables.index(b[m + 1]),
+              ctx.p ** (i - 1 - m)) for b in blocks for m in range(i)]
+    coeffs = {}
+    for e, c in below.coeffs.items():
+        moved = [0] * len(variables)
+        k = 0
+        for src, dst, d in moves:
+            moved[dst] = e[src]
+            k += e[src] // d
+        coeffs[tuple(moved)] = c.shift(k)
+    return _series(ctx, variables, coeffs, _addp(below.absprec, 1))
+
+
 @dataclass(frozen=True)
 class JetGroupLaw:
-    """law: the components of the J^n law; ghosts: the composes
+    """law: the components of the J^n law; ghosts: the series
     F(w_i(x), w_i(y)) they are ghost-solved from, i = 0..n."""
     law: tuple[TruncatedSeries, ...]
     ghosts: tuple[TruncatedSeries, ...]
@@ -80,16 +129,17 @@ class JetGroupLaw:
 
 def jet_group_law(F: FormalGroupLaw, n: int) -> JetGroupLaw:
     """Group law of J^nG in Witt coordinates (x_0..x_n) * (y_0..y_n), with
-    the ghost composes on all of J^n's variables."""
+    the ghosts on all of J^n's variables (ghost_compose)."""
     if n > JET_LEVEL_CAP:
         raise ArithJetError(f"jet level capped at n <= {JET_LEVEL_CAP}")
     xs, ys = jet_variables(n)
     allv = xs + ys
-    ghosts = tuple(F.law.compose([ghost_series(F.ctx, allv, xs, i),
-                                  ghost_series(F.ctx, allv, ys, i)])
-                   for i in range(n + 1))
+    ghosts = []
+    for i in range(n + 1):
+        ghosts.append(ghost_compose(F.law, allv, (xs, ys), i,
+                                    ghosts[i - 1] if i else None))
     comps = ghost_solve(F.ctx.p, ghosts, TruncatedSeries.shift)
-    return JetGroupLaw(law=tuple(comps), ghosts=ghosts)
+    return JetGroupLaw(law=tuple(comps), ghosts=tuple(ghosts))
 
 
 def kernel_law(J: JetGroupLaw) -> tuple[TruncatedSeries, ...]:
@@ -214,6 +264,9 @@ def _point_resid(xs, ys) -> float:
 def verify_jet_identities(F: FormalGroupLaw, samples: int = 8,
                           seed: int = 0) -> JetIdentityReport:
     """Run the structural identity suite for a formal group at n <= 2."""
+    if samples < 1:
+        raise ArithJetError(f"samples = {samples}: the sampled checks need "
+                            "at least one point")
     ctx = F.ctx
     rep = JetIdentityReport(group=F.kind, ctx=ctx)
     thr = ctx.N - 2

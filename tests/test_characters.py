@@ -118,14 +118,18 @@ def test_kernel_log_projection_matches_restriction(Gm, E11, Em10, E7):
                 assert got.absprec <= want.absprec, (F.kind, F.ctx.p, j)
 
 
-def test_log_projection_table_extends_to_the_direct_build(E11, Em10, E7):
-    # each L_i is built on (x0..xi); extended it equals the build on the
-    # wide tuple, term for term and in the same order
-    xs = ("x0", "x1", "x2", "x3")
-    for F in (E11, Em10, E7):
-        table = log_projections(F, 3)
-        assert len(F.log_projection_cache) >= 4
-        for i in range(4):
+def test_log_projection_table_extends_to_the_direct_build(ctx35, E11, Em10, E7):
+    # each L_i is built on (x0..xi); extended it equals the compose on the
+    # wide tuple, term for term and in the same order.  L_0 and every L_i
+    # with p^i > M are mapped, not composed: L_3 and L_4 at p = 5, M = 35
+    # and p = 7, M = 56; at p = 3, M = 30, 3^3 <= 30 < 3^4, so L_3 is
+    # composed and L_4 mapped
+    xs = ("x0", "x1", "x2", "x3", "x4")
+    E3 = curve(Context(p=3, N=8, M=30), 1, 1)
+    for F in (E11, Em10, E7, FormalGroupLaw.multiplicative(ctx35), E3):
+        table = log_projections(F, 4)
+        assert len(F.log_projection_cache) == 5
+        for i in range(5):
             want = F.log.compose([ghost_series(F.ctx, xs, xs, i)])
             assert table[i].vars == xs
             assert triples(table[i]) == triples(want), (F.ctx.p, i)
@@ -507,22 +511,26 @@ def test_one_analysis_counts_points_once(ctx35, monkeypatch):
 
 
 def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
-    # one ghost polynomial, and so one log compose, per L_i: L_0..L_4 on a
-    # non-CL curve (diff2 reads Lbar_4), L_0..L_2 on a CL group
-    calls = []
-    real = characters.ghost_series
+    # one log compose per L_i with 1 <= i and p^i <= M: L_1 and L_2 at
+    # p = 5, M = 35, whether the run reads L_0..L_4 (a non-CL curve: diff2
+    # reads Lbar_4) or L_0..L_2 (a CL group).  L_0 is log_G relabelled,
+    # and L_3, L_4 are mapped from the level below
+    levels = []
+    log = None
+    real = TruncatedSeries.compose
 
-    def counted(*args, **kwargs):
-        calls.append(args[3])
-        return real(*args, **kwargs)
+    def counted(self, args, cap=None):
+        if self is log:
+            levels.append(len(args[0].vars) - 1)
+        return real(self, args, cap)
 
-    monkeypatch.setattr(characters, "ghost_series", counted)
-    for F, want in ((curve(ctx35, 1, 1), 5), (curve(ctx35, 0, 1), 5),
-                    (curve(ctx35, -1, 0), 3),
-                    (FormalGroupLaw.multiplicative(ctx35), 3)):
-        calls.clear()
+    monkeypatch.setattr(TruncatedSeries, "compose", counted)
+    for F in (curve(ctx35, 1, 1), curve(ctx35, 0, 1), curve(ctx35, -1, 0),
+              FormalGroupLaw.multiplicative(ctx35)):
+        levels.clear()
+        log = F.log
         analyze_group(F)
-        assert calls == list(range(want)), (F.kind, calls)
+        assert levels == [1, 2], (F.kind, levels)
 
 
 def test_analyze_group_names_a_kind_it_cannot_analyse(Ga, Gm):

@@ -76,6 +76,15 @@ def test_bad_reduction_rejected(ctx):
         curve(ctx, 2, 2)      # 4*8 + 27*4 = 140 = 5*28
 
 
+def test_curve_takes_only_integer_coefficients(ctx):
+    # a4 = 0.5 was reported as bad reduction, a6 = 1.0 failed in analysis
+    with pytest.raises(ArithJetError, match="a4") as err:
+        curve(ctx, 0.5, 1)
+    assert not isinstance(err.value, BadReduction)
+    with pytest.raises(ArithJetError, match="a6"):
+        curve(ctx, 1, 1.0)
+
+
 def test_good_curves_accepted(ctx):
     for a4, a6 in [(1, 1), (-1, 0), (0, 1)]:
         E = curve(ctx, a4, a6)

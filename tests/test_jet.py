@@ -228,6 +228,13 @@ def test_verify_identities_elliptic(ctx, Ell):
     assert rep.ok, [c for c in rep.checks if not c.passed]
 
 
+def test_sampled_checks_need_a_sample(Ell):
+    # with no sampled point the sampled checks would read inf and pass
+    for samples in (0, -3):
+        with pytest.raises(ArithJetError, match="samples"):
+            verify_jet_identities(Ell, samples=samples)
+
+
 def test_verify_identities_reports_only_checks_that_can_fail(ctx, Ell):
     # phi-fra, phi o iota = p, the level-1 ghost round trip and the base
     # reduction hold by construction; the tests above check them
@@ -265,10 +272,12 @@ def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
 
 
 def test_one_verification_composes_each_ghost_level_once(ctx, Ell, monkeypatch):
-    # F(w_i(x), w_i(y)) is composed once per level and group: levels 0-2 of
-    # F for J^2, and levels 0-1 of N^1 for its J^1, whose level 1 check (e)
-    # reads again.  n1_group composes nothing: N^1's law is F's scaled by
-    # p, (1/p) F(p t1, p t2).
+    # F(w_i(x), w_i(y)) is composed once per level 1 <= i with p^i <= M
+    # and group: at p = 5, M = 12 level 1 of F for J^2, and level 1 of N^1
+    # for its J^1, which check (e) reads again.  Level 0 is the law
+    # relabelled and level 2 is level 1 mapped (ghost_compose).
+    # n1_group composes nothing: N^1's law is F's scaled by p,
+    # (1/p) F(p t1, p t2).
     kernel = {}
     real_n1 = jet.n1_group
 
@@ -288,19 +297,25 @@ def test_one_verification_composes_each_ghost_level_once(ctx, Ell, monkeypatch):
     monkeypatch.setattr(jet, "n1_group", n1_group_kept)
     monkeypatch.setattr(TruncatedSeries, "compose", counted)
     assert verify_jet_identities(Ell).ok
-    assert counts == {"F": 3, "N1": 2}
+    assert counts == {"F": 1, "N1": 1}
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("build", [
-    FormalGroupLaw.multiplicative,
-    lambda ctx: formal_group_from_curve(WeierstrassCurve(0, 0, 0, 1, 1, ctx)),
-], ids=["Gm", "E11"])
-def test_jet_law_keeps_the_ghost_composes_it_solves(ctx, build, n):
+JET_GROUPS = {
+    "Gm": FormalGroupLaw.multiplicative,
+    "E11": lambda ctx: formal_group_from_curve(WeierstrassCurve(0, 0, 0, 1, 1, ctx)),
+}
+
+
+@pytest.mark.parametrize("group, n, M", [
+    pytest.param(group, n, M, id=f"{group}-{n}" + (f"-M{M}" if M != 12 else ""))
+    for M in (12, 26) for group in JET_GROUPS for n in (1, 2)])
+def test_jet_law_keeps_the_ghost_composes_it_solves(group, n, M):
     # ghosts[i] is F(w_i(x), w_i(y)) composed on all of J^n's variables,
     # triple for triple, and the ghost map of the law gives it back to
-    # the precision the two claim
-    F = build(ctx)
+    # the precision the two claim.  Level 2 is mapped from level 1 at
+    # M = 12 (5^2 > M) and composed at M = 26
+    ctx = Context(p=5, N=8, M=M)
+    F = JET_GROUPS[group](ctx)
     J = jet_group_law(F, n)
     xs, ys = jet_variables(n)
     allv = xs + ys

@@ -234,3 +234,11 @@ def test_context_validation():
         Context(p=5, N=1)
     with pytest.raises(ArithJetError):
         Context(p=5, N=4, M=0)
+
+
+def test_context_takes_only_int_budgets():
+    # a float budget reached int-only arithmetic before it raised
+    for kwargs, name in (({"p": 5.0}, "p"), ({"p": 5, "N": 8.0}, "N"),
+                         ({"p": 5, "M": 35.0}, "M")):
+        with pytest.raises(ArithJetError, match=f"{name} = "):
+            Context(**kwargs)
