@@ -9,12 +9,14 @@ coefficients).  Symbolic ghosts are arithjet.ghost's ghost_map on
 coordinate series (ghost_series, which claims N+i digits for w_i);
 numeric points use ghost_map directly.
 
-The ghosts F(w_i(x), w_i(y)) are the costly part.  jet_group_law
-builds them on all of J^n's variables (x0..xn, y0..yn) and keeps them in
-JetGroupLaw.ghosts beside the components they solve to.  Only the levels
-1 <= i with p^i <= M are composed (ghost_compose): level 0 is F's law
-relabelled, and once p^i > M level i is level i-1 moved up one
-coordinate and p-scaled by Witt weight.  One verify_jet_identities
+The ghosts F(w_i(x), w_i(y)), and ghost_solve's powers a^(p^k) of the
+components, are the costly part; their Horner steps and squarings run on
+int terms, building PadicRationals once, for the result (arithjet.series).
+jet_group_law builds the ghosts on all of J^n's variables (x0..xn,
+y0..yn) and keeps them in JetGroupLaw.ghosts beside the components
+they solve to.  Only the levels 1 <= i with p^i <= M are composed
+(ghost_compose): level 0 is F's law relabelled, and once p^i > M level
+i is level i-1 moved up one coordinate and p-scaled by Witt weight.  One verify_jet_identities
 builds J^2 once, and lateral-homomorphism reads the level-1 compose of
 N^1's jet law (f is w_1 on (x1, x2)).  At p = 5, M < 25 one verify
 composes F's law once and N^1's once, each at level 1.

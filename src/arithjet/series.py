@@ -26,25 +26,28 @@ termwise integration of univariate series, and residual-valuation
 comparison for budgeted identity checks.
 
 Products (and so powers, inverses, composition and reversion) run on
-integers: each operand is scaled to integers by its smallest nonzero
-valuation, monomials are packed into single ints, and only pairs within
-the degree cap are visited.  Whatever the kernel, a product coefficient
-must equal the PadicRational sum of the PadicRational pairwise products,
-value and precision alike (see TruncatedSeries.__mul__).  Evaluation at
-a point runs on integers under the same contract: it must equal the
-PadicRational sum of the PadicRational terms (see
-TruncatedSeries.evaluate), and both reduce their integer sums through
-one helper, _scaled_padic.  A power of a single stored term with no
-series absprec is an exponent shift, c^n t^(n e), not a product chain.
-A composition computes each power arg^k it needs once per call, and
-reversion runs Newton iteration on the tracked operations with one
-compose a step, g <- g - (f(g) - t) g', its degrees halved down from M
-(_intpoly.newton_schedule; see TruncatedSeries.reversion for why the
-step is exact Newton).
+integers in three steps: read a series into int terms (_int_terms, scaled
+by its smallest nonzero valuation, monomials packed into single ints),
+multiply int terms (_mul_terms visits only the pairs within the degree
+cap, _canonical reduces each sum), and build the PadicRationals once
+(_build).  A product reads, multiplies and builds; a power reads once,
+squares on int terms and builds once; a composition keeps its Horner
+accumulator and each power arg^k (once per call) on int terms, each step
+acc * arg^k + g an int product and an int sum (_add_terms), and builds
+only its result.  Whatever the kernel, a coefficient must equal the
+PadicRational sum of the PadicRational pairwise products, value and
+precision alike (see TruncatedSeries.__mul__), and evaluation at a point
+the PadicRational sum of the PadicRational terms (see
+TruncatedSeries.evaluate, which reduces through _canonical too).  A power
+of a single stored term with no series absprec is an exponent shift,
+c^n t^(n e), not a product chain.  Reversion runs Newton iteration on the
+tracked operations with one compose a step, g <- g - (f(g) - t) g', its
+degrees halved down from M (_intpoly.newton_schedule; see
+TruncatedSeries.reversion for why the step is exact Newton).
 """
 
 from math import gcd
-from operator import add, mul
+from operator import mul
 
 from . import _intpoly
 from .context import Context
@@ -70,45 +73,113 @@ def _addp(a, k):
     return None if a is None else a + k
 
 
-def _int_terms(coeffs: dict, cap: int, weights: list, p: int):
-    """([(key, degree, x, v, A, e)], m) for the coefficients of degree
-    <= cap: e is the exponent tuple and key = sum(e[i] * weights[i])
-    packs it (weights are the powers of a base above cap), x * p^m is the
-    coefficient's value with m the smallest nonzero valuation (x = 0 for
-    an O(p^w) zero), v its valuation and A its absprec."""
-    m = min((c.val for c in coeffs.values() if c.unit), default=0)
+def _int_terms(f, cap: int):
+    """f read as int terms (terms, s, absprec, mv, n) at cap.  terms holds
+    (key, degree, x, v, A) for each coefficient of degree <= cap: key =
+    sum(e[i] * (cap + 1)^i) packs its exponents e (_build unpacks them),
+    x * p^s is its value (x = 0 for an O(p^w) zero), v its valuation and
+    A its absprec.  absprec is f's, and mv = f.min_valuation() and
+    n = len(f.coeffs) count every stored term, those above cap included."""
+    weights = [(cap + 1) ** i for i in range(len(f.vars))]
+    p = f.ctx.p
+    m = min((c.val for c in f.coeffs.values() if c.unit), default=0)
     terms = []
-    for e, c in coeffs.items():
+    for e, c in f.coeffs.items():
         d = sum(e)
         if d > cap:
             continue
         x = c.unit * p ** (c.val - m) if c.unit else 0
-        terms.append((sum(map(mul, e, weights)), d, x, c.val, c.val + c.rel, e))
-    return terms, m
+        terms.append((sum(map(mul, e, weights)), d, x, c.val, c.val + c.rel))
+    return terms, m, f.absprec, f.min_valuation(), len(f.coeffs)
 
 
-def _scaled_padic(ctx: Context, s: int, top: int):
-    """scaled(total, A): the PadicRational total * p^s known mod p^A, for
-    an integer total and A - s <= top whenever total is nonzero.  It
-    reduces total mod p^(A-s) and takes the valuation from
-    gcd(r, p^(A-s)) = p^t, from the Context's table of p-powers.  The result is canonical (a unit r / p^t in
-    [1, p^(A-s-t)) prime to p, or the zero O(p^A)), so it is built
-    unchecked."""
+def _canonical(ctx: Context, acc: dict, s: int, absp):
+    """Int terms of acc, {key: [total, A, degree]} at scale s: each
+    total * p^s known mod p^A in canonical form, x * p^s with
+    x = total mod p^(A-s) and v its valuation (from gcd(x, p^(A-s)) and
+    the Context's table of p-powers), or the zero O(p^A) (x = 0, v = A),
+    which is dropped when absp covers it (A >= absp)."""
     p = ctx.p
-    pw, exponent = ctx.p_powers(top)
+    pw, exponent = ctx.p_powers(max(
+        (A for total, A, _ in acc.values() if total), default=s) - s)
+    keep = _INF if absp is None else absp  # a zero O(p^A) stays if A < keep
+    out, mv = [], keep
+    for k, (total, A, d) in acc.items():
+        if total and A > s and (x := total % pw[A - s]):
+            v = s if x % p else s + exponent[gcd(x, pw[A - s])]
+        elif A < keep:
+            x, v = 0, A
+        else:
+            continue
+        out.append((k, d, x, v, A))
+        if v < mv:
+            mv = v
+    return out, s, absp, mv, len(out)
 
-    def scaled(total, A):
-        if total and A > s:
-            r = total % pw[A - s]
-            if r % p:
-                return _padic(ctx, r, s, A - s)
-            if r:
-                g = gcd(r, pw[A - s])
-                t = exponent[g]
-                return _padic(ctx, r // g, s + t, A - s - t)
-        return _padic(ctx, 0, A, 0)
 
-    return scaled
+def _scaled_padic(ctx: Context, s: int, total: int, A: int) -> PadicRational:
+    """The PadicRational total * p^s known mod p^A, in canonical form."""
+    return _build(ctx, (), _canonical(ctx, {0: [total, A, 0]}, s, None), 0).coeffs[()]
+
+
+def _mul_terms(ctx: Context, a, b, cap: int):
+    """The product of int terms a and b read at cap, as int terms; see
+    TruncatedSeries.__mul__ for what each coefficient is."""
+    ta, sa, Xa, mva, na = a
+    tb, sb, Xb, mvb, nb = b
+    t1 = None if (Xa is None or mvb is _INF) else Xa + mvb
+    t2 = None if (Xb is None or mva is _INF) else Xb + mva
+    if na > nb:  # the shorter operand runs outermost
+        ta, tb = tb, ta
+    fitting: dict = {}  # room -> the terms of tb of degree <= room, in order
+    acc: dict = {}  # packed key -> [sum, A, degree]
+    for k1, d1, x1, v1, A1 in ta:
+        room = cap - d1
+        partners = fitting.get(room)
+        if partners is None:
+            partners = fitting[room] = [t for t in tb if t[1] <= room]
+        for k2, d2, x2, v2, A2 in partners:
+            k = k1 + k2
+            prec = A1 + v2
+            if v1 + A2 < prec:
+                prec = v1 + A2
+            entry = acc.get(k)
+            if entry is None:
+                acc[k] = [x1 * x2, prec, d1 + d2]
+            else:
+                entry[0] += x1 * x2
+                if prec < entry[1]:
+                    entry[1] = prec
+    return _canonical(ctx, acc, sa + sb, _minp(t1, t2))
+
+
+def _add_terms(ctx: Context, a, b):
+    """a + b on int terms, as TruncatedSeries.__add__ gives it: a's
+    monomials first, and on a shared one PadicRational.__add__'s
+    canonical (x_a + x_b) mod p^min(A_a, A_b), zeros included."""
+    ta, sa, Xa, _, _ = a
+    tb, sb, Xb, _, _ = b
+    s = min(sa, sb)
+    pw = ctx.p_powers(max(sa, sb) - s)[0]
+    acc = {k: [x * pw[sa - s], A, d] for k, d, x, _, A in ta}
+    for k, d, x, _, A in tb:
+        entry = acc.setdefault(k, [0, A, d])
+        entry[0] += x * pw[sb - s]
+        entry[1] = min(entry[1], A)
+    return _canonical(ctx, acc, s, _minp(Xa, Xb))
+
+
+def _build(ctx: Context, variables: tuple, packed, cap: int):
+    """The TruncatedSeries of int terms packed at cap, each coefficient
+    built once, unchecked."""
+    terms, s, absprec, _, _ = packed
+    pw = ctx.p_powers(max((v for _, _, x, v, _ in terms if x), default=s) - s)[0]
+    base = cap + 1
+    weights = [base ** i for i in range(len(variables))]
+    return _series(ctx, variables, {
+        tuple([k // w % base for w in weights]):
+            _padic(ctx, x // pw[v - s], v, A - v) if x else _padic(ctx, 0, A, 0)
+        for k, _, x, v, A in terms}, absprec)
 
 
 def _series(ctx: Context, variables: tuple, coeffs: dict, absprec):
@@ -275,83 +346,61 @@ class TruncatedSeries:
         Per output monomial e the loop sums the exact pairwise products
         S_e and takes A_e = min over the pairs of min(A1 + v2, v1 + A2)
         (v a coefficient's valuation, A its absprec; an O(p^w) zero has
-        v = A = w); the coefficient is S_e mod p^(A_e), built by
-        _scaled_padic in canonical form: the unit S_e / p^t prime to p,
-        t the valuation of S_e mod p^(A_e), or the zero O(p^(A_e)).
-        PadicRational add and mul are canonical in (value mod p^A, A), so
-        this is exactly the sum of the pairwise PadicRational products.
-        The zeros the series absprec covers are dropped, as the
-        validating constructor would, and the result is built unchecked.
+        v = A = w); the coefficient is S_e mod p^(A_e) in canonical form
+        (_canonical): the unit S_e / p^t prime to p, t the valuation of
+        S_e mod p^(A_e), or the zero O(p^(A_e)).  PadicRational add and
+        mul are canonical in (value mod p^A, A), so this is exactly the
+        sum of the pairwise PadicRational products.  The zeros the series
+        absprec covers are dropped, as the validating constructor would.
         Output monomials come in first-hit order of the pair loop, the
-        shorter operand outermost."""
+        shorter operand outermost.  The operands are read into int terms
+        (a square reads its operand once), multiplied, and the product's
+        PadicRationals built once, unchecked."""
         if isinstance(other, (int, PadicRational)):
             return self.scale(other)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         cap = self.ctx.M if cap is None else min(cap, self.ctx.M)
-        mva, mvb = self.min_valuation(), o.min_valuation()
-        t1 = None if (self.absprec is None or mvb is _INF) else self.absprec + mvb
-        t2 = None if (o.absprec is None or mva is _INF) else o.absprec + mva
-        absp = _minp(t1, t2)
-        a, b = (self, o) if len(self.coeffs) <= len(o.coeffs) else (o, self)
-        p, base = self.ctx.p, cap + 1
-        weights = [base ** i for i in range(len(self.vars))]
-        ta, sa = _int_terms(a.coeffs, cap, weights, p)
-        tb, sb = _int_terms(b.coeffs, cap, weights, p)
-        fitting: dict = {}  # room -> the terms of tb of degree <= room, in order
-        acc: dict = {}  # packed key -> [sum, A, exponents of its first pair]
-        for k1, d1, x1, v1, A1, e1 in ta:
-            room = cap - d1
-            partners = fitting.get(room)
-            if partners is None:
-                partners = fitting[room] = [t for t in tb if t[1] <= room]
-            for k2, _, x2, v2, A2, e2 in partners:
-                k = k1 + k2
-                prec = A1 + v2
-                if v1 + A2 < prec:
-                    prec = v1 + A2
-                entry = acc.get(k)
-                if entry is None:
-                    acc[k] = [x1 * x2, prec, e1, e2]
-                else:
-                    entry[0] += x1 * x2
-                    if prec < entry[1]:
-                        entry[1] = prec
-        ctx, s = self.ctx, sa + sb
-        top = max((A for total, A, _, _ in acc.values() if total), default=s) - s
-        scaled = _scaled_padic(ctx, s, top)
-        keep = _INF if absp is None else absp  # a zero O(p^A) stays if A < keep
-        out = {tuple(map(add, e1, e2)): c for total, A, e1, e2 in acc.values()
-               if (c := scaled(total, A)).unit or A < keep}
-        return _series(ctx, self.vars, out, absp)
+        a = _int_terms(self, cap)
+        b = a if o is self else _int_terms(o, cap)
+        return _build(self.ctx, self.vars, _mul_terms(self.ctx, a, b, cap), cap)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int, cap=None):
+        """self^n truncated at cap, as repeated squaring on __mul__ would
+        give it; for n >= 2 the squarings and products run on int terms
+        (_power_terms) and only the result's PadicRationals are built."""
         if n < 0:
             return self.inverse() ** (-n)
-        cap = self.ctx.M if cap is None else min(cap, self.ctx.M)
-        md = self.min_degree()
         if n == 0:
             return TruncatedSeries.const(self.ctx, self.vars, 1)
+        cap = self.ctx.M if cap is None else min(cap, self.ctx.M)
+        if n == 1 and self.min_degree() <= cap:
+            return self
+        return _build(self.ctx, self.vars, self._power_terms(n, cap), cap)
+
+    def _power_terms(self, n: int, cap: int):
+        """self^n (n >= 1) at cap as int terms.  A power of terms all above
+        the cap is the zero with self's absprec, and a power of a single
+        stored term with no series absprec an exponent shift,
+        c^n t^(n e), as the products would give them."""
+        md = self.min_degree()
         if md is not _INF and md * n > cap:
-            return TruncatedSeries.zero(self.ctx, self.vars,
-                                        _addp(self.absprec, 0))
+            return _canonical(self.ctx, {}, 0, self.absprec)
         if len(self.coeffs) == 1 and self.absprec is None:
-            # (c t^e)^n = c^n t^(n e), as the products would give it
             (e, c), = self.coeffs.items()
-            return _series(self.ctx, self.vars,
-                           {tuple(n * x for x in e): c ** n}, None)
+            return _int_terms(_series(self.ctx, self.vars,
+                                      {tuple(n * x for x in e): c ** n}, None), cap)
         r = None
-        b = self
-        k = n
-        while k:
-            if k & 1:
-                r = b if r is None else r.__mul__(b, cap)
-            k >>= 1
-            if k:
-                b = b.__mul__(b, cap)
+        b = _int_terms(self, cap)
+        while n:
+            if n & 1:
+                r = b if r is None else _mul_terms(self.ctx, r, b, cap)
+            n >>= 1
+            if n:
+                b = _mul_terms(self.ctx, b, b, cap)
         return r
 
     def inverse(self, cap=None) -> "TruncatedSeries":
@@ -450,7 +499,7 @@ class TruncatedSeries:
                 A = v
         s = min((v for _, v in terms), default=A)
         total = sum(u * p ** (v - s) for u, v in terms)
-        return _scaled_padic(ctx, s, A - s)(total, A)
+        return _scaled_padic(ctx, s, total, A)
 
     # -- calculus (univariate) --------------------------------------------
 
@@ -479,8 +528,11 @@ class TruncatedSeries:
 
     def compose(self, args: list, cap=None) -> "TruncatedSeries":
         """Substitute args[i] for self.vars[i]; every argument must share
-        one variable tuple and have zero constant term.  Each power
-        args[i]^k that the Horner steps need is computed once per call."""
+        one variable tuple and have zero constant term.  Recursive Horner
+        on int terms: each argument is read once and each power args[i]^k
+        that the steps need is computed once per call (_power_terms),
+        each step acc * arg^k + g is _mul_terms then _add_terms, and only
+        the result's PadicRationals are built."""
         if len(args) != len(self.vars):
             raise VariableMismatch("one argument per variable required")
         tgt = args[0].vars
@@ -491,24 +543,17 @@ class TruncatedSeries:
                 raise NonzeroConstantTerm("composition argument has constant term")
         tctx = args[0].ctx
         cap = tctx.M if cap is None else min(cap, tctx.M)
-        return self._compose_rec(list(range(len(self.vars))), args, {}, tgt,
-                                 tctx, cap)
+        return _build(tctx, tgt, self._compose_rec(
+            list(range(len(self.vars))), args, {}, tctx, cap), cap)
 
-    def _compose_rec(self, active, args, powers, tgt, tctx, cap):
-        """Horner in the last variable of `active` that self uses;
-        `powers` maps (argument index, k) to args[index]^k at this cap."""
-        zero = TruncatedSeries.zero(tctx, tgt, self.absprec)
-        if not self.coeffs:
-            return zero
-        # find last variable actually used
-        used = None
-        for i in reversed(active):
-            if any(e[i] for e in self.coeffs):
-                used = i
-                break
-        if used is None:
-            c = self.get(tuple(0 for _ in self.vars))
-            return TruncatedSeries.const(tctx, tgt, c) + zero
+    def _compose_rec(self, active, args, powers, tctx, cap):
+        """Horner in the last variable of `active` that self uses, as int
+        terms; `powers` maps (argument index, k) to args[index]^k at this
+        cap."""
+        used = next((i for i in reversed(active)
+                     if any(e[i] for e in self.coeffs)), None)
+        if used is None:  # the constant term, if any, is read as it stands
+            return _int_terms(self, cap)
         # group by exponent of var `used`
         groups: dict[int, dict] = {}
         for e, c in self.coeffs.items():
@@ -520,24 +565,21 @@ class TruncatedSeries:
         rest = [i for i in active if i != used]
 
         def power(k):
-            if k == 1:
-                return arg
             pw = powers.get((used, k))
             if pw is None:
-                pw = powers[(used, k)] = arg.__pow__(k, cap)
+                pw = powers[(used, k)] = (
+                    _int_terms(arg, cap) if k == 1 else arg._power_terms(k, cap))
             return pw
 
         acc = None
         for k in sorted(groups, reverse=True):
             g = _series(self.ctx, self.vars, groups[k], self.absprec)
-            gval = g._compose_rec(rest, args, powers, tgt, tctx, cap)
-            if acc is None:
-                acc = gval
-            else:
-                acc = acc.__mul__(power(prev_k - k), cap) + gval
+            gval = g._compose_rec(rest, args, powers, tctx, cap)
+            acc = gval if acc is None else _add_terms(
+                tctx, _mul_terms(tctx, acc, power(prev_k - k), cap), gval)
             prev_k = k
         if prev_k > 0:
-            acc = acc.__mul__(power(prev_k), cap)
+            acc = _mul_terms(tctx, acc, power(prev_k), cap)
         return acc
 
     def reversion(self) -> "TruncatedSeries":

@@ -276,6 +276,9 @@ def check_delta_axioms(ctx: Context, samples: int = 500, seed: int = 0) -> Delta
     (ii)  delta(x+y) = delta(x) + delta(y) + C_p(x, y)
     (iii) delta(xy)  = x^p delta(y) + y^p delta(x) + p delta(x) delta(y)
     """
+    if samples < 1:
+        raise ArithJetError(f"samples = {samples}: axioms (ii) and (iii) "
+                            "need at least one pair")
     import random
     rng = random.Random(seed)
     rep = DeltaAxiomReport(samples=samples, precision=ctx.N - 1)

@@ -2,7 +2,8 @@
 
 The reference implementations below are the straightforward versions: the
 per-pair PadicRational product loop of TruncatedSeries (and repeated
-squaring on it for powers), its per-term PadicRational evaluation loop,
+squaring on it for powers), Horner composition stepping on PadicRational
+series, its per-term PadicRational evaluation loop,
 the one-degree-at-a-time reversion loop, the O(deg^2) coefficient
 recurrences for w(t) and the elliptic logarithm, the PadicRational
 division (-1)^(k+1)/k for the log of G_m, and the kernel log projection
@@ -49,13 +50,18 @@ from arithjet.formalgroup import (
     ELLIPTIC, MULTIPLICATIVE, FormalGroupLaw, WeierstrassCurve, _chord,
     _w_coefficients, elliptic_log_coefficients, formal_group_from_curve,
 )
-from arithjet.errors import IdentityViolation, PrecisionExhausted
+from arithjet.errors import (
+    ArithJetError, IdentityViolation, NonzeroConstantTerm, PrecisionExhausted,
+    VariableMismatch,
+)
 from arithjet.ghost import ghost_solve
 from arithjet.linalg import kernel_lattice, lattice_exponents
 from arithjet.jet import (
-    ghost_series, lateral_frobenius_map, n1_group, psi1_series,
+    ghost_series, jet_group_law, jet_variables, lateral_frobenius_map,
+    n1_group, psi1_series,
 )
 from arithjet.padic import PadicRational
+from arithjet import series as series_module
 from arithjet.series import TruncatedSeries, _INF, _minp
 
 # -- reference implementations ------------------------------------------------
@@ -98,6 +104,61 @@ def reference_evaluate(f: TruncatedSeries, values: dict) -> PadicRational:
                 term = term * values[name] ** k
         total = total + term
     return total
+
+
+def reference_compose(f: TruncatedSeries, args: list, cap=None):
+    """f(args) by recursive Horner on PadicRational series: each step
+    acc * arg^k + g a reference_mul and a series sum, each power arg^k
+    (k >= 2) by reference_pow, once per call, or the zero with arg's
+    absprec when every term of arg^k passes the cap."""
+    if len(args) != len(f.vars):
+        raise VariableMismatch("one argument per variable required")
+    tgt = args[0].vars
+    for a in args:
+        if a.vars != tgt:
+            raise VariableMismatch("composition arguments on mixed variables")
+        if not a.constant_term().is_zero():
+            raise NonzeroConstantTerm("composition argument has constant term")
+    tctx = args[0].ctx
+    cap = tctx.M if cap is None else min(cap, tctx.M)
+    powers = {}
+
+    def power(i, k):
+        if k == 1:
+            return args[i]
+        if (i, k) not in powers:
+            md = args[i].min_degree()
+            powers[(i, k)] = (
+                TruncatedSeries.zero(tctx, tgt, args[i].absprec)
+                if md is not _INF and md * k > cap
+                else reference_pow(args[i], k, cap))
+        return powers[(i, k)]
+
+    def rec(g: TruncatedSeries, active):
+        zero = TruncatedSeries.zero(tctx, tgt, g.absprec)
+        if not g.coeffs:
+            return zero
+        used = next((i for i in reversed(active)
+                     if any(e[i] for e in g.coeffs)), None)
+        if used is None:
+            c = g.get(tuple(0 for _ in g.vars))
+            return TruncatedSeries.const(tctx, tgt, c) + zero
+        groups: dict = {}
+        for e, c in g.coeffs.items():
+            groups.setdefault(e[used], {})[
+                tuple(0 if j == used else x for j, x in enumerate(e))] = c
+        rest = [i for i in active if i != used]
+        acc = None
+        for k in sorted(groups, reverse=True):
+            gval = rec(TruncatedSeries(g.ctx, g.vars, groups[k], g.absprec), rest)
+            acc = gval if acc is None else (
+                reference_mul(acc, power(used, prev_k - k), cap) + gval)
+            prev_k = k
+        if prev_k > 0:
+            acc = reference_mul(acc, power(used, prev_k), cap)
+        return acc
+
+    return rec(f, list(range(len(f.vars))))
 
 
 def reference_reversion(f: TruncatedSeries) -> TruncatedSeries:
@@ -811,6 +872,146 @@ def test_compose_matches_sum_of_products():
     assert sorted(got.coeffs) == sorted(want.coeffs)
     assert {e: (c.unit, c.val, c.rel) for e, c in got.coeffs.items()} == \
         {e: (c.unit, c.val, c.rel) for e, c in want.coeffs.items()}
+
+
+def outcome(run):
+    """shape() of run(), or the type of the ArithJetError it raises."""
+    try:
+        return shape(run())
+    except ArithJetError as e:
+        return type(e)
+
+
+@st.composite
+def spaced_series(draw, ctx, variables, gap, max_terms, constant=True):
+    """Up to max_terms terms whose exponents are mostly multiples of gap,
+    O(p^w) zeros and negative valuations among them, with absprec None
+    or set; a constant term only if `constant`."""
+    exponent = st.one_of(st.integers(0, ctx.M // gap).map(lambda k: k * gap),
+                         st.integers(0, ctx.M))
+    keys = draw(st.lists(st.tuples(*[exponent] * len(variables)).filter(
+        lambda e: sum(e) <= ctx.M and (constant or sum(e) > 0)),
+        max_size=max_terms, unique=True))
+    coeffs = {e: draw(coefficient(ctx)) for e in keys}
+    absprec = draw(st.one_of(st.none(), st.integers(-2, 12)))
+    return TruncatedSeries(ctx, variables, coeffs, absprec)
+
+
+@st.composite
+def compose_case(draw):
+    """f on 1-3 variables with exponent gaps of 2-3, so that Horner takes
+    powers, and 1-3 variable arguments up to degree M, so that a cap below
+    M leaves argument terms above it; now and then an argument has a
+    constant term, which compose refuses."""
+    ctx = Context(p=draw(st.sampled_from([3, 5, 7])), N=draw(st.integers(2, 8)),
+                  M=draw(st.integers(2, 9)))
+    fv = tuple(f"x{i}" for i in range(draw(st.integers(1, 3))))
+    tv = tuple(f"t{i}" for i in range(draw(st.integers(1, 3))))
+    f = draw(spaced_series(ctx, fv, draw(st.integers(2, 3)), 12))
+    args = [draw(spaced_series(ctx, tv, 1, 5, constant=draw(
+        st.integers(0, 19)) == 0)) for _ in fv]
+    return f, args, draw(st.one_of(st.none(), st.integers(0, ctx.M)))
+
+
+def fixed_compose_case():
+    # cap 3 < M: the arguments' degree-4 and -5 terms lie above it, and
+    # still count in the products' claims and operand order
+    ctx = Context(p=5, N=6, M=8)
+    v = ("s", "t")
+    f = TruncatedSeries(ctx, ("x", "y"), {
+        (0, 0): 3, (2, 0): PadicRational(ctx, 7, -1, 3), (0, 2): 2,
+        (2, 2): PadicRational.zero(ctx, 1), (3, 0): 4}, 5)
+    a = TruncatedSeries(ctx, v, {(1, 0): 1, (0, 4): PadicRational(ctx, 2, -3, 2),
+                                 (5, 0): PadicRational.zero(ctx, -2)})
+    b = TruncatedSeries(ctx, v, {(0, 1): PadicRational(ctx, 3, 1, 4),
+                                 (1, 1): 1, (4, 0): 6}, 3)
+    return f, [a, b], 3
+
+
+def fixed_operand_order_case():
+    # 2x + 8x^2 at s t^3 + ..., cap 3: acc = 8a + 2 has three terms and a
+    # three stored, one above the cap; the product takes acc outermost
+    ctx = Context(p=5, N=6, M=4)
+    v = ("s", "t")
+    f = TruncatedSeries(ctx, ("x", "y"), {(1, 0): 2, (2, 0): 8})
+    a = TruncatedSeries(ctx, v, {(1, 3): 7, (3, 0): 9, (1, 0): 3})
+    b = TruncatedSeries(ctx, v, {(0, 1): 1, (1, 1): 2})
+    return f, [a, b], 3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(compose_case())
+@example(fixed_compose_case())
+@example(fixed_operand_order_case())
+def test_compose_matches_the_stepwise_horner(args):
+    # Horner on int terms against Horner on PadicRational series: the
+    # same monomials in the same order, triples, absprec and errors
+    f, fargs, cap = args
+    assert outcome(lambda: f.compose(fargs, cap)) == \
+        outcome(lambda: reference_compose(f, fargs, cap))
+
+
+@st.composite
+def power_case(draw):
+    """A series with a term of degree <= cap / n, so that the power is not
+    cut to zero, and more than one stored term or a series absprec: the
+    square-and-multiply branch."""
+    ctx, variables = draw(context_and_variables())
+    n = draw(st.integers(2, 6))
+    cap = draw(st.one_of(st.none(), st.integers(0, ctx.M)))
+    c = ctx.M if cap is None else cap
+    f = draw(series(ctx, variables))
+    low = (draw(st.integers(0, int(n <= c))),) + (0,) * (len(variables) - 1)
+    f = TruncatedSeries(ctx, variables, {**f.coeffs, low: draw(coefficient(ctx))},
+                        f.absprec)
+    assume(f.min_degree() * n <= c)
+    assume(len(f.coeffs) > 1 or f.absprec is not None)
+    return f, n, cap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(power_case())
+def test_power_matches_repeated_squaring(args):
+    f, n, cap = args
+    assert shape(f.__pow__(n, cap)) == shape(reference_pow(f, n, cap))
+
+
+def test_compose_and_power_build_each_output_value_once(monkeypatch):
+    # Horner steps and squarings stay on int terms: the level-1 jet ghost
+    # of y^2=x^3+x+1 and ghost_solve's c^5 at (5, 8, 22) build exactly
+    # one PadicRational per output coefficient
+    ctx = Context(p=5, N=8, M=22)
+    F = formal_group_from_curve(WeierstrassCurve(0, 0, 0, 1, 1, ctx))
+    xs, ys = jet_variables(2)
+    w = [ghost_series(ctx, xs + ys, names, 1) for names in (xs, ys)]
+    c = jet_group_law(F, 2).law[1]
+    built = []
+    real = series_module._padic
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series_module, "_padic", counted)
+    for run in (lambda: F.law.compose(w), lambda: c ** 5):
+        del built[:]
+        out = run()
+        assert len(built) == len(out.coeffs) > 0
+
+
+def test_a_square_reads_its_operand_once(monkeypatch):
+    ctx = Context(p=5, N=6, M=10)
+    f = TruncatedSeries(ctx, ("x", "y"), {(1, 0): 2, (0, 1): 3, (1, 1): 7})
+    reads = []
+    real = series_module._int_terms
+
+    def counted(g, *args):
+        reads.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(series_module, "_int_terms", counted)
+    assert shape(f * f) == shape(reference_mul(f, f))
+    assert reads == [f]
 
 
 def exact_reversion(f: list[Fraction]) -> list[Fraction]:

@@ -222,7 +222,7 @@ def test_trusted_producers_match_the_validating_constructor(args, k, e):
 def test_scaled_padic_matches_the_validating_constructor(p, s, d, n, t):
     ctx = Context(p=p, N=6)
     total, A = n * p ** t, s + d
-    got = _scaled_padic(ctx, s, max(d, 0))(total, A)
+    got = _scaled_padic(ctx, s, total, A)
     assert fields(got) == fields(validated(ctx, total, s, A))
 
 def test_context_validation():

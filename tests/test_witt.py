@@ -211,6 +211,13 @@ def test_check_delta_axioms_clean(ctx5):
     assert rep.precision == ctx5.N - 1
 
 
+def test_check_delta_axioms_needs_a_sample(ctx5):
+    # with no sampled pair only axiom (i) would be checked, and reported ok
+    for samples in (0, -3):
+        with pytest.raises(ArithJetError, match="samples"):
+            check_delta_axioms(ctx5, samples=samples)
+
+
 def test_witt_polynomial_helper():
     w2 = witt_polynomial(5, 2, ("X0", "X1", "X2"))
     env = {"X0": 2, "X1": 1, "X2": 3}
