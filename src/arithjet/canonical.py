@@ -23,9 +23,6 @@ so it is computed here from honest moduli data:
   precision means non-CL, a zero one means CL when it holds to
   max(N-3, 2) digits (one never decides: j(E/C) = j(E) mod p), and a
   shorter zero raises PrecisionExhausted.
-
-Monsky-Washnitzer cohomology is never consulted here, so the crystalline
-comparison stays an independent cross-check of the same bit.
 """
 
 from dataclasses import dataclass

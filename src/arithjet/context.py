@@ -39,7 +39,7 @@ class Context:
     def __post_init__(self):
         for name in ("p", "N", "M"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ArithJetError(f"{name} = {value!r} is not an int")
         if not _is_prime(self.p):
             raise ArithJetError(f"p = {self.p} is not prime")

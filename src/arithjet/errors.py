@@ -1,8 +1,10 @@
 """Exception hierarchy for the toolkit.
 
-Arithmetic raises rather than returning sentinel values; verification
-routines never raise on a failed identity (failures become report entries)
-but do raise on budget problems (PrecisionExhausted, AmbiguousRank).
+Arithmetic raises rather than returning sentinel values.  The verify_*
+functions and witt.check_delta_axioms report a failed identity as an
+entry of their report and raise only on budget problems
+(PrecisionExhausted, AmbiguousRank); analyze_group raises on a failed
+identity (IdentityViolation), so it never returns a wrong isocrystal.
 """
 
 

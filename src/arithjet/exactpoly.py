@@ -105,6 +105,8 @@ class ExactPoly:
     def __eq__(self, other):
         if isinstance(other, int):
             other = ExactPoly.const(self.vars, other)
+        if not isinstance(other, ExactPoly):
+            return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
     __hash__ = None

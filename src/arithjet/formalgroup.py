@@ -19,8 +19,9 @@ law is computed lazily (the character solver only consumes the
 logarithm).
 
 Point counts over F_p are exhaustive (one quadratic per x), made once per
-curve (WeierstrassCurve.invariants), giving the trace a_p used by the
-crystalline cross-checks.
+curve (WeierstrassCurve.invariants), giving the trace a_p that
+characters.check_point_count and characters._honda_character read, and
+the ordinarity that canonical_lift_test checks its own against.
 """
 
 from dataclasses import dataclass
@@ -66,7 +67,7 @@ class WeierstrassCurve:
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ArithJetError(f"coefficient {name} = {value!r} is not an int")
         if self.discriminant % self.ctx.p == 0:
             raise BadReduction(
@@ -186,18 +187,21 @@ class FormalGroupLaw:
         return cls(ctx, KERNEL, lambda: law, log=log)
 
 
+def _log_coefficient(ctx: Context, P: int, j: int, digits: int) -> PadicRational:
+    """b_j = P_(j-1)/j for the integer P = P_(j-1) known mod p^digits: for
+    j = u p^v, P u^(-1) mod p^digits over p^v."""
+    v = vp(j, ctx.p)
+    mod = ctx.pk(digits)
+    return PadicRational(ctx, P * pow(j // ctx.pk(v), -1, mod), -v, digits)
+
+
 def multiplicative_log_coefficients(ctx: Context,
                                     indices) -> dict[int, PadicRational]:
     """{k: b_k} for k in `indices`, b_k = (-1)^(k+1)/k the coefficients of
-    log(1 + t).  For k = u p^v, b_k is +-u^(-1) mod p^N over p^v: the
-    triple that PadicRational division of +-1 by k gives."""
-    p, mod = ctx.p, ctx.pk(ctx.N)
-    out = {}
-    for k in indices:
-        v = vp(k, p)
-        u = pow(k // ctx.pk(v), -1, mod)
-        out[k] = PadicRational(ctx, u if k % 2 else -u, -v, ctx.N)
-    return out
+    log(1 + t), i.e. P_(k-1) = (-1)^(k-1): the triple that PadicRational
+    division of +-1 by k gives."""
+    return {k: _log_coefficient(ctx, 1 if k % 2 else -1, k, ctx.N)
+            for k in indices}
 
 
 def _w_coefficients(E: WeierstrassCurve, deg: int,
@@ -279,15 +283,7 @@ def elliptic_log_coefficients(E: WeierstrassCurve, indices,
         digits = ctx.N + j
     mod = ctx.pk(digits)
     _, P = _w_coefficients(E, max(deg - 1, 0), mod=mod)
-    out = {}
-    for j in indices:
-        # b_j = P_(j-1)/j = (P_(j-1)/p^v) * u^(-1) for j = u p^v
-        v = vp(j, ctx.p)
-        b = PadicRational(ctx, P[j - 1], -v, digits)
-        if b.unit:
-            b = b * PadicRational(ctx, pow(j // ctx.pk(v), -1, mod), 0, digits)
-        out[j] = b
-    return out
+    return {j: _log_coefficient(ctx, P[j - 1], j, digits) for j in indices}
 
 
 def _chord(E: WeierstrassCurve) -> tuple[TruncatedSeries, TruncatedSeries]:

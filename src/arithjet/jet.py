@@ -248,8 +248,6 @@ class JetIdentityReport:
         return all(c.passed for c in self.checks)
 
     def add(self, name, resid, threshold, note=""):
-        if resid is None:
-            resid = _INF
         self.checks.append(JetCheck(name, resid, threshold, note))
 
 

@@ -24,6 +24,21 @@ def _vp_mod(x: int, p: int, K: int):
     return vp(x, p)
 
 
+def _shear(cols, piv, pv, s, entries, p: int, K: int) -> None:
+    """Clear one row against its pivot, in place: for each (j, v) in
+    entries, v column j's entry in the row (divisible by p^s), subtract
+    from column j f times the pivot column cols[piv], whose entry is
+    pv = unit * p^s, with f = (v / p^s) / unit mod p^(K - s); entries stay
+    mod p^K.  Column operations keep the lattice."""
+    mod, ps, mod_s = p ** K, p ** s, p ** (K - s)
+    pu_inv = pow(pv // ps, -1, mod_s)
+    bp = cols[piv]
+    for j, v in entries:
+        f = v // ps * pu_inv % mod_s
+        if f and j != piv:
+            cols[j] = [(a - f * b) % mod for a, b in zip(cols[j], bp)]
+
+
 def kernel_lattice(rows, ncols: int, p: int, m: int, K: int):
     """Basis of {u : row . u = 0 mod p^m for every row}, entries mod p^K.
 
@@ -53,19 +68,7 @@ def kernel_lattice(rows, ncols: int, p: int, m: int, K: int):
                 piv, pivval = j, s
         if piv is None:
             continue
-        pv = vals[piv]
-        pu = pv // p ** pivval
-        pu_inv = pow(pu, -1, p ** (K - pivval))
-        for j in range(ncols):
-            if j == piv:
-                continue
-            s = _vp_mod(vals[j], p, K)
-            if s is None:
-                continue
-            f = ((vals[j] // p ** pivval) * pu_inv) % (p ** (K - pivval))
-            if f:
-                bj, bp = basis[j], basis[piv]
-                basis[j] = [(a - f * b) % mod for a, b in zip(bj, bp)]
+        _shear(basis, piv, vals[piv], pivval, enumerate(vals), p, K)
         basis[piv] = [(p ** (m - pivval) * a) % mod for a in basis[piv]]
     return basis
 
@@ -98,17 +101,8 @@ def lattice_exponents(basis_cols, p: int, K: int):
             break
         s, jp, rp = best
         pivcol = cols[jp]
-        pu = pivcol[rp] // p ** s
-        pu_inv = pow(pu, -1, p ** (K - s))
-        for j in remaining:
-            if j == jp:
-                continue
-            v = cols[j][rp] % p ** K
-            if v == 0:
-                continue
-            f = ((v // p ** s) * pu_inv) % (p ** (K - s))
-            if f:
-                cols[j] = [(a - f * b) % p ** K for a, b in zip(cols[j], pivcol)]
+        _shear(cols, jp, pivcol[rp], s, ((j, cols[j][rp]) for j in remaining),
+               p, K)
         out.append((s, pivcol))
         done_rows.add(rp)
         remaining.remove(jp)

@@ -139,9 +139,7 @@ class PadicRational:
                 return _padic(a.ctx, 0, absp, 0)
             rel = absp - a.val
             return _padic(a.ctx, a.unit % a.ctx.pk(rel), a.val, rel)
-        m = min(a.val, b.val)
-        if absp <= m:
-            return _padic(a.ctx, 0, absp, 0)
+        m = min(a.val, b.val)  # absp > m: each absprec exceeds its val
         pk = a.ctx.pk
         s = (a.unit * pk(a.val - m) + b.unit * pk(b.val - m)) % pk(absp - m)
         if s == 0:
@@ -170,11 +168,7 @@ class PadicRational:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.is_zero() or o.is_zero():
-            # O(p^A) * (u p^v + O(..)) = O(p^(A+v))
-            av = self.val if self.is_zero() else self.valuation()
-            bv = o.val if o.is_zero() else o.valuation()
-            return _padic(self.ctx, 0, av + bv, 0)
+        # a zero has rel 0: O(p^A) * (u p^v + O(..)) = O(p^(A+v))
         rel = min(self.rel, o.rel)
         return _padic(self.ctx, self.unit * o.unit % self.ctx.pk(rel),
                       self.val + o.val, rel)
@@ -195,6 +189,8 @@ class PadicRational:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return o * self.inverse()
 
     def __pow__(self, e: int):
@@ -209,8 +205,6 @@ class PadicRational:
 
     def shift(self, k: int) -> "PadicRational":
         """Multiply by p^k (exact valuation shift)."""
-        if self.is_zero():
-            return _padic(self.ctx, 0, self.val + k, 0)
         return _padic(self.ctx, self.unit, self.val + k, self.rel)
 
     # -- comparison / rendering -----------------------------------------

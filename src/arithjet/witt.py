@@ -124,6 +124,8 @@ class WittVector:
         return len(self.components) - 1
 
     def __eq__(self, other):
+        if not isinstance(other, WittVector):
+            return NotImplemented
         return (len(self) == len(other)
                 and all(a == b for a, b in zip(self.components, other.components)))
 
@@ -142,26 +144,24 @@ class WittVector:
 
     # -- arithmetic via universal polynomials -----------------------------
 
-    def _binary(self, other, which):
-        self._chk(other)
-        sp = structure_polynomials(self.ctx, self.level)
-        env = {}
-        for i, (a, b) in enumerate(zip(self.components, other.components)):
-            env[f"X{i}"] = a
-            env[f"Y{i}"] = b
-        polys = sp.S if which == "add" else sp.P
+    def _apply(self, name, other=None):
+        """The structure polynomials sp.<name> at X_i = the components (and
+        Y_i = other's components)."""
+        env = {f"X{i}": a for i, a in enumerate(self.components)}
+        if other is not None:
+            self._chk(other)
+            env.update((f"Y{i}", b) for i, b in enumerate(other.components))
+        polys = getattr(structure_polynomials(self.ctx, self.level), name)
         return WittVector(self.ctx, [q.substitute(env) for q in polys])
 
     def __add__(self, other):
-        return self._binary(other, "add")
+        return self._apply("S", other)
 
     def __mul__(self, other):
-        return self._binary(other, "mul")
+        return self._apply("P", other)
 
     def __neg__(self):
-        sp = structure_polynomials(self.ctx, self.level)
-        env = {f"X{i}": a for i, a in enumerate(self.components)}
-        return WittVector(self.ctx, [q.substitute(env) for q in sp.Neg])
+        return self._apply("Neg")
 
     def __sub__(self, other):
         return self + (-other)
@@ -169,9 +169,7 @@ class WittVector:
     def frobenius(self) -> "WittVector":
         if len(self) < 2:
             raise LengthTooShort("Frobenius needs length >= 2")
-        sp = structure_polynomials(self.ctx, self.level)
-        env = {f"X{i}": a for i, a in enumerate(self.components)}
-        return WittVector(self.ctx, [q.substitute(env) for q in sp.Frob])
+        return self._apply("Frob")
 
     def truncate(self) -> "WittVector":
         if len(self) < 2:

@@ -83,6 +83,11 @@ def test_curve_takes_only_integer_coefficients(ctx):
     assert not isinstance(err.value, BadReduction)
     with pytest.raises(ArithJetError, match="a6"):
         curve(ctx, 1, 1.0)
+    # a bool is an int subclass, and a4 = True was accepted as 1
+    with pytest.raises(ArithJetError, match="a4 = True"):
+        curve(ctx, True, 1)
+    with pytest.raises(ArithJetError, match="a1 = False"):
+        WeierstrassCurve(False, 0, 0, 1, 1, ctx)
 
 
 def test_good_curves_accepted(ctx):

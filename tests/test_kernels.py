@@ -29,7 +29,11 @@ arithjet.characters.f_star, which must agree with it to the compose's
 claim.  The character solver's rows, the x0^j coefficients of the log
 projections read from the univariate log, give the Smith exponents of the
 reference's rows: every monomial of the multivariate log projections to
-degree M, and the deep x0 tower.
+degree M, and the deep x0 tower.  Each log coefficient b_j = P_(j-1)/j,
+one validating PadicRational, agrees in (unit, val, rel) with the two
+values multiplied that it replaced, and with +-u^(-1) over p^v for G_m.
+kernel_lattice and lattice_exponents agree with their loops with the
+clearing step written out: the same bases and (exponent, column) lists.
 """
 
 import random
@@ -49,6 +53,7 @@ from arithjet.characters import (
 from arithjet.formalgroup import (
     ELLIPTIC, MULTIPLICATIVE, FormalGroupLaw, WeierstrassCurve, _chord,
     _w_coefficients, elliptic_log_coefficients, formal_group_from_curve,
+    multiplicative_log_coefficients,
 )
 from arithjet.errors import (
     ArithJetError, IdentityViolation, NonzeroConstantTerm, PrecisionExhausted,
@@ -60,7 +65,7 @@ from arithjet.jet import (
     ghost_series, jet_group_law, jet_variables, lateral_frobenius_map,
     n1_group, psi1_series,
 )
-from arithjet.padic import PadicRational
+from arithjet.padic import PadicRational, vp
 from arithjet import series as series_module
 from arithjet.series import TruncatedSeries, _INF, _minp
 
@@ -748,6 +753,60 @@ def test_deep_log_is_built_at_the_indices_the_solver_reads(p, kind, a4, a6):
     assert deep_log_coefficients(F) is bs  # kept in F.deep_log_cache
 
 
+def reference_log_coefficients(ctx: Context, P: list[int], indices,
+                               digits: int) -> dict[int, PadicRational]:
+    """{j: b_j} as two values multiplied: P_(j-1) over p^v, times u^(-1)
+    when that is nonzero, for j = u p^v."""
+    mod = ctx.pk(digits)
+    out = {}
+    for j in indices:
+        v = vp(j, ctx.p)
+        b = PadicRational(ctx, P[j - 1], -v, digits)
+        if b.unit:
+            b = b * PadicRational(ctx, pow(j // ctx.pk(v), -1, mod), 0, digits)
+        out[j] = b
+    return out
+
+
+def reference_multiplicative_log_coefficients(ctx: Context, indices):
+    """{k: b_k} of log(1 + t), +-u^(-1) mod p^N over p^v for k = u p^v."""
+    mod = ctx.pk(ctx.N)
+    out = {}
+    for k in indices:
+        v = vp(k, ctx.p)
+        u = pow(k // ctx.pk(v), -1, mod)
+        out[k] = PadicRational(ctx, u if k % 2 else -u, -v, ctx.N)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_multiplicative_log_matches_the_unit_inverse_formula(p):
+    ctx = Context(p=p, N=8, M=12)
+    got = multiplicative_log_coefficients(ctx, range(1, 3126))
+    want = reference_multiplicative_log_coefficients(ctx, range(1, 3126))
+    assert list(got) == list(want)
+    assert triples(got.values()) == triples(want.values())
+
+
+@pytest.mark.parametrize("p, a, deg, extra", [
+    (5, (0, 0, 0, 1, 1), 3125, None), (5, (0, 0, 0, -1, 0), 400, 12),
+    (7, (0, 0, 0, 2, 3), 343, None),
+    (LONG_CURVES[0][0], LONG_CURVES[0][1], 300, None),
+    (LONG_CURVES[1][0], LONG_CURVES[1][1], 300, 12)])
+def test_elliptic_log_matches_the_two_value_product(p, a, deg, extra):
+    # default digits are N plus the p-power denominators up to deg
+    ctx = Context(p=p, N=8, M=12)
+    E = WeierstrassCurve(*a, ctx=ctx)
+    digits = ctx.N + (extra if extra else next(j for j in range(deg + 1)
+                                               if p ** j >= deg))
+    got = elliptic_log_coefficients(E, range(1, deg + 1),
+                                    None if extra is None else digits)
+    P = _w_coefficients(E, deg - 1, mod=ctx.pk(digits))[1]
+    want = reference_log_coefficients(ctx, P, range(1, deg + 1), digits)
+    assert list(got) == list(want)
+    assert triples(got.values()) == triples(want.values())
+
+
 def test_formal_group_log_agrees_with_series_route():
     # the log of formal_group_from_curve against the series-arithmetic
     # route, to the smaller of the two precision claims at every degree
@@ -1309,3 +1368,111 @@ def test_x0_tower_rows_give_the_monomial_rows_lattice():
             assert all(phi_star(ch).series.is_integral() for ch in lat.basis), \
                 (F.curve, n)
             lower = lat
+
+
+# -- lattice reductions ---------------------------------------------------------
+
+
+def reference_kernel_lattice(rows, ncols: int, p: int, m: int, K: int):
+    """kernel_lattice with the clearing step written out in its loop."""
+    mod = p ** K
+    basis = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    for row in rows:
+        vals = [sum(r * c for r, c in zip(row, col)) % mod for col in basis]
+        piv, pivval = None, None
+        for j, v in enumerate(vals):
+            s = vp(v, p)
+            if s >= m:
+                continue
+            if pivval is None or s < pivval:
+                piv, pivval = j, s
+        if piv is None:
+            continue
+        pu_inv = pow(vals[piv] // p ** pivval, -1, p ** (K - pivval))
+        for j in range(ncols):
+            if j == piv or vals[j] == 0:
+                continue
+            f = ((vals[j] // p ** pivval) * pu_inv) % (p ** (K - pivval))
+            if f:
+                basis[j] = [(a - f * b) % mod for a, b in zip(basis[j], basis[piv])]
+        basis[piv] = [(p ** (m - pivval) * a) % mod for a in basis[piv]]
+    return basis
+
+
+def reference_lattice_exponents(basis_cols, p: int, K: int):
+    """lattice_exponents with the clearing step written out in its loop."""
+    cols = [list(c) for c in basis_cols]
+    nrows = len(cols[0]) if cols else 0
+    done_rows: set[int] = set()
+    out = []
+    remaining = list(range(len(cols)))
+    while remaining:
+        best = None
+        for j in remaining:
+            for r in range(nrows):
+                s = vp(cols[j][r] % p ** K, p)
+                if r not in done_rows and s < K and (best is None or s < best[0]):
+                    best = (s, j, r)
+        if best is None:
+            out.extend((K, cols[j]) for j in remaining)
+            break
+        s, jp, rp = best
+        pivcol = cols[jp]
+        pu_inv = pow(pivcol[rp] // p ** s, -1, p ** (K - s))
+        for j in remaining:
+            v = cols[j][rp] % p ** K
+            if j == jp or v == 0:
+                continue
+            f = ((v // p ** s) * pu_inv) % (p ** (K - s))
+            if f:
+                cols[j] = [(a - f * b) % p ** K for a, b in zip(cols[j], pivcol)]
+        out.append((s, pivcol))
+        done_rows.add(rp)
+        remaining.remove(jp)
+    out.sort(key=lambda t: t[0])
+    return out
+
+
+@st.composite
+def kernel_rows(draw):
+    """(rows, ncols, p, m): up to 8 rows of 1-3 entries u p^v, with zeros,
+    units and entries of valuation at and beyond m, and some entries far
+    above p^m."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    ncols = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.just(0),
+        st.builds(lambda u, v: u * p ** v, st.integers(-p ** (m + 3), p ** (m + 3)),
+                  st.integers(0, m + 1)))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=8))
+    return rows, ncols, p, m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kernel_rows())
+@example(([[5, 0], [0, 25]], 2, 5, 2))
+@example(([[0, 0, 0]], 3, 3, 1))
+def test_kernel_exponents_do_not_depend_on_the_digits_beyond_m(args):
+    # {u : B u = 0 mod p^m} reads B only mod p^m, so every K >= m + 1 gives
+    # the same Smith exponents: the solver runs one K
+    rows, ncols, p, m = args
+    exps = [[s for s, _ in lattice_exponents(
+        kernel_lattice(rows, ncols, p, m, K), p, K)] for K in range(m + 1, m + 5)]
+    assert all(e == exps[0] for e in exps), exps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kernel_rows(), st.integers(0, 3))
+@example(([[5, 0], [0, 25]], 2, 5, 2), 0)
+@example(([[1, 2, 3], [3, 6, 9]], 3, 3, 2), 1)
+def test_lattice_reductions_match_their_written_out_loops(args, extra):
+    # bases and exponent lists identical to the reference loops, on the
+    # kernel basis (reduced mod p^K) and on the raw rows read as columns
+    rows, ncols, p, m = args
+    K = m + extra
+    basis = kernel_lattice(rows, ncols, p, m, K)
+    assert basis == reference_kernel_lattice(rows, ncols, p, m, K)
+    for cols in (basis, rows):
+        assert lattice_exponents(cols, p, K) == reference_lattice_exponents(cols, p, K)

@@ -115,6 +115,18 @@ def test_rational_inverse_and_division():
     assert q == PadicRational.from_int(ctx, 3)
 
 
+def test_foreign_left_operand_of_a_division_is_not_implemented():
+    # "a" / x reached NotImplemented * x.inverse() before it raised
+    ctx = Context(p=5, N=4)
+    x = PadicRational.from_int(ctx, 10)
+    assert x.__rtruediv__("a") is NotImplemented
+    with pytest.raises(TypeError, match="'str' and 'PadicRational'"):
+        "a" / x
+    q = 2 / x
+    assert (q.unit, q.val, q.rel) == (1, -1, 4)  # 2 / (2 * 5) = 5^(-1)
+    assert q == PadicRational.from_int(ctx, 2) * x.inverse()
+
+
 def test_from_int_reads_rel_zero_as_no_digits():
     # rel = 0 claims no relative digits, for zero as for any n: 0 is then
     # O(p^0), as 5 is O(5^1); an absent rel claims N
@@ -237,8 +249,10 @@ def test_context_validation():
 
 
 def test_context_takes_only_int_budgets():
-    # a float budget reached int-only arithmetic before it raised
+    # a float budget reached int-only arithmetic before it raised; a bool
+    # is an int subclass, and M = True constructed
     for kwargs, name in (({"p": 5.0}, "p"), ({"p": 5, "N": 8.0}, "N"),
-                         ({"p": 5, "M": 35.0}, "M")):
+                         ({"p": 5, "M": 35.0}, "M"), ({"p": 5, "M": True}, "M"),
+                         ({"p": 5, "N": True}, "N"), ({"p": True}, "p")):
         with pytest.raises(ArithJetError, match=f"{name} = "):
             Context(**kwargs)

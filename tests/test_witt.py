@@ -94,6 +94,18 @@ def test_truncate_and_verschiebung(ctx5):
     assert WittVector.teichmuller(ctx5, 9, 3).components == (9, 0, 0)
 
 
+def test_equality_with_a_foreign_operand_is_not_implemented(ctx5):
+    # both raised: len() of an int, .vars of a str
+    w = WittVector(ctx5, [1, 2])
+    assert w.__eq__(3) is NotImplemented
+    assert not w == 3 and w != [1, 2]
+    assert w == WittVector(ctx5, [1, 2])
+    X = ExactPoly.variable(("X",), "X")
+    assert X.__eq__("a") is NotImplemented
+    assert not X == "a" and X != 1.5
+    assert ExactPoly.const(("X",), 2) == 2
+
+
 def test_length_errors(ctx5):
     with pytest.raises(LengthMismatch):
         WittVector(ctx5, [1, 2]) + WittVector(ctx5, [1, 2, 3])
