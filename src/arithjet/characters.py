@@ -12,7 +12,8 @@ p-integral.  A DeltaCharacter is its c-vector.  Every character series is
 one c-combination of one table per group: each L_i is built once, on
 (x0..xi), and kept in F.log_projection_cache; log_projections reads it
 extended, and the kernel projections Lbar_j = L_j(0, x1..xj) are the same
-table restricted to x0 = 0.  Only the levels 1 <= i with p^i <= M are
+table restricted to x0 = 0, each restricted once and kept in
+F.kernel_projection_cache.  Only the levels 1 <= i with p^i <= M are
 composed.  L_0 is log_G relabelled to x0, and once p^i > M the x0^(p^i)
 term of w_i falls outside the cap, so L_i = log_G(p w_(i-1)(x1..xi)) is
 L_(i-1) with its variables moved up by one and p-scaled by Witt weight
@@ -134,8 +135,12 @@ def log_projections(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
 
 def kernel_log_projection(F: FormalGroupLaw, j: int, variables) -> TruncatedSeries:
     """Lbar_j = log_G(w_j(0, x1..xj)): the table's L_j with x0 set to 0,
-    viewed in the given kernel variables."""
-    return _log_table(F, j)[j].set_zero(["x0"]).extend(variables)
+    viewed in the given kernel variables.  The restriction, on (x1..xj),
+    is built once per group, in F.kernel_projection_cache."""
+    lbar = F.kernel_projection_cache.get(j)
+    if lbar is None:
+        lbar = F.kernel_projection_cache[j] = _log_table(F, j)[j].set_zero(["x0"])
+    return lbar.extend(variables)
 
 
 def _kernel_vars(m: int) -> tuple[str, ...]:
@@ -318,7 +323,10 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
         avail = min(avail, F.log.absprec - n)
     K = int(min(d + 4, avail + d))
     if K < d + 1:
-        raise PrecisionExhausted(f"only {K} digits available, need > {d}")
+        # here K = avail + d, and avail grows one-for-one with N
+        raise PrecisionExhausted(
+            f"only {K} digits available at (p, N, M) = ({p}, {ctx.N},"
+            f" {ctx.M}), need > {d}; raise N to N >= {ctx.N + d + 1 - K}")
     ints = {j: [0 if x is None else (x.unit * p ** (x.val + d)) % p ** K
                 for x in row] for j, row in rows.items()}
 

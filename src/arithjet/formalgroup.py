@@ -139,6 +139,10 @@ class FormalGroupLaw:
     projections (characters.log_projections); the solver never reads it.
     Each L_i is composed only where 1 <= i and p^i <= M; the others are
     mapped from log or from L_(i-1) (jet.ghost_compose).
+    ``kernel_projection_cache`` holds the kernel projections
+    Lbar_j = L_j(0, x1..xj) built so far, as the dict {j: Lbar_j} on
+    (x1..xj), each restricted from L_j once
+    (characters.kernel_log_projection).
     """
 
     def __init__(self, ctx: Context, kind: str, law_builder, log: TruncatedSeries,
@@ -150,6 +154,7 @@ class FormalGroupLaw:
         self.curve = curve
         self.deep_log_cache: dict[int, PadicRational] = {}
         self.log_projection_cache: list[TruncatedSeries] = []
+        self.kernel_projection_cache: dict[int, TruncatedSeries] = {}
 
     @cached_property
     def law(self) -> TruncatedSeries:

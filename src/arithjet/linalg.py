@@ -118,6 +118,11 @@ def solve_padic(columns, target):
     PadicRational coefficients from valuation-pivoted Gauss-Jordan
     elimination and residual_valuation is the minimum valuation of the
     remaining mismatch (inf if it vanishes at working precision).
+
+    Eliminating column j updates only the later columns and the target,
+    in every row: the pivot search of a later column, xs and the
+    residual read nothing else, so column j and the columns before it are
+    left as they stand.
     """
     k = len(columns)
     nrows = len(target)
@@ -138,15 +143,14 @@ def solve_padic(columns, target):
         piv_rows.append(best)
         pr = rows[best]
         inv = pr[j].inverse()
-        pr = [e * inv for e in pr]
-        rows[best] = pr
+        tail = [e * inv for e in pr[j + 1:]]
+        pr[j + 1:] = tail
         for i in range(nrows):
-            if i == best:
+            row = rows[i]
+            f = row[j]
+            if i == best or f.is_zero():
                 continue
-            f = rows[i][j]
-            if f.is_zero():
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+            row[j + 1:] = [a - f * b for a, b in zip(row[j + 1:], tail)]
     xs = [rows[piv_rows[j]][-1] for j in range(k)]
     resid = _INF
     for i in range(nrows):
@@ -156,4 +160,3 @@ def solve_padic(columns, target):
         if not e.is_zero():
             resid = min(resid, e.valuation())
     return xs, resid
-

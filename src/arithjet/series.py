@@ -38,16 +38,22 @@ only its result.  Whatever the kernel, a coefficient must equal the
 PadicRational sum of the PadicRational pairwise products, value and
 precision alike (see TruncatedSeries.__mul__), and evaluation at a point
 the PadicRational sum of the PadicRational terms (see
-TruncatedSeries.evaluate, which reduces through _canonical too).  A power
-of a single stored term with no series absprec is an exponent shift,
-c^n t^(n e), not a product chain.  Reversion runs Newton iteration on the
-tracked operations with one compose a step, g <- g - (f(g) - t) g', its
-degrees halved down from M (_intpoly.newton_schedule; see
-TruncatedSeries.reversion for why the step is exact Newton).
+TruncatedSeries.evaluate, which reduces through _canonical too).
+Evaluation reads the terms in increasing valuation, which it gets from
+valuations alone, and stops at the first term whose valuation reaches
+the claim A so far: that term and every later one are 0 mod p^A, and
+their claims cannot lower A, so the skipped terms change neither the
+value nor its precision, and it builds unit products only for the terms
+it read.  A power of a single stored term with no series absprec is an
+exponent shift, c^n t^(n e), not a product chain.  Reversion runs Newton
+iteration on the tracked operations with one compose a step,
+g <- g - (f(g) - t) g', its degrees halved down from M
+(_intpoly.newton_schedule; see TruncatedSeries.reversion for why the
+step is exact Newton).
 """
 
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from . import _intpoly
 from .context import Context
@@ -473,18 +479,28 @@ class TruncatedSeries:
         O(p^v) when a factor is such a zero.  The sum is known to A, the
         least of these claims and the series absprec, and add and mul are
         canonical in (value mod p^A, A), so the exact integer sum of the
-        terms is reduced once, mod p^A."""
+        terms is reduced once, mod p^A.
+
+        The skip rule: v comes from valuations alone, so the terms are
+        read in increasing v, and reading stops at the first v >= A (A as
+        read so far).  That term and every later one is 0 mod p^A, and
+        its claim, v or more, cannot lower A; so the result is the same
+        as from every term, and only the terms read build unit products."""
         ctx, p = self.ctx, self.ctx.p
         A = 10 ** 9 if self.absprec is None else self.absprec
         xs = [values[name] for name in self.vars]
+        vals = [x.val for x in xs]
+        order = sorted([(c.val + sum(map(mul, e, vals)), e, c)
+                        for e, c in self.coeffs.items()], key=itemgetter(0))
         tables = [{} for _ in xs]  # k -> x.unit^k mod p^(x.rel)
-        terms = []  # (unit product, valuation) of the nonzero terms
-        for e, c in self.coeffs.items():
-            u, v, rel = c.unit, c.val, c.rel
-            for x, k, table in zip(xs, e, tables):
-                if k:
-                    v += k * x.val
-                    if u:
+        terms = []  # (unit product, valuation) of the nonzero terms read
+        for v, e, c in order:
+            if v >= A:
+                break
+            u, rel = c.unit, c.rel
+            if u:
+                for x, k, table in zip(xs, e, tables):
+                    if k:
                         xk = table.get(k)
                         if xk is None:
                             xk = table[k] = pow(x.unit, k, p ** x.rel)
@@ -495,9 +511,9 @@ class TruncatedSeries:
                 terms.append((u, v))
                 if v + rel < A:
                     A = v + rel
-            elif v < A:
+            else:
                 A = v
-        s = min((v for _, v in terms), default=A)
+        s = terms[0][1] if terms else A
         total = sum(u * p ** (v - s) for u, v in terms)
         return _scaled_padic(ctx, s, total, A)
 

@@ -118,6 +118,33 @@ def test_kernel_log_projection_matches_restriction(Gm, E11, Em10, E7):
                 assert got.absprec <= want.absprec, (F.kind, F.ctx.p, j)
 
 
+def test_kernel_projections_are_restricted_once_per_group(monkeypatch, ctx35):
+    # each Lbar_j is L_j at x0 = 0, restricted once per (F, j) however
+    # many kernel tuples read it, and equal key for key (order, claims,
+    # series absprec) to restricting the table's L_j at every call
+    calls = []
+    real = TruncatedSeries.set_zero
+
+    def counting(self, names):
+        calls.append(len(self.vars))
+        return real(self, names)
+
+    monkeypatch.setattr(TruncatedSeries, "set_zero", counting)
+    for F in (FormalGroupLaw.multiplicative(ctx35), curve(ctx35, 1, 1),
+              curve(Context(p=7, N=6, M=56), 1, 1)):
+        calls.clear()
+        for xs in (("x1", "x2", "x3", "x4"), ("x1", "x2", "x3", "x4", "x5")):
+            for j in range(1, 5):
+                got = kernel_log_projection(F, j, xs)
+                want = characters._log_table(F, j)[j].set_zero(["x0"]).extend(xs)
+                assert got.vars == want.vars
+                assert triples(got) == triples(want), (F.kind, F.ctx.p, j)
+                assert got.absprec == want.absprec
+        # four restrictions for the memo, eight for the comparisons
+        assert len(calls) == 4 + 8
+        assert sorted(F.kernel_projection_cache) == [1, 2, 3, 4]
+
+
 def test_log_projection_table_extends_to_the_direct_build(ctx35, E11, Em10, E7):
     # each L_i is built on (x0..xi); extended it equals the compose on the
     # wide tuple, term for term and in the same order.  L_0 and every L_i
@@ -654,6 +681,18 @@ def test_analyze_group_refuses_a_budget_its_gates_cannot_check(a4, a6):
     E = WeierstrassCurve(0, 0, 0, a4, a6, Context(p=5, N=3, M=35))
     with pytest.raises(PrecisionExhausted, match=r"N = 3.*N >= 4"):
         analyze_group(as_group(E))
+
+
+@pytest.mark.parametrize("p, N, M, enough", [(5, 5, 35, 6), (7, 4, 56, 5)])
+def test_a_short_G_m_budget_names_the_N_it_needs(p, N, M, enough):
+    # at these budgets G_m's rows hold K = d digits, one short of the
+    # d + 1 the solve needs; the raise names the budget and N + d + 1 - K,
+    # and that N analyses
+    with pytest.raises(PrecisionExhausted,
+                       match=rf"\(p, N, M\) = \({p}, {N}, {M}\).*N >= {enough}$"):
+        analyze_group(FormalGroupLaw.multiplicative(Context(p=p, N=N, M=M)))
+    ga = analyze_group(FormalGroupLaw.multiplicative(Context(p=p, N=enough, M=M)))
+    assert ga.iso.is_CL and ga.iso.hdelta_rank == 1
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -3,7 +3,8 @@
 The reference implementations below are the straightforward versions: the
 per-pair PadicRational product loop of TruncatedSeries (and repeated
 squaring on it for powers), Horner composition stepping on PadicRational
-series, its per-term PadicRational evaluation loop,
+series, its per-term PadicRational evaluation loop and the integer
+evaluation that reads every term,
 the one-degree-at-a-time reversion loop, the O(deg^2) coefficient
 recurrences for w(t) and the elliptic logarithm, the PadicRational
 division (-1)^(k+1)/k for the log of G_m, and the kernel log projection
@@ -34,6 +35,8 @@ one validating PadicRational, agrees in (unit, val, rel) with the two
 values multiplied that it replaced, and with +-u^(-1) over p^v for G_m.
 kernel_lattice and lattice_exponents agree with their loops with the
 clearing step written out: the same bases and (exponent, column) lists.
+solve_padic agrees with full-row Gauss-Jordan elimination in the
+(unit, val, rel) of every x and in the residual, or raises alike.
 """
 
 import random
@@ -47,8 +50,8 @@ from arithjet import _intpoly, canonical
 from arithjet.canonical import canonical_lift_test, short_model
 from arithjet.context import Context
 from arithjet.characters import (
-    deep_log_coefficients, deep_tower_degree, log_projections, phi_star,
-    solve_character_lattice,
+    analyze_group, deep_log_coefficients, deep_tower_degree, log_projections,
+    phi_star, solve_character_lattice,
 )
 from arithjet.formalgroup import (
     ELLIPTIC, MULTIPLICATIVE, FormalGroupLaw, WeierstrassCurve, _chord,
@@ -60,13 +63,13 @@ from arithjet.errors import (
     VariableMismatch,
 )
 from arithjet.ghost import ghost_solve
-from arithjet.linalg import kernel_lattice, lattice_exponents
+from arithjet.linalg import kernel_lattice, lattice_exponents, solve_padic
 from arithjet.jet import (
     ghost_series, jet_group_law, jet_variables, lateral_frobenius_map,
     n1_group, psi1_series,
 )
 from arithjet.padic import PadicRational, vp
-from arithjet import series as series_module
+from arithjet import characters as characters_module, series as series_module
 from arithjet.series import TruncatedSeries, _INF, _minp
 
 # -- reference implementations ------------------------------------------------
@@ -96,7 +99,7 @@ def reference_mul(f: TruncatedSeries, g: TruncatedSeries, cap=None):
     return TruncatedSeries(f.ctx, f.vars, out, absp)
 
 
-def reference_evaluate(f: TruncatedSeries, values: dict) -> PadicRational:
+def reference_term_evaluate(f: TruncatedSeries, values: dict) -> PadicRational:
     """f at a point by the per-term PadicRational loop: each term c * x^e
     a chain of PadicRational products, the terms summed by PadicRational
     add from the series' own O(p^absprec) zero."""
@@ -109,6 +112,32 @@ def reference_evaluate(f: TruncatedSeries, values: dict) -> PadicRational:
                 term = term * values[name] ** k
         total = total + term
     return total
+
+
+def reference_evaluate(f: TruncatedSeries, values: dict) -> PadicRational:
+    """f at a point on integers from every term: each term's unit product
+    and valuation, its claim lowering A, the exact sum reduced once mod
+    p^A; no term skipped."""
+    ctx, p = f.ctx, f.ctx.p
+    A = 10 ** 9 if f.absprec is None else f.absprec
+    xs = [values[name] for name in f.vars]
+    terms = []
+    for e, c in f.coeffs.items():
+        u, v, rel = c.unit, c.val, c.rel
+        for x, k in zip(xs, e):
+            if k:
+                v += k * x.val
+                if u:
+                    u *= pow(x.unit, k, p ** x.rel)
+                    rel = min(rel, x.rel)
+        if u:
+            terms.append((u, v))
+            A = min(A, v + rel)
+        else:
+            A = min(A, v)
+    s = min((v for _, v in terms), default=A)
+    total = sum(u * p ** (v - s) for u, v in terms)
+    return series_module._scaled_padic(ctx, s, total, A)
 
 
 def reference_compose(f: TruncatedSeries, args: list, cap=None):
@@ -909,6 +938,44 @@ def fixed_series_and_point(absprec, x_is_zero):
 @example(fixed_series_and_point(4, False))
 def test_evaluate_matches_per_term_loop(args):
     f, point = args
+    assert triples([f.evaluate(point)]) == triples([reference_term_evaluate(f, point)])
+
+
+@st.composite
+def series_and_nilpotent_point(draw):
+    """A series and a point whose coordinates are O(p^w) zeros (w >= 0) or
+    have valuation 0 to 3, so that high-degree terms pass the claim and
+    evaluate stops before them."""
+    ctx, variables = draw(context_and_variables())
+    f = draw(series(ctx, variables))
+    point = {}
+    for name in variables:
+        val = draw(st.integers(0, 3))
+        point[name] = (PadicRational.zero(ctx, val) if draw(st.integers(0, 4)) == 0
+                       else PadicRational(ctx, draw(st.integers(1, ctx.p ** 8)),
+                                          val, draw(st.integers(1, 8))))
+    return f, point
+
+
+def dense_series_at_p(absprec):
+    """1 + t + ... + t^9 at t = 5 known to 4 digits: with no series absprec
+    the claim is 4, so every term from t^4 on is 0 mod 5^4 and is not
+    read."""
+    ctx = Context(p=5, N=4, M=9)
+    f = TruncatedSeries(ctx, ("t",), {(k,): 1 for k in range(10)}, absprec)
+    return f, {"t": PadicRational(ctx, 1, 1, 4)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(series_and_point(), series_and_nilpotent_point()))
+@example(dense_series_at_p(None))
+@example(dense_series_at_p(2))
+@example(fixed_series_and_point(None, True))
+@example(fixed_series_and_point(4, False))
+def test_evaluate_matches_the_all_terms_evaluation(args):
+    # the skip rule reads terms in increasing valuation and stops at the
+    # claim; reading every term gives the same (unit, val, rel)
+    f, point = args
     assert triples([f.evaluate(point)]) == triples([reference_evaluate(f, point)])
 
 
@@ -1476,3 +1543,79 @@ def test_lattice_reductions_match_their_written_out_loops(args, extra):
     assert basis == reference_kernel_lattice(rows, ncols, p, m, K)
     for cols in (basis, rows):
         assert lattice_exponents(cols, p, K) == reference_lattice_exponents(cols, p, K)
+
+
+# -- the p-adic solve ----------------------------------------------------------
+
+
+def reference_solve_padic(columns, target):
+    """solve_padic by full-row Gauss-Jordan: each elimination scales the
+    whole pivot row and updates every entry of every other row."""
+    k, nrows = len(columns), len(target)
+    rows = [[col[i] for col in columns] + [target[i]] for i in range(nrows)]
+    piv_rows = []
+    for j in range(k):
+        free = [i for i in range(nrows)
+                if i not in piv_rows and not rows[i][j].is_zero()]
+        if not free:
+            raise PrecisionExhausted(f"column {j} vanishes at working precision")
+        best = min(free, key=lambda i: rows[i][j].valuation())
+        piv_rows.append(best)
+        inv = rows[best][j].inverse()
+        rows[best] = pr = [e * inv for e in rows[best]]
+        for i in range(nrows):
+            f = rows[i][j]
+            if i != best and not f.is_zero():
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+    resid = min((rows[i][-1].valuation() for i in range(nrows)
+                 if i not in piv_rows and not rows[i][-1].is_zero()),
+                default=_INF)
+    return [rows[i][-1] for i in piv_rows], resid
+
+
+@st.composite
+def padic_system(draw):
+    """(columns, target): 1-3 columns of 1-6 rows, entries with O(p^w)
+    zeros and negative valuations (see coefficient), so that some systems
+    have a column that vanishes at working precision."""
+    ctx = Context(p=draw(st.sampled_from([3, 5, 7])), N=8, M=4)
+    k = draw(st.integers(1, 3))
+    nrows = draw(st.integers(1, 6))
+    entries = st.lists(coefficient(ctx), min_size=nrows, max_size=nrows)
+    return draw(st.lists(entries, min_size=k, max_size=k)), draw(entries)
+
+
+def solve_or_raise(solve, columns, target):
+    try:
+        xs, resid = solve(columns, target)
+    except PrecisionExhausted as err:
+        return str(err)
+    return triples(xs), resid
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(padic_system())
+def test_solve_padic_matches_full_row_elimination(system):
+    # updating only the later columns and the target gives the same xs
+    # triples and residual as updating every entry, or the same raise
+    assert (solve_or_raise(solve_padic, *system)
+            == solve_or_raise(reference_solve_padic, *system))
+
+
+def test_class_solves_of_a_p7_analysis_match_full_row_elimination(monkeypatch):
+    # the two class solves of y^2 = x^3 + x + 1 at (p, N, M) = (7, 6, 56):
+    # gamma_hat's and the f* Psi_1 expansion
+    seen = []
+
+    def recording(columns, target):
+        seen.append((columns, target))
+        return solve_padic(columns, target)
+
+    monkeypatch.setattr(characters_module, "solve_padic", recording)
+    ctx = Context(p=7, N=6, M=56)
+    analyze_group(formal_group_from_curve(WeierstrassCurve(0, 0, 0, 1, 1, ctx)))
+    assert len(seen) == 2
+    for columns, target in seen:
+        xs, resid = solve_padic(columns, target)
+        ref_xs, ref_resid = reference_solve_padic(columns, target)
+        assert triples(xs) == triples(ref_xs) and resid == ref_resid
