@@ -14,10 +14,12 @@ one c-combination of one table per group: each L_i is built once, on
 extended, and the kernel projections Lbar_j = L_j(0, x1..xj) are the same
 table restricted to x0 = 0, each restricted once and kept in
 F.kernel_projection_cache.  Only the levels 1 <= i with p^i <= M are
-composed.  L_0 is log_G relabelled to x0, and once p^i > M the x0^(p^i)
-term of w_i falls outside the cap, so L_i = log_G(p w_(i-1)(x1..xi)) is
-L_(i-1) with its variables moved up by one and p-scaled by Witt weight
-(jet.ghost_compose).
+built from w_i: expanded by the multinomial theorem, or composed where
+that would not give the compose (a Horner step of log_G reaches p, as
+for y^2 = x^3 + 1 at p = 5).  L_0 is log_G relabelled to x0, and once
+p^i > M the x0^(p^i) term of w_i falls outside the cap, so
+L_i = log_G(p w_(i-1)(x1..xi)) is L_(i-1) with its variables moved up
+by one and p-scaled by Witt weight (jet.ghost_compose).
 
 The solver's rows need no jet series.  As w_i(x0, 0..0) = x0^(p^i), the x0^j
 coefficient of Theta is sum c_i b_(j/p^i) over p^i | j, for b_k those of
@@ -113,8 +115,9 @@ def _lift_int(x: PadicRational, K: int) -> int:
 
 def _log_table(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
     """F.log_projection_cache filled to L_n; each L_i = log_G(w_i) is built
-    once per group, on its own variables (x0..xi): composed for
-    1 <= i with p^i <= M, else mapped from log_G (i = 0) or from L_(i-1)
+    once per group, on its own variables (x0..xi): from w_i for
+    1 <= i with p^i <= M (expanded by the multinomial theorem, or
+    composed), else mapped from log_G (i = 0) or from L_(i-1)
     (p^i > M), see jet.ghost_compose."""
     if n > ORDER_CAP + 2:
         raise ArithJetError("log projections supported up to L_4")

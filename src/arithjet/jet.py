@@ -9,17 +9,20 @@ coefficients).  Symbolic ghosts are arithjet.ghost's ghost_map on
 coordinate series (ghost_series, which claims N+i digits for w_i);
 numeric points use ghost_map directly.
 
-The ghosts F(w_i(x), w_i(y)), and ghost_solve's powers a^(p^k) of the
-components, are the costly part; their Horner steps and squarings run on
-int terms, building PadicRationals once, for the result (arithjet.series).
-jet_group_law builds the ghosts on all of J^n's variables (x0..xn,
-y0..yn) and keeps them in JetGroupLaw.ghosts beside the components
-they solve to.  Only the levels 1 <= i with p^i <= M are composed
-(ghost_compose): level 0 is F's law relabelled, and once p^i > M level
-i is level i-1 moved up one coordinate and p-scaled by Witt weight.  One verify_jet_identities
-builds J^2 once, and lateral-homomorphism reads the level-1 compose of
-N^1's jet law (f is w_1 on (x1, x2)).  At p = 5, M < 25 one verify
-composes F's law once and N^1's once, each at level 1.
+ghost_solve's powers a^(p^k) of the components are the costly part;
+their squarings run on int terms, building PadicRationals once, for the
+result (arithjet.series).  jet_group_law builds the ghosts
+F(w_i(x), w_i(y)) on all of J^n's variables (x0..xn, y0..yn), one level
+at a time (ghost_compose), and keeps them in JetGroupLaw.ghosts beside
+the components they solve to.  Level 0 is F's law relabelled; a level
+1 <= i with p^i <= M is expanded term by term by the multinomial
+theorem, or composed where that would not give the compose (a Horner
+step of F's law reaches p, say); once p^i > M, level i is level i-1
+moved up one coordinate and p-scaled by Witt weight.  One
+verify_jet_identities builds J^2 once, and lateral-homomorphism reads
+the level-1 ghost of N^1's jet law (f is w_1 on (x1, x2)).  At p = 5,
+M < 25 one verify builds level 1 of F's law once and of N^1's once; at
+M = 22 both are expanded for G_m and y^2 = x^3 + x + 1.
 
 N^1 = ker(J^1G -> G) needs no compose, only p-scaling: its law is
 (1/p) F(p t1, p t2) and its log is Psi_1 = (1/p) log_G(p t), so the t^e
@@ -44,9 +47,11 @@ phi o iota = p, the ghost round trip, the base reduction) is left to tests.
 
 import random
 from dataclasses import dataclass, field
+from math import comb
+from operator import mul
 
 from .context import Context
-from .padic import PadicRational
+from .padic import PadicRational, _padic
 from .series import TruncatedSeries, _addp, _series
 from .formalgroup import FormalGroupLaw
 from .errors import ArithJetError, LengthMismatch
@@ -79,20 +84,44 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
                   below: TruncatedSeries | None) -> TruncatedSeries:
     """G(w_i(b_1), ..., w_i(b_r)) on variables, with one block of
     coordinate names b_j = (x_0, x_1, ...) per variable of G; below is
-    the level i-1 series, read when p^i > M.
+    the level i-1 series, read when p^i > M.  Each of the three routes
+    gives G.compose of the ghost polynomials key for key: the same keys
+    in the same order, the same (unit, val, rel) and series absprec.
 
-    Only 1 <= i with p^i <= M composes.  At level 0 the argument is a bare
-    coordinate, so G is relabelled, in the key order of the compose
-    (Horner: descending, the last variable's exponent first).  Once
-    p^i > M, the x_0^(p^i) term of w_i(x) = x_0^(p^i) + p w_(i-1)(x_1..x_i)
+    Level 0: the argument is a bare coordinate, so G is relabelled, in
+    the key order of the compose (Horner: descending, the last
+    variable's exponent first).
+
+    1 <= i with p^i <= M: expanded (_ghost_expand) where that is the
+    compose (_expands), else composed.  The terms p^m x_m^(p^(i-m)) of
+    w_i are powers of distinct coordinates, so each monomial of
+    G(w_i(b_1), ...) comes from one term u p^v t^k of G and one split e
+    of each exponent k over its block's coordinates: it is
+    u * prod multinomial(k; e) * p^(v+s), s = sum_m m e_m the Witt
+    weight, known to v + s + min(r, N+i) for r the term's relative
+    precision (N+i is the coordinates'); an O(p^w) zero of G gives
+    O(p^(w+s)).  That is Horner's claim when each power w_i^d that a
+    Horner step multiplies has unit multinomials, i.e. when every step d
+    (_horner_steps) is below p: an accumulator term, of valuation at
+    least v + s' and claim v + s' + min(r, N+i), times a power term of
+    valuation s'' and claim s'' + N + i claims
+    min(A1 + v2, v1 + A2) = v + s + min(r, N+i), and a sum keeps it.  A
+    step of p or more credits v_p of the power's multinomial (y^2 = x^3 + 1
+    at p = 5 has a step of 6, every short curve at p = 3 one of 4), so
+    such levels are composed.  With a series absprec X, the compose
+    keeps X when each last step d leaves x_0^(d p^i) within the cap (the
+    power then has a term of valuation 0), and drops no key when no
+    zero arises: G stores none and no multinomial reaches the claim's
+    relative digits (_carries); the expansion asks both.  Its keys come
+    in the order the compose builds them (_compose_order).
+
+    p^i > M: the x_0^(p^i) term of w_i(x) = x_0^(p^i) + p w_(i-1)(x_1..x_i)
     falls outside the cap, and level i is level i-1 with each coordinate
     x_m moved to x_(m+1) and each coefficient of Witt weight k multiplied
     by p^k: a monomial prod x_m^(e_m) of w_(i-1)^k has
-    k = sum_m e_m / p^(i-1-m), summed over the blocks.
-
-    Why this equals the compose key for key, claims included: every
-    monomial of w_(i-1)^k determines k, Horner's products and sums keep
-    that grading, and a product's claim min(A1 + v2, v1 + A2) and a sum's
+    k = sum_m e_m / p^(i-1-m), summed over the blocks.  Every monomial
+    of w_(i-1)^k determines k, Horner's products and sums keep that
+    grading, and a product's claim min(A1 + v2, v1 + A2) and a sum's
     min both shift by k on the weight-k terms; the series absprec shifts
     by one, the valuation of w_i over w_(i-1).  This holds as long as the
     coordinates' claims (N+i relative digits) never bind, and they do not:
@@ -102,7 +131,10 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
     the cases the tests compare with the compose."""
     ctx, variables = G.ctx, tuple(variables)
     if i and ctx.p ** i <= ctx.M:
-        return G.compose([ghost_series(ctx, variables, b, i) for b in blocks])
+        args = [ghost_series(ctx, variables, b, i) for b in blocks]
+        if _expands(G, i):
+            return _ghost_expand(G, variables, args, i)
+        return G.compose(args)
     if i == 0:
         relabelled = G.rename([b[0] for b in blocks]).extend(variables)
         return _series(ctx, variables, dict(sorted(
@@ -119,6 +151,246 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
             k += e[src] // d
         coeffs[tuple(moved)] = c.shift(k)
     return _series(ctx, variables, coeffs, _addp(below.absprec, 1))
+
+
+def _horner_steps(G: TruncatedSeries) -> list[tuple[int, bool]]:
+    """The steps of G.compose as (d, last) pairs, in the order
+    TruncatedSeries._compose_rec takes them: in the last variable that G
+    uses, d is the difference of consecutive exponents (last False) or
+    the smallest exponent when it is positive (last True); the groups of
+    terms that share an exponent are walked alike on the variables
+    before it."""
+    steps = []
+
+    def walk(exponents, active):
+        used = next((j for j in reversed(active)
+                     if any(e[j] for e in exponents)), None)
+        if used is None:
+            return
+        groups: dict[int, list] = {}
+        for e in exponents:
+            groups.setdefault(e[used], []).append(e)
+        ks = sorted(groups, reverse=True)
+        steps.extend((a - b, False) for a, b in zip(ks, ks[1:]))
+        if ks[-1]:
+            steps.append((ks[-1], True))
+        rest = [j for j in active if j != used]
+        for group in groups.values():
+            walk(group, rest)
+
+    walk(list(G.coeffs), list(range(len(G.vars))))
+    return steps
+
+
+def _expands(G: TruncatedSeries, i: int) -> bool:
+    """Whether ghost_compose builds level i of G by _ghost_expand (see
+    there for why these conditions make it the compose)."""
+    ctx = G.ctx
+    p, M = ctx.p, ctx.M
+    steps = _horner_steps(G)
+    if any(d >= p for d, _ in steps):
+        return False
+    return G.absprec is None or all(
+        d * p ** i <= M for d, last in steps if last) and all(
+        c.unit and min(c.rel, ctx.N + i) > sum(_carries(p, k, i) for k in e)
+        for e, c in G.coeffs.items())
+
+
+def _carries(p: int, k: int, i: int) -> int:
+    """A bound on v_p of every multinomial coefficient of k over i + 1
+    parts, and of every such coefficient of a smaller k: by Legendre it
+    is sum over p^j <= k of floor(k/p^j) - sum_m floor(e_m/p^j), and each
+    of these terms is at most floor(k/p^j) and at most i."""
+    v, q = 0, p
+    while q <= k:
+        v += min(k // q, i)
+        q *= p
+    return v
+
+
+def _compose_order(G: TruncatedSeries, coords, splits, cap: int,
+                   top: int) -> list[int]:
+    """The keys of G.compose on the ghost polynomials w_i, in the order the
+    compose builds them.  coords[j] lists the keys of the terms x_0^(p^i),
+    ..., x_i of the argument w_i(b_j), packed as _ghost_expand packs them
+    (a key's degree is its digit at top); splits(k) lists the exponent
+    vectors of the terms of w_i^k within the cap, in descending order.
+
+    The Horner of TruncatedSeries._compose_rec runs on keys alone: a
+    product lists its keys in first-hit order, the shorter operand
+    outermost (_mul_terms), a sum its first operand's keys and then the
+    second's new ones (_add_terms), and a power squares (_power_terms).
+    This is the compose's order as long as the compose drops no key, no
+    O(p^w) zero that its series absprec covers (_expands).
+
+    A level that composes one variable is not run when every product
+    in it has the power or a single key outermost: its keys are then
+    the terms of w_i^k within the cap, for each exponent k of the level,
+    in descending order of their exponent vectors.  The accumulator
+    holds every term of w_i^t within the cap for each t of a set, so a
+    key K of a product is first hit in the row of the power's first term
+    g <= K, the greedy split of K, and the greedy split does not rise as
+    K falls; within a row the keys follow the accumulator.  A single key
+    lists the power's terms in their order, which is descending for a
+    power of one argument; a sum appends the constant key, the least."""
+    powers: dict[tuple[int, int], tuple] = {}
+
+    def product(a, b):
+        # keys as ordered dicts, each with the count _mul_terms reads
+        (ta, na), (tb, nb) = a, b
+        if na > nb:
+            ta, tb = tb, ta
+        fitting: dict = {}  # degree -> the keys of tb within the cap
+        out: dict = {}
+        for k1 in ta:
+            d1 = k1 // top
+            partners = fitting.get(d1)
+            if partners is None:
+                bound = (cap + 1 - d1) * top
+                partners = fitting[d1] = [k for k in tb if k < bound]
+            out.update(dict.fromkeys(map(k1.__add__, partners)))
+        return out, len(out)
+
+    def power(j, k):
+        pw = powers.get((j, k))
+        if pw is None:
+            pw, b, m = None, (dict.fromkeys(coords[j]), len(coords[j])), k
+            while m:
+                if m & 1:
+                    pw = b if pw is None else product(pw, b)
+                m >>= 1
+                if m:
+                    b = product(b, b)
+            powers[(j, k)] = pw
+        return pw
+
+    def one_variable(j, ks):
+        # the level's keys in descending order, or None
+        totals = [0]  # the accumulator's exponent totals
+        steps = [(a - b, True) for a, b in zip(ks, ks[1:])]
+        if ks[-1]:
+            steps.append((ks[-1], False))
+        for d, adds in steps:
+            n_acc = sum(len(splits(t)) for t in totals)
+            if 1 < n_acc <= len(splits(d)):
+                return None
+            totals = [t + d for t in totals] + [0] * adds
+        keyed = sorted(((e, sum(map(mul, e, coords[j])))
+                        for k in ks for e in splits(k)), reverse=True)
+        return dict.fromkeys(key for _, key in keyed), len(keyed)
+
+    def walk(exponents, active):
+        used = next((j for j in reversed(active)
+                     if any(e[j] for e in exponents)), None)
+        if used is None:
+            return {0: None}, len(exponents)
+        groups: dict[int, list] = {}
+        for e in exponents:
+            groups.setdefault(e[used], []).append(e)
+        rest = [j for j in active if j != used]
+        ks = sorted(groups, reverse=True)
+        if not any(e[j] for e in exponents for j in rest):
+            level = one_variable(used, ks)
+            if level is not None:
+                return level
+        acc = None
+        for k in ks:
+            gval = walk(groups[k], rest)
+            if acc is not None:
+                keys = product(acc, power(used, prev - k))[0]
+                keys.update(gval[0])
+                gval = keys, len(keys)
+            acc, prev = gval, k
+        if prev:
+            acc = product(acc, power(used, prev))
+        return acc
+
+    if not G.coeffs:
+        return []
+    return list(walk(list(G.coeffs), list(range(len(G.vars))))[0])
+
+
+def _splits(weights, k: int, room: int) -> list[tuple]:
+    """The exponent vectors e with sum(e) = k and sum(e_m * weights[m])
+    at most room, in descending order; the last weight is 1."""
+    w, rest = weights[0], weights[1:]
+    if not rest:
+        return [(k,)] if k <= room else []
+    return [(e,) + tail for e in range(min(k, room // w), -1, -1)
+            for tail in _splits(rest, k - e, room - e * w)]
+
+
+def _ghost_expand(G: TruncatedSeries, variables: tuple, args, i: int
+                  ) -> TruncatedSeries:
+    """G(args) for the ghost polynomials args = (w_i(b_1), ..., w_i(b_r))
+    by the multinomial theorem, term by term of G, in the compose's key
+    order (_compose_order); see ghost_compose for why it is the
+    compose."""
+    ctx = G.ctx
+    p, M = ctx.p, ctx.M
+    base = M + 1
+    weights = [base ** j for j in range(len(variables))]
+    top = base ** len(variables)  # a key's degree is its digit at top
+    pw = ctx.p_powers(max([ctx.N + i] + [c.rel for c in G.coeffs.values()]))[0]
+    # each argument's terms x_m^(p^(i-m)), m = 0..i, as
+    # (degree, packed key, unit, val, rel)
+    terms = [sorted(((sum(e), sum(map(mul, e, weights)) + sum(e) * top,
+                      c.unit, c.val, c.rel) for e, c in w.coeffs.items()),
+                    reverse=True) for w in args]
+    degrees = [t[0] for t in terms[0]]  # p^(i-m), alike for every block
+    split_memo: dict[int, list] = {}
+    row_memo: dict[tuple[int, int], list] = {}
+
+    def splits(k):
+        s = split_memo.get(k)
+        if s is None:
+            s = split_memo[k] = _splits(degrees, k, M)
+        return s
+
+    def split_rows(j, k):
+        # the terms of w_i(b_j)^k within the cap: (degree, packed key,
+        # multinomial times the units, Witt weight s, least rel used)
+        rows = row_memo.get((j, k))
+        if rows is None:
+            rows = row_memo[(j, k)] = []
+            for e in splits(k):
+                f, left, s, rel, deg, key = 1, k, 0, _INF, 0, 0
+                for em, (d, kk, u, v, r) in zip(e, terms[j]):
+                    if em:
+                        f *= comb(left, em) * u ** em
+                        left -= em
+                        s += em * v
+                        rel = min(rel, r)
+                        deg += em * d
+                        key += em * kk
+                rows.append((deg, key, f, s, rel))
+        return rows
+
+    coeffs = {}
+    for e, c in G.coeffs.items():
+        u, v, r = c.unit, c.val, c.rel
+        combos = [(0, 0, 1, 0, _INF)]
+        for j, k in enumerate(e):
+            combos = [(d1 + d2, k1 + k2, f1 * f2, s1 + s2, min(r1, r2))
+                      for d1, k1, f1, s1, r1 in combos
+                      for d2, k2, f2, s2, r2 in split_rows(j, k)
+                      if d1 + d2 <= M]
+        for _, key, f, s, rel in combos:
+            rel = min(r, rel)
+            y = u * f % pw[rel]
+            if not y:  # an O(p^w) zero of G, or a unit times p^rel
+                coeffs[key] = _padic(ctx, 0, v + s + (rel if u else 0), 0)
+                continue
+            t = 0
+            while not y % p:
+                y //= p
+                t += 1
+            coeffs[key] = _padic(ctx, y, v + s + t, rel - t)
+    order = _compose_order(G, [[t[1] for t in ts] for ts in terms], splits,
+                           M, top)
+    return _series(ctx, variables, {
+        tuple([key // w % base for w in weights]): coeffs[key]
+        for key in order}, G.absprec)
 
 
 @dataclass(frozen=True)

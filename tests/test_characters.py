@@ -153,7 +153,10 @@ def test_log_projection_table_extends_to_the_direct_build(ctx35, E11, Em10, E7):
     # composed and L_4 mapped
     xs = ("x0", "x1", "x2", "x3", "x4")
     E3 = curve(Context(p=3, N=8, M=30), 1, 1)
-    for F in (E11, Em10, E7, FormalGroupLaw.multiplicative(ctx35), E3):
+    # L_1 and L_2 are expanded by the multinomial theorem, but composed for
+    # y^2 = x^3 + 1 at p = 5 (a Horner step of 6) and for E3 (a step of 4)
+    E01 = curve(ctx35, 0, 1)
+    for F in (E11, Em10, E7, FormalGroupLaw.multiplicative(ctx35), E3, E01):
         table = log_projections(F, 4)
         assert len(F.log_projection_cache) == 5
         for i in range(5):
@@ -538,26 +541,39 @@ def test_one_analysis_counts_points_once(ctx35, monkeypatch):
 
 
 def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
-    # one log compose per L_i with 1 <= i and p^i <= M: L_1 and L_2 at
-    # p = 5, M = 35, whether the run reads L_0..L_4 (a non-CL curve: diff2
-    # reads Lbar_4) or L_0..L_2 (a CL group).  L_0 is log_G relabelled,
-    # and L_3, L_4 are mapped from the level below
-    levels = []
+    # ghost_compose builds each L_i once per group, in order: L_0..L_4
+    # for a non-CL curve (diff2 reads Lbar_4; y^2 = x^3 + x + 1 and the
+    # supersingular y^2 = x^3 + 1), L_0..L_2 for a CL group.
+    # L_1 and L_2 (1 <= i, p^i <= M at p = 5, M = 35) are built from w_i:
+    # expanded, or composed when a Horner step of the log reaches p, as
+    # y^2 = x^3 + 1's step of 6 does.  L_0 is log_G relabelled, and L_3,
+    # L_4 are mapped from the level below
+    builds, composes = [], []
     log = None
-    real = TruncatedSeries.compose
+    real_build, real_compose = characters.ghost_compose, TruncatedSeries.compose
 
-    def counted(self, args, cap=None):
+    def built(G, variables, blocks, i, below):
+        if G is log:
+            builds.append(i)
+        return real_build(G, variables, blocks, i, below)
+
+    def composed(self, args, cap=None):
         if self is log:
-            levels.append(len(args[0].vars) - 1)
-        return real(self, args, cap)
+            composes.append(len(args[0].vars) - 1)
+        return real_compose(self, args, cap)
 
-    monkeypatch.setattr(TruncatedSeries, "compose", counted)
-    for F in (curve(ctx35, 1, 1), curve(ctx35, 0, 1), curve(ctx35, -1, 0),
-              FormalGroupLaw.multiplicative(ctx35)):
-        levels.clear()
+    monkeypatch.setattr(characters, "ghost_compose", built)
+    monkeypatch.setattr(TruncatedSeries, "compose", composed)
+    for F, levels, want_composes in (
+            (curve(ctx35, 1, 1), 5, []), (curve(ctx35, 0, 1), 5, [1, 2]),
+            (curve(ctx35, -1, 0), 3, []),
+            (FormalGroupLaw.multiplicative(ctx35), 3, [])):
+        builds.clear()
+        composes.clear()
         log = F.log
         analyze_group(F)
-        assert levels == [1, 2], (F.kind, levels)
+        assert builds == list(range(levels)), (F.kind, builds)
+        assert composes == want_composes, (F.kind, composes)
 
 
 def test_analyze_group_names_a_kind_it_cannot_analyse(Ga, Gm):

@@ -271,33 +271,53 @@ def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
         assert coefficient_map(J2.law[i]) == coefficient_map(direct[i])
 
 
-def test_one_verification_composes_each_ghost_level_once(ctx, Ell, monkeypatch):
-    # F(w_i(x), w_i(y)) is composed once per level 1 <= i with p^i <= M
-    # and group: at p = 5, M = 12 level 1 of F for J^2, and level 1 of N^1
-    # for its J^1, which check (e) reads again.  Level 0 is the law
-    # relabelled and level 2 is level 1 mapped (ghost_compose).
-    # n1_group composes nothing: N^1's law is F's scaled by p,
+def test_one_verification_composes_each_ghost_level_once(monkeypatch):
+    # ghost_compose builds F(w_i(x), w_i(y)) once per level and group: F's
+    # law at levels 0-2 for J^2, and N^1's at levels 0-1 for its J^1,
+    # whose level 1 check (e) reads again.  At p = 5 only level 1 is built
+    # from w_1: by compose at M = 12, where a last Horner step d of F's
+    # law puts x0^(5d) above the cap, and by the multinomial theorem at
+    # M = 22.  Level 0 is the law relabelled and level 2 is level 1
+    # mapped.  n1_group composes nothing: N^1's law is F's scaled by p,
     # (1/p) F(p t1, p t2).
-    kernel = {}
+    groups = {}
     real_n1 = jet.n1_group
 
     def n1_group_kept(F):
-        kernel["N1"] = real_n1(F)
-        return kernel["N1"]
+        groups["N1"] = real_n1(F)
+        return groups["N1"]
 
-    counts = {"F": 0, "N1": 0}
-    real_compose = TruncatedSeries.compose
+    builds: dict = {}
+    composes: dict = {}
+    real_build, real_compose = jet.ghost_compose, TruncatedSeries.compose
+
+    def name_of(G):
+        return next((name for name, H in (("F", groups.get("F")),
+                                          ("N1", groups.get("N1")))
+                     if H is not None and G is vars(H).get("law")), None)
+
+    def built(G, variables, blocks, i, below):
+        if name_of(G):
+            builds[name_of(G)].append(i)
+        return real_build(G, variables, blocks, i, below)
 
     def counted(self, args, cap=None):
-        for name, G in (("F", Ell), ("N1", kernel.get("N1"))):
-            if G is not None and self is vars(G).get("law"):
-                counts[name] += 1
+        if name_of(self):
+            composes[name_of(self)] += 1
         return real_compose(self, args, cap)
 
     monkeypatch.setattr(jet, "n1_group", n1_group_kept)
+    monkeypatch.setattr(jet, "ghost_compose", built)
     monkeypatch.setattr(TruncatedSeries, "compose", counted)
-    assert verify_jet_identities(Ell).ok
-    assert counts == {"F": 1, "N1": 1}
+    for M, want_composes in ((12, 1), (22, 0)):
+        groups.clear()
+        groups["F"] = formal_group_from_curve(
+            WeierstrassCurve(0, 0, 0, 1, 1, Context(p=5, N=8, M=M)))
+        builds.update(F=[], N1=[])
+        composes.update(F=0, N1=0)
+        assert verify_jet_identities(groups["F"]).ok
+        assert builds == {"F": [0, 1, 2], "N1": [0, 1]}, M
+        assert composes == {"F": want_composes, "N1": want_composes}, M
 
 
 JET_GROUPS = {

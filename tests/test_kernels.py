@@ -12,6 +12,9 @@ composed on its own from the restricted ghost polynomial.  The fast
 versions must
 agree with them bit for bit: the same monomials in the same order, the
 same (unit, val, rel, ctx.N) per coefficient and the same series absprec.
+A ghost level G(w_i(b_1), ...) that jet.ghost_compose expands by the
+multinomial theorem agrees with G.compose bit for bit, keys in the same
+order, wherever it is taken.
 The coefficient maps agree with the composes and loops they replaced in
 (unit, val, rel) and series absprec, in any monomial order: the ghost
 polynomial by its monomial loop, N^1's law and Psi_1 by composing with
@@ -46,7 +49,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from arithjet import _intpoly, canonical
+from arithjet import _intpoly, canonical, jet
 from arithjet.canonical import canonical_lift_test, short_model
 from arithjet.context import Context
 from arithjet.characters import (
@@ -1123,6 +1126,147 @@ def test_compose_and_power_build_each_output_value_once(monkeypatch):
         del built[:]
         out = run()
         assert len(built) == len(out.coeffs) > 0
+
+
+# -- ghost levels by the multinomial theorem ------------------------------------
+
+
+def ghost_level_shapes(G: TruncatedSeries, variables, blocks, i: int):
+    """Level i of G's ghost by ghost_compose's route, and by the compose."""
+    args = [ghost_series(G.ctx, variables, b, i) for b in blocks]
+    return (shape(jet.ghost_compose(G, variables, blocks, i, None)),
+            shape(G.compose(args)))
+
+
+def ghost_level_args(G: TruncatedSeries, i: int):
+    """The variables and blocks of level i: (x0..xi) for one variable,
+    J^i's (x0..xi, y0..yi) for two."""
+    if len(G.vars) == 1:
+        xs = tuple(f"x{k}" for k in range(i + 1))
+        return xs, (xs,)
+    xs, ys = jet_variables(i)
+    return xs + ys, (xs, ys)
+
+
+@st.composite
+def ghost_level_case(draw):
+    """G on 1-2 variables whose Horner steps are all below p, with O(p^w)
+    zeros, negative valuations, relative precisions above N+i and
+    absprec None or set, at a level 1 <= i <= 2 with p^i <= M: the
+    exponents of each variable climb from below p by steps below p."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    i = draw(st.sampled_from([1, 2]))
+    ctx = Context(p=p, N=draw(st.integers(2, 8)),
+                  M=draw(st.integers(p ** i, p ** i + 6)))
+
+    def chain(top):
+        ks = [draw(st.integers(0, p - 1))]
+        for _ in range(draw(st.integers(0, 2))):
+            ks.append(ks[-1] + draw(st.integers(1, p - 1)))
+        return [k for k in ks if k <= top]
+
+    if draw(st.booleans()):
+        names, keys = ("t",), [(k,) for k in chain(ctx.M)]
+    else:
+        names = ("t1", "t2")
+        keys = [(a, b) for b in chain(ctx.M) for a in chain(ctx.M - b)]
+    coeffs = {e: draw(coefficient(ctx)) for e in keys}
+    G = TruncatedSeries(ctx, names, coeffs,
+                        draw(st.one_of(st.none(), st.integers(-2, 12))))
+    assume(all(d < p for d, _ in jet._horner_steps(G)))
+    return (G,) + ghost_level_args(G, i) + (i,)
+
+
+def fixed_ghost_level_case(p, N, M, i, coeffs, absprec=None):
+    ctx = Context(p=p, N=N, M=M)
+    names = ("t",) if len(next(iter(coeffs))) == 1 else ("t1", "t2")
+    G = TruncatedSeries(ctx, names, {
+        e: c(ctx) if callable(c) else c for e, c in coeffs.items()}, absprec)
+    return (G,) + ghost_level_args(G, i) + (i,)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ghost_level_case())
+# 5 t^4 + 15 t^8 + O(5^-2) t^9 at level 2: a product with the accumulator
+# outermost lists its keys out of descending order
+@example(fixed_ghost_level_case(5, 4, 31, 2, {
+    (4,): lambda ctx: PadicRational(ctx, 333118, -1, 8),
+    (8,): lambda ctx: PadicRational(ctx, 1151, 5, 5),
+    (9,): lambda ctx: PadicRational.zero(ctx, -2)}))
+# rel 12 above N+i = 4, and binom(5, 1) = 5 eats one relative digit
+@example(fixed_ghost_level_case(5, 3, 30, 1, {
+    (1,): 1, (5,): lambda ctx: PadicRational(ctx, 7, -1, 12)}, 9))
+# an O(3^1) zero on two variables, absprec None
+@example(fixed_ghost_level_case(3, 4, 9, 1, {
+    (1, 0): 1, (0, 1): 1, (1, 1): lambda ctx: PadicRational.zero(ctx, 1),
+    (2, 1): 2}))
+def test_ghost_levels_match_the_compose(case):
+    # the expansion, where ghost_compose takes it, against G.compose: the
+    # same keys in the same order, triples and series absprec
+    G, variables, blocks, i = case
+    got, want = ghost_level_shapes(G, variables, blocks, i)
+    assert got == want
+
+
+def short_group(p, N, M, a4, a6):
+    return formal_group_from_curve(WeierstrassCurve(0, 0, 0, a4, a6,
+                                                    Context(p=p, N=N, M=M)))
+
+
+GHOST_GROUPS = {
+    "E11": lambda: short_group(5, 8, 35, 1, 1),
+    "Em10": lambda: short_group(5, 8, 35, -1, 0),
+    "Gm": lambda: FormalGroupLaw.multiplicative(Context(p=5, N=8, M=35)),
+    "p7-seed0": lambda: short_group(7, 6, 56, 1, 1),
+    "Gm-M22": lambda: FormalGroupLaw.multiplicative(Context(p=5, N=8, M=22)),
+    "E11-M22": lambda: short_group(5, 8, 22, 1, 1),
+}
+
+
+@pytest.mark.parametrize("group, series, i", [
+    (group, "log", i) for group in ("E11", "Em10", "Gm", "p7-seed0")
+    for i in (1, 2)] + [
+    (group, series, 1) for group in ("Gm-M22", "E11-M22")
+    for series in ("law", "N1-law")])
+def test_benchmark_ghost_levels_are_expanded_as_composed(group, series, i):
+    # the logs of analyze_p5's and analyze_p7's groups, and the J^2 and
+    # N^1 jet laws of jet_p5's, take the expansion, key for key the compose
+    F = GHOST_GROUPS[group]()
+    G = {"log": lambda: F.log, "law": lambda: F.law,
+         "N1-law": lambda: n1_group(F).law}[series]()
+    variables, blocks = ghost_level_args(G, i)
+    if series == "law":
+        xs, ys = jet_variables(2)
+        variables, blocks = xs + ys, (xs, ys)
+    assert jet._expands(G, i)
+    got, want = ghost_level_shapes(G, variables, blocks, i)
+    assert got == want
+
+
+def test_horner_steps_choose_between_expansion_and_compose():
+    # the short logs at p = 5 step by 2 and 4 (y^2 = x^3 + x + 1) or 4
+    # (y^2 = x^3 - x), below p; y^2 = x^3 + 1 steps by 6 and is composed
+    def max_step(G):
+        return max(d for d, _ in jet._horner_steps(G))
+
+    assert max_step(GHOST_GROUPS["E11"]().log) == 4
+    assert max_step(GHOST_GROUPS["Em10"]().log) == 4
+    E01 = short_group(5, 8, 35, 0, 1)
+    assert max_step(E01.log) == 6
+    assert not jet._expands(E01.log, 1)
+    assert max_step(GHOST_GROUPS["E11-M22"]().law) < 5
+    t = TruncatedSeries.variable(Context(p=5, N=8, M=12), ("t",), "t")
+    assert jet._horner_steps(t ** 3 + t ** 9) == [(6, False), (3, True)]
+    # a step of exactly p: Horner's power w_1^5 credits v_5 of its
+    # multinomials, so the expansion would claim other digits
+    t = TruncatedSeries.variable(Context(p=5, N=8, M=35), ("t",), "t")
+    G = t + 3 * t ** 6
+    assert jet._horner_steps(G) == [(5, False), (1, True)]
+    assert not jet._expands(G, 1)
+    xs = ("x0", "x1")
+    args = [ghost_series(G.ctx, xs, xs, 1)]
+    assert shape(jet._ghost_expand(G, xs, args, 1)) != shape(G.compose(args))
+    assert shape(jet.ghost_compose(G, xs, (xs,), 1, None)) == shape(G.compose(args))
 
 
 def test_a_square_reads_its_operand_once(monkeypatch):
