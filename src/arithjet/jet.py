@@ -52,7 +52,7 @@ from operator import mul
 
 from .context import Context
 from .padic import PadicRational, _padic
-from .series import TruncatedSeries, _addp, _series
+from .series import TruncatedSeries, _addp, _horner_split, _series
 from .formalgroup import FormalGroupLaw
 from .errors import ArithJetError, LengthMismatch
 from .ghost import ghost_map, ghost_solve
@@ -85,8 +85,9 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
     """G(w_i(b_1), ..., w_i(b_r)) on variables, with one block of
     coordinate names b_j = (x_0, x_1, ...) per variable of G; below is
     the level i-1 series, read when p^i > M.  Each of the three routes
-    gives G.compose of the ghost polynomials key for key: the same keys
-    in the same order, the same (unit, val, rel) and series absprec.
+    gives G.compose of the ghost polynomials key for key: the same keys,
+    the same (unit, val, rel) and series absprec; the relabel and the map
+    also keep its key order, the expansion's is below.
 
     Level 0: the argument is a bare coordinate, so G is relabelled, in
     the key order of the compose (Horner: descending, the last
@@ -113,7 +114,13 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
     power then has a term of valuation 0), and drops no key when no
     zero arises: G stores none and no multinomial reaches the claim's
     relative digits (_carries); the expansion asks both.  Its keys come
-    in the order the compose builds them (_compose_order).
+    in descending order, the last block read first and each block from
+    x_0.  That is the compose's order on every level of the benchmark's
+    groups, but not for every G: a Horner product whose shorter operand
+    is the accumulator lists its keys accumulator-first, so the compose
+    of, say, 5^-1 u t^4 + 5^5 u' t^8 + O(5^-2) t^9 at
+    (p, N, M) = (5, 4, 31), level 2, comes out of this order.  No reader depends on it: a sum or
+    product of series has the same coefficients in any key order.
 
     p^i > M: the x_0^(p^i) term of w_i(x) = x_0^(p^i) + p w_(i-1)(x_1..x_i)
     falls outside the cap, and level i is level i-1 with each coordinate
@@ -133,7 +140,7 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
     if i and ctx.p ** i <= ctx.M:
         args = [ghost_series(ctx, variables, b, i) for b in blocks]
         if _expands(G, i):
-            return _ghost_expand(G, variables, args, i)
+            return _ghost_expand(G, variables, blocks, args, i)
         return G.compose(args)
     if i == 0:
         relabelled = G.rename([b[0] for b in blocks]).extend(variables)
@@ -154,31 +161,27 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
 
 
 def _horner_steps(G: TruncatedSeries) -> list[tuple[int, bool]]:
-    """The steps of G.compose as (d, last) pairs, in the order
-    TruncatedSeries._compose_rec takes them: in the last variable that G
-    uses, d is the difference of consecutive exponents (last False) or
-    the smallest exponent when it is positive (last True); the groups of
-    terms that share an exponent are walked alike on the variables
-    before it."""
+    """The steps of G.compose as (d, last) pairs, split as
+    TruncatedSeries._compose_rec splits G (series._horner_split): in the
+    last variable that G uses, d is the difference of consecutive
+    exponents (last False) or the smallest exponent when it is positive
+    (last True); each group of terms that share an exponent is split
+    alike on the variables before it."""
     steps = []
 
-    def walk(exponents, active):
-        used = next((j for j in reversed(active)
-                     if any(e[j] for e in exponents)), None)
-        if used is None:
+    def walk(coeffs, active):
+        split = _horner_split(coeffs, active)
+        if split is None:
             return
-        groups: dict[int, list] = {}
-        for e in exponents:
-            groups.setdefault(e[used], []).append(e)
+        _, rest, groups = split
         ks = sorted(groups, reverse=True)
         steps.extend((a - b, False) for a, b in zip(ks, ks[1:]))
         if ks[-1]:
             steps.append((ks[-1], True))
-        rest = [j for j in active if j != used]
         for group in groups.values():
             walk(group, rest)
 
-    walk(list(G.coeffs), list(range(len(G.vars))))
+    walk(G.coeffs, list(range(len(G.vars))))
     return steps
 
 
@@ -208,108 +211,6 @@ def _carries(p: int, k: int, i: int) -> int:
     return v
 
 
-def _compose_order(G: TruncatedSeries, coords, splits, cap: int,
-                   top: int) -> list[int]:
-    """The keys of G.compose on the ghost polynomials w_i, in the order the
-    compose builds them.  coords[j] lists the keys of the terms x_0^(p^i),
-    ..., x_i of the argument w_i(b_j), packed as _ghost_expand packs them
-    (a key's degree is its digit at top); splits(k) lists the exponent
-    vectors of the terms of w_i^k within the cap, in descending order.
-
-    The Horner of TruncatedSeries._compose_rec runs on keys alone: a
-    product lists its keys in first-hit order, the shorter operand
-    outermost (_mul_terms), a sum its first operand's keys and then the
-    second's new ones (_add_terms), and a power squares (_power_terms).
-    This is the compose's order as long as the compose drops no key, no
-    O(p^w) zero that its series absprec covers (_expands).
-
-    A level that composes one variable is not run when every product
-    in it has the power or a single key outermost: its keys are then
-    the terms of w_i^k within the cap, for each exponent k of the level,
-    in descending order of their exponent vectors.  The accumulator
-    holds every term of w_i^t within the cap for each t of a set, so a
-    key K of a product is first hit in the row of the power's first term
-    g <= K, the greedy split of K, and the greedy split does not rise as
-    K falls; within a row the keys follow the accumulator.  A single key
-    lists the power's terms in their order, which is descending for a
-    power of one argument; a sum appends the constant key, the least."""
-    powers: dict[tuple[int, int], tuple] = {}
-
-    def product(a, b):
-        # keys as ordered dicts, each with the count _mul_terms reads
-        (ta, na), (tb, nb) = a, b
-        if na > nb:
-            ta, tb = tb, ta
-        fitting: dict = {}  # degree -> the keys of tb within the cap
-        out: dict = {}
-        for k1 in ta:
-            d1 = k1 // top
-            partners = fitting.get(d1)
-            if partners is None:
-                bound = (cap + 1 - d1) * top
-                partners = fitting[d1] = [k for k in tb if k < bound]
-            out.update(dict.fromkeys(map(k1.__add__, partners)))
-        return out, len(out)
-
-    def power(j, k):
-        pw = powers.get((j, k))
-        if pw is None:
-            pw, b, m = None, (dict.fromkeys(coords[j]), len(coords[j])), k
-            while m:
-                if m & 1:
-                    pw = b if pw is None else product(pw, b)
-                m >>= 1
-                if m:
-                    b = product(b, b)
-            powers[(j, k)] = pw
-        return pw
-
-    def one_variable(j, ks):
-        # the level's keys in descending order, or None
-        totals = [0]  # the accumulator's exponent totals
-        steps = [(a - b, True) for a, b in zip(ks, ks[1:])]
-        if ks[-1]:
-            steps.append((ks[-1], False))
-        for d, adds in steps:
-            n_acc = sum(len(splits(t)) for t in totals)
-            if 1 < n_acc <= len(splits(d)):
-                return None
-            totals = [t + d for t in totals] + [0] * adds
-        keyed = sorted(((e, sum(map(mul, e, coords[j])))
-                        for k in ks for e in splits(k)), reverse=True)
-        return dict.fromkeys(key for _, key in keyed), len(keyed)
-
-    def walk(exponents, active):
-        used = next((j for j in reversed(active)
-                     if any(e[j] for e in exponents)), None)
-        if used is None:
-            return {0: None}, len(exponents)
-        groups: dict[int, list] = {}
-        for e in exponents:
-            groups.setdefault(e[used], []).append(e)
-        rest = [j for j in active if j != used]
-        ks = sorted(groups, reverse=True)
-        if not any(e[j] for e in exponents for j in rest):
-            level = one_variable(used, ks)
-            if level is not None:
-                return level
-        acc = None
-        for k in ks:
-            gval = walk(groups[k], rest)
-            if acc is not None:
-                keys = product(acc, power(used, prev - k))[0]
-                keys.update(gval[0])
-                gval = keys, len(keys)
-            acc, prev = gval, k
-        if prev:
-            acc = product(acc, power(used, prev))
-        return acc
-
-    if not G.coeffs:
-        return []
-    return list(walk(list(G.coeffs), list(range(len(G.vars))))[0])
-
-
 def _splits(weights, k: int, room: int) -> list[tuple]:
     """The exponent vectors e with sum(e) = k and sum(e_m * weights[m])
     at most room, in descending order; the last weight is 1."""
@@ -320,32 +221,30 @@ def _splits(weights, k: int, room: int) -> list[tuple]:
             for tail in _splits(rest, k - e, room - e * w)]
 
 
-def _ghost_expand(G: TruncatedSeries, variables: tuple, args, i: int
-                  ) -> TruncatedSeries:
+def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
+                  i: int) -> TruncatedSeries:
     """G(args) for the ghost polynomials args = (w_i(b_1), ..., w_i(b_r))
-    by the multinomial theorem, term by term of G, in the compose's key
-    order (_compose_order); see ghost_compose for why it is the
-    compose."""
+    by the multinomial theorem, term by term of G, keys in descending
+    order, the last block read first and each block from x_0; see
+    ghost_compose for why it is the compose."""
     ctx = G.ctx
     p, M = ctx.p, ctx.M
     base = M + 1
-    weights = [base ** j for j in range(len(variables))]
-    top = base ** len(variables)  # a key's degree is its digit at top
+    # packed keys: the last block's x_0 is the top digit, so descending
+    # keys are the order above
+    ranked = [variables.index(v) for b in reversed(blocks) for v in b[:i + 1]]
+    ranked += [n for n in range(len(variables)) if n not in ranked]
+    weights = [0] * len(variables)
+    for r, n in enumerate(reversed(ranked)):
+        weights[n] = base ** r
     pw = ctx.p_powers(max([ctx.N + i] + [c.rel for c in G.coeffs.values()]))[0]
     # each argument's terms x_m^(p^(i-m)), m = 0..i, as
     # (degree, packed key, unit, val, rel)
-    terms = [sorted(((sum(e), sum(map(mul, e, weights)) + sum(e) * top,
-                      c.unit, c.val, c.rel) for e, c in w.coeffs.items()),
-                    reverse=True) for w in args]
+    terms = [sorted(((sum(e), sum(map(mul, e, weights)), c.unit, c.val, c.rel)
+                     for e, c in w.coeffs.items()), reverse=True)
+             for w in args]
     degrees = [t[0] for t in terms[0]]  # p^(i-m), alike for every block
-    split_memo: dict[int, list] = {}
     row_memo: dict[tuple[int, int], list] = {}
-
-    def splits(k):
-        s = split_memo.get(k)
-        if s is None:
-            s = split_memo[k] = _splits(degrees, k, M)
-        return s
 
     def split_rows(j, k):
         # the terms of w_i(b_j)^k within the cap: (degree, packed key,
@@ -353,7 +252,7 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, args, i: int
         rows = row_memo.get((j, k))
         if rows is None:
             rows = row_memo[(j, k)] = []
-            for e in splits(k):
+            for e in _splits(degrees, k, M):
                 f, left, s, rel, deg, key = 1, k, 0, _INF, 0, 0
                 for em, (d, kk, u, v, r) in zip(e, terms[j]):
                     if em:
@@ -386,11 +285,9 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, args, i: int
                 y //= p
                 t += 1
             coeffs[key] = _padic(ctx, y, v + s + t, rel - t)
-    order = _compose_order(G, [[t[1] for t in ts] for ts in terms], splits,
-                           M, top)
     return _series(ctx, variables, {
         tuple([key // w % base for w in weights]): coeffs[key]
-        for key in order}, G.absprec)
+        for key in sorted(coeffs, reverse=True)}, G.absprec)
 
 
 @dataclass(frozen=True)

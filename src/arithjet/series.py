@@ -188,6 +188,23 @@ def _build(ctx: Context, variables: tuple, packed, cap: int):
         for k, _, x, v, A in terms}, absprec)
 
 
+def _horner_split(coeffs: dict, active):
+    """How compose's Horner splits coeffs: the last variable of active
+    that they use, the rest of active, and the terms grouped by that
+    variable's exponent, each with the exponent set to 0; None when they
+    use no variable of active."""
+    used = next((i for i in reversed(active)
+                 if any(e[i] for e in coeffs)), None)
+    if used is None:
+        return None
+    groups: dict[int, dict] = {}
+    for e, c in coeffs.items():
+        ee = list(e)
+        ee[used] = 0
+        groups.setdefault(e[used], {})[tuple(ee)] = c
+    return used, [i for i in active if i != used], groups
+
+
 def _series(ctx: Context, variables: tuple, coeffs: dict, absprec):
     """The TruncatedSeries with exactly these fields, unchecked: the
     caller holds coeffs in canonical form (module docstring)."""
@@ -566,19 +583,11 @@ class TruncatedSeries:
         """Horner in the last variable of `active` that self uses, as int
         terms; `powers` maps (argument index, k) to args[index]^k at this
         cap."""
-        used = next((i for i in reversed(active)
-                     if any(e[i] for e in self.coeffs)), None)
-        if used is None:  # the constant term, if any, is read as it stands
+        split = _horner_split(self.coeffs, active)
+        if split is None:  # the constant term, if any, is read as it stands
             return _int_terms(self, cap)
-        # group by exponent of var `used`
-        groups: dict[int, dict] = {}
-        for e, c in self.coeffs.items():
-            k = e[used]
-            ee = list(e)
-            ee[used] = 0
-            groups.setdefault(k, {})[tuple(ee)] = c
+        used, rest, groups = split
         arg = args[used]
-        rest = [i for i in active if i != used]
 
         def power(k):
             pw = powers.get((used, k))
