@@ -13,13 +13,8 @@ one c-combination of one table per group: each L_i is built once, on
 (x0..xi), and kept in F.log_projection_cache; log_projections reads it
 extended, and the kernel projections Lbar_j = L_j(0, x1..xj) are the same
 table restricted to x0 = 0, each restricted once and kept in
-F.kernel_projection_cache.  Only the levels 1 <= i with p^i <= M are
-built from w_i: expanded by the multinomial theorem, or composed where
-that would not give the compose (a Horner step of log_G reaches p, as
-for y^2 = x^3 + 1 at p = 5).  L_0 is log_G relabelled to x0, and once
-p^i > M the x0^(p^i) term of w_i falls outside the cap, so
-L_i = log_G(p w_(i-1)(x1..xi)) is L_(i-1) with its variables moved up
-by one and p-scaled by Witt weight (jet.ghost_compose).
+F.kernel_projection_cache.  Each L_i is built by jet.ghost_compose,
+which states the three routes a level takes.
 
 The solver's rows need no jet series.  As w_i(x0, 0..0) = x0^(p^i), the x0^j
 coefficient of Theta is sum c_i b_(j/p^i) over p^i | j, for b_k those of
@@ -115,12 +110,11 @@ def _lift_int(x: PadicRational, K: int) -> int:
 
 def _log_table(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
     """F.log_projection_cache filled to L_n; each L_i = log_G(w_i) is built
-    once per group, on its own variables (x0..xi): from w_i for
-    1 <= i with p^i <= M (expanded by the multinomial theorem, or
-    composed), else mapped from log_G (i = 0) or from L_(i-1)
-    (p^i > M), see jet.ghost_compose."""
-    if n > ORDER_CAP + 2:
-        raise ArithJetError("log projections supported up to L_4")
+    once per group, on its own variables (x0..xi), by jet.ghost_compose
+    from log_G and L_(i-1)."""
+    if not 0 <= n <= ORDER_CAP + 2:
+        raise ArithJetError(f"log projection order n = {n}: need"
+                            f" 0 <= n <= {ORDER_CAP + 2}")
     table = F.log_projection_cache
     for i in range(len(table), n + 1):
         xs = tuple(f"x{k}" for k in range(i + 1))
@@ -286,8 +280,9 @@ def solve_character_lattice(F: FormalGroupLaw, n: int,
     see _honda_character for how the lattice verifies it."""
     ctx = F.ctx
     p = ctx.p
-    if n > ORDER_CAP:
-        raise ArithJetError(f"character order capped at {ORDER_CAP}")
+    if not 0 <= n <= ORDER_CAP:
+        raise ArithJetError(f"character order n = {n}: need"
+                            f" 0 <= n <= {ORDER_CAP}")
     if F.kind in (ELLIPTIC, MULTIPLICATIVE) and n == 0:
         # X_0 = Hom(G, G_a) = 0; skip the degenerate solver run
         return CharacterLattice(0, 0, [], [], [])
@@ -417,10 +412,10 @@ def _honda_character(F, zero_vectors, rows, d) -> DeltaCharacter:
     return ch
 
 
-def primitive_quotient(lattices: list[CharacterLattice],
+def primitive_quotient(top: CharacterLattice,
                        F: FormalGroupLaw) -> CharacterLattice:
-    """Basis of X_prim = X_n modulo Frobenius shifts of lower order."""
-    top = lattices[-1]
+    """Basis of X_prim = X_n modulo Frobenius shifts of lower order, for
+    the top lattice X_n."""
     ctx = F.ctx
     K = ctx.N
     shift_vecs = [ch.u_ints(K) for ch in top.shift_relations]
@@ -677,7 +672,7 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     lat0 = solve_character_lattice(F, 0)
     lat1 = solve_character_lattice(F, 1, lower=lat0)
     lat2 = solve_character_lattice(F, 2, lower=lat1)
-    prim = primitive_quotient([lat0, lat1, lat2], F)
+    prim = primitive_quotient(lat2, F)
     rk1, rk2 = lat1.rank, lat2.rank
     is_cl = rk1 == 1
 

@@ -137,9 +137,7 @@ class FormalGroupLaw:
     ``log_projection_cache`` holds the log projections L_i = log(w_i)
     built so far, each on (x0..xi), for character jet series and kernel
     projections (characters.log_projections); the solver never reads it.
-    Each L_i is built from w_i only where 1 <= i and p^i <= M (expanded
-    by the multinomial theorem, or composed); the others are mapped from
-    log or from L_(i-1) (jet.ghost_compose).
+    Each L_i is built by jet.ghost_compose.
     ``kernel_projection_cache`` holds the kernel projections
     Lbar_j = L_j(0, x1..xj) built so far, as the dict {j: Lbar_j} on
     (x1..xj), each restricted from L_j once

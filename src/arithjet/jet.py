@@ -13,16 +13,12 @@ ghost_solve's powers a^(p^k) of the components are the costly part;
 their squarings run on int terms, building PadicRationals once, for the
 result (arithjet.series).  jet_group_law builds the ghosts
 F(w_i(x), w_i(y)) on all of J^n's variables (x0..xn, y0..yn), one level
-at a time (ghost_compose), and keeps them in JetGroupLaw.ghosts beside
-the components they solve to.  Level 0 is F's law relabelled; a level
-1 <= i with p^i <= M is expanded term by term by the multinomial
-theorem, or composed where that would not give the compose (a Horner
-step of F's law reaches p, say); once p^i > M, level i is level i-1
-moved up one coordinate and p-scaled by Witt weight.  One
-verify_jet_identities builds J^2 once, and lateral-homomorphism reads
-the level-1 ghost of N^1's jet law (f is w_1 on (x1, x2)).  At p = 5,
-M < 25 one verify builds level 1 of F's law once and of N^1's once; at
-M = 22 both are expanded for G_m and y^2 = x^3 + x + 1.
+at a time (ghost_compose, which states the three routes a level takes),
+and keeps them in JetGroupLaw.ghosts beside the components they solve
+to.  One verify_jet_identities builds J^2 once, and lateral-homomorphism
+reads the level-1 ghost of N^1's jet law (f is w_1 on (x1, x2)).  At
+p = 5, M < 25 one verify builds level 1 of F's law once and of N^1's
+once.
 
 N^1 = ker(J^1G -> G) needs no compose, only p-scaling: its law is
 (1/p) F(p t1, p t2) and its log is Psi_1 = (1/p) log_G(p t), so the t^e
@@ -86,18 +82,20 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
     coordinate names b_j = (x_0, x_1, ...) per variable of G; below is
     the level i-1 series, read when p^i > M.  Each of the three routes
     gives G.compose of the ghost polynomials key for key: the same keys,
-    the same (unit, val, rel) and series absprec; the relabel and the map
-    also keep its key order, the expansion's is below.
+    the same (unit, val, rel) and series absprec; the relabel also keeps
+    its key order, the map keeps that of level i-1, and the expansion's
+    is below.  These are the routes of every jet law ghost and every log
+    projection L_i.
 
     Level 0: the argument is a bare coordinate, so G is relabelled, in
     the key order of the compose (Horner: descending, the last
     variable's exponent first).
 
-    1 <= i with p^i <= M: expanded (_ghost_expand) where that is the
-    compose (_expands), else composed.  The terms p^m x_m^(p^(i-m)) of
-    w_i are powers of distinct coordinates, so each monomial of
-    G(w_i(b_1), ...) comes from one term u p^v t^k of G and one split e
-    of each exponent k over its block's coordinates: it is
+    1 <= i with p^i <= M: expanded (_ghost_expand) when every Horner
+    step of G is below p (_expands), else composed.  The terms
+    p^m x_m^(p^(i-m)) of w_i are powers of distinct coordinates, so each
+    monomial of G(w_i(b_1), ...) comes from one term u p^v t^k of G and
+    one split e of each exponent k over its block's coordinates: it is
     u * prod multinomial(k; e) * p^(v+s), s = sum_m m e_m the Witt
     weight, known to v + s + min(r, N+i) for r the term's relative
     precision (N+i is the coordinates'); an O(p^w) zero of G gives
@@ -107,20 +105,19 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
     least v + s' and claim v + s' + min(r, N+i), times a power term of
     valuation s'' and claim s'' + N + i claims
     min(A1 + v2, v1 + A2) = v + s + min(r, N+i), and a sum keeps it.  A
-    step of p or more credits v_p of the power's multinomial (y^2 = x^3 + 1
-    at p = 5 has a step of 6, every short curve at p = 3 one of 4), so
-    such levels are composed.  With a series absprec X, the compose
-    keeps X when each last step d leaves x_0^(d p^i) within the cap (the
-    power then has a term of valuation 0), and drops no key when no
-    zero arises: G stores none and no multinomial reaches the claim's
-    relative digits (_carries); the expansion asks both.  Its keys come
-    in descending order, the last block read first and each block from
-    x_0.  That is the compose's order on every level of the benchmark's
-    groups, but not for every G: a Horner product whose shorter operand
-    is the accumulator lists its keys accumulator-first, so the compose
-    of, say, 5^-1 u t^4 + 5^5 u' t^8 + O(5^-2) t^9 at
-    (p, N, M) = (5, 4, 31), level 2, comes out of this order.  No reader depends on it: a sum or
-    product of series has the same coefficients in any key order.
+    step of p or more credits v_p of the power's multinomial
+    (y^2 = x^3 + 1 at p = 5 has a step of 6, every short curve at p = 3
+    one of 4), so such levels are composed.  The series absprec is G's,
+    X: the compose claims X + 0, as x_0^(p^i) has valuation 0, and an
+    O(p^w) zero with w >= X is dropped, as the compose drops it.  Keys
+    come in descending order, the last block read first and each block
+    from x_0.  That is the compose's order on every level of the
+    benchmark's groups, but not for every G: a Horner product whose
+    shorter operand is the accumulator lists its keys accumulator-first,
+    so the compose of, say, 5^-1 u t^4 + 5^5 u' t^8 + O(5^-2) t^9 at
+    (p, N, M) = (5, 4, 31), level 2, comes out of this order.  No reader
+    depends on it: a sum or product of series has the same coefficients
+    in any key order.
 
     p^i > M: the x_0^(p^i) term of w_i(x) = x_0^(p^i) + p w_(i-1)(x_1..x_i)
     falls outside the cap, and level i is level i-1 with each coordinate
@@ -133,13 +130,12 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
     by one, the valuation of w_i over w_(i-1).  This holds as long as the
     coordinates' claims (N+i relative digits) never bind, and they do not:
     log_G is capped at N relative digits and F's law is built from N-digit
-    integers.  Horner also drops an O(p^w) zero that its running series
-    absprec covers, and that bound does not shift; no such zero arises in
-    the cases the tests compare with the compose."""
+    integers.  An O(p^w) zero that the shifted absprec covers is dropped,
+    as the compose drops it."""
     ctx, variables = G.ctx, tuple(variables)
     if i and ctx.p ** i <= ctx.M:
         args = [ghost_series(ctx, variables, b, i) for b in blocks]
-        if _expands(G, i):
+        if _expands(G):
             return _ghost_expand(G, variables, blocks, args, i)
         return G.compose(args)
     if i == 0:
@@ -149,6 +145,7 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
             G.absprec)
     moves = [(below.vars.index(b[m]), variables.index(b[m + 1]),
               ctx.p ** (i - 1 - m)) for b in blocks for m in range(i)]
+    absprec = _addp(below.absprec, 1)
     coeffs = {}
     for e, c in below.coeffs.items():
         moved = [0] * len(variables)
@@ -156,17 +153,18 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
         for src, dst, d in moves:
             moved[dst] = e[src]
             k += e[src] // d
-        coeffs[tuple(moved)] = c.shift(k)
-    return _series(ctx, variables, coeffs, _addp(below.absprec, 1))
+        c = c.shift(k)
+        if c.unit or absprec is None or c.val < absprec:
+            coeffs[tuple(moved)] = c
+    return _series(ctx, variables, coeffs, absprec)
 
 
-def _horner_steps(G: TruncatedSeries) -> list[tuple[int, bool]]:
-    """The steps of G.compose as (d, last) pairs, split as
-    TruncatedSeries._compose_rec splits G (series._horner_split): in the
-    last variable that G uses, d is the difference of consecutive
-    exponents (last False) or the smallest exponent when it is positive
-    (last True); each group of terms that share an exponent is split
-    alike on the variables before it."""
+def _horner_steps(G: TruncatedSeries) -> list[int]:
+    """The steps of G.compose, split as TruncatedSeries._compose_rec
+    splits G (series._horner_split): in the last variable that G uses,
+    the differences of consecutive exponents and the smallest exponent
+    when it is positive; each group of terms that share an exponent is
+    split alike on the variables before it."""
     steps = []
 
     def walk(coeffs, active):
@@ -175,9 +173,9 @@ def _horner_steps(G: TruncatedSeries) -> list[tuple[int, bool]]:
             return
         _, rest, groups = split
         ks = sorted(groups, reverse=True)
-        steps.extend((a - b, False) for a, b in zip(ks, ks[1:]))
+        steps.extend(a - b for a, b in zip(ks, ks[1:]))
         if ks[-1]:
-            steps.append((ks[-1], True))
+            steps.append(ks[-1])
         for group in groups.values():
             walk(group, rest)
 
@@ -185,30 +183,10 @@ def _horner_steps(G: TruncatedSeries) -> list[tuple[int, bool]]:
     return steps
 
 
-def _expands(G: TruncatedSeries, i: int) -> bool:
-    """Whether ghost_compose builds level i of G by _ghost_expand (see
-    there for why these conditions make it the compose)."""
-    ctx = G.ctx
-    p, M = ctx.p, ctx.M
-    steps = _horner_steps(G)
-    if any(d >= p for d, _ in steps):
-        return False
-    return G.absprec is None or all(
-        d * p ** i <= M for d, last in steps if last) and all(
-        c.unit and min(c.rel, ctx.N + i) > sum(_carries(p, k, i) for k in e)
-        for e, c in G.coeffs.items())
-
-
-def _carries(p: int, k: int, i: int) -> int:
-    """A bound on v_p of every multinomial coefficient of k over i + 1
-    parts, and of every such coefficient of a smaller k: by Legendre it
-    is sum over p^j <= k of floor(k/p^j) - sum_m floor(e_m/p^j), and each
-    of these terms is at most floor(k/p^j) and at most i."""
-    v, q = 0, p
-    while q <= k:
-        v += min(k // q, i)
-        q *= p
-    return v
+def _expands(G: TruncatedSeries) -> bool:
+    """Whether ghost_compose builds a level 1 <= i with p^i <= M of G by
+    _ghost_expand: every Horner step is below p (see there for why)."""
+    return all(d < G.ctx.p for d in _horner_steps(G))
 
 
 def _splits(weights, k: int, room: int) -> list[tuple]:
@@ -265,6 +243,7 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
                 rows.append((deg, key, f, s, rel))
         return rows
 
+    X = _INF if G.absprec is None else G.absprec
     coeffs = {}
     for e, c in G.coeffs.items():
         u, v, r = c.unit, c.val, c.rel
@@ -278,7 +257,9 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
             rel = min(r, rel)
             y = u * f % pw[rel]
             if not y:  # an O(p^w) zero of G, or a unit times p^rel
-                coeffs[key] = _padic(ctx, 0, v + s + (rel if u else 0), 0)
+                w = v + s + (rel if u else 0)
+                if w < X:
+                    coeffs[key] = _padic(ctx, 0, w, 0)
                 continue
             t = 0
             while not y % p:
@@ -301,8 +282,8 @@ class JetGroupLaw:
 def jet_group_law(F: FormalGroupLaw, n: int) -> JetGroupLaw:
     """Group law of J^nG in Witt coordinates (x_0..x_n) * (y_0..y_n), with
     the ghosts on all of J^n's variables (ghost_compose)."""
-    if n > JET_LEVEL_CAP:
-        raise ArithJetError(f"jet level capped at n <= {JET_LEVEL_CAP}")
+    if not 0 <= n <= JET_LEVEL_CAP:
+        raise ArithJetError(f"jet level n = {n}: need 0 <= n <= {JET_LEVEL_CAP}")
     xs, ys = jet_variables(n)
     allv = xs + ys
     ghosts = []

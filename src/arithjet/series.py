@@ -20,10 +20,11 @@ building the result unchecked; negation, shifts, scaling, truncation,
 renaming and extension only carry canonical coefficients over.
 
 Supported operations: ring arithmetic, scalar multiplication, p-power
-shifts, composition (recursive Horner), reversion of a univariate series,
-substitution of zero for variables, numeric evaluation, derivative and
-termwise integration of univariate series, and residual-valuation
-comparison for budgeted identity checks.
+shifts, composition (recursive Horner; for a series absprec X the result
+claims at most X + v, v the least valuation of the arguments), reversion
+of a univariate series, substitution of zero for variables, numeric
+evaluation, derivative and termwise integration of univariate series,
+and residual-valuation comparison for budgeted identity checks.
 
 Products (and so powers, inverses, composition and reversion) run on
 integers in three steps: read a series into int terms (_int_terms, scaled
@@ -565,7 +566,15 @@ class TruncatedSeries:
         on int terms: each argument is read once and each power args[i]^k
         that the steps need is computed once per call (_power_terms),
         each step acc * arg^k + g is _mul_terms then _add_terms, and only
-        the result's PadicRationals are built."""
+        the result's PadicRationals are built.
+
+        With a series absprec X, the result claims at most X + v, v the
+        least min_valuation() of the arguments: each absent non-constant
+        monomial O(p^X) t^e of self composes to O(p^(X+v)) or better when
+        v >= 0.  Horner alone can claim more, as its last product
+        multiplies by the smallest power only and a variable that self
+        never uses enters no product; the zeros this bound covers are
+        dropped."""
         if len(args) != len(self.vars):
             raise VariableMismatch("one argument per variable required")
         tgt = args[0].vars
@@ -576,8 +585,14 @@ class TruncatedSeries:
                 raise NonzeroConstantTerm("composition argument has constant term")
         tctx = args[0].ctx
         cap = tctx.M if cap is None else min(cap, tctx.M)
-        return _build(tctx, tgt, self._compose_rec(
-            list(range(len(self.vars))), args, {}, tctx, cap), cap)
+        terms, s, absp, _, _ = self._compose_rec(
+            list(range(len(self.vars))), args, {}, tctx, cap)
+        v = min(a.min_valuation() for a in args)
+        if self.absprec is not None and v is not _INF and (
+                absp is None or self.absprec + v < absp):
+            absp = self.absprec + v
+            terms = [t for t in terms if t[2] or t[4] < absp]
+        return _build(tctx, tgt, (terms, s, absp, None, None), cap)
 
     def _compose_rec(self, active, args, powers, tctx, cap):
         """Horner in the last variable of `active` that self uses, as int

@@ -56,7 +56,6 @@ class StructurePolySet:
     Neg: tuple[ExactPoly, ...]
     Frob: tuple[ExactPoly, ...]
     vars_xy: tuple[str, ...] = field(repr=False, default=())
-    vars_x: tuple[str, ...] = field(repr=False, default=())
 
 
 _struct_cache: dict[tuple[int, int], StructurePolySet] = {}
@@ -92,7 +91,7 @@ def structure_polynomials(ctx: Context, n: int) -> StructurePolySet:
                 f"{name} ghost identity failed for W_{n} at p = {p}")
 
     out = StructurePolySet(p=p, n=n, **{k: tuple(v) for k, v in solved.items()},
-                           vars_xy=both, vars_x=xs)
+                           vars_xy=both)
     _struct_cache[key] = out
     return out
 

@@ -15,7 +15,7 @@ from arithjet.characters import (
     check_point_count, f_star,
 )
 from arithjet import characters, formalgroup
-from arithjet.jet import ghost_series, n1_group, psi1_series
+from arithjet.jet import ghost_series, jet_group_law, n1_group, psi1_series
 from arithjet.errors import (
     ArithJetError, IdentityViolation, IntegralityViolation, PrecisionExhausted,
 )
@@ -273,14 +273,18 @@ def test_order2_needs_degree_budget(ctx):
 
 
 def test_primitive_quotient(E11, Em10, Gm):
-    for F, order in ((E11, 2), (Em10, 1)):
-        lats = [solve_character_lattice(F, k) for k in range(3)]
-        prim = primitive_quotient(lats, F)
-        assert prim.rank == 1
-    latsg = [solve_character_lattice(Gm, k) for k in range(3)]
-    prim = primitive_quotient(latsg, Gm)
+    for F in (E11, Em10):
+        assert primitive_quotient(solve_character_lattice(F, 2), F).rank == 1
+    prim = primitive_quotient(solve_character_lattice(Gm, 2), Gm)
     assert prim.rank == 1
     assert prim.basis[0].order in (1, 2)
+
+
+@pytest.mark.parametrize("build", [
+    solve_character_lattice, jet_group_law, log_projections])
+def test_a_negative_order_raises_naming_it(E11, build):
+    with pytest.raises(ArithJetError, match="n = -1:"):
+        build(E11, -1)
 
 
 # -- differential, gamma, Upsilon ---------------------------------------------

@@ -15,7 +15,10 @@ same (unit, val, rel, ctx.N) per coefficient and the same series absprec.
 A ghost level G(w_i(b_1), ...) that jet.ghost_compose expands by the
 multinomial theorem agrees with G.compose in (unit, val, rel, ctx.N) and
 series absprec, in any monomial order, wherever it is taken, and bit for
-bit, keys in the same order, on the benchmark groups' levels.
+bit, keys in the same order, on the benchmark groups' levels; a level it
+maps from the one below (p^i > M) agrees with G.compose alike.  The
+compose's series absprec holds for every series within its input's
+claims: the absent monomials move by multiples of p^absprec.
 The coefficient maps agree with the composes and loops they replaced in
 (unit, val, rel) and series absprec, in any monomial order: the ghost
 polynomial by its monomial loop, N^1's law and Psi_1 by composing with
@@ -148,7 +151,9 @@ def reference_compose(f: TruncatedSeries, args: list, cap=None):
     """f(args) by recursive Horner on PadicRational series: each step
     acc * arg^k + g a reference_mul and a series sum, each power arg^k
     (k >= 2) by reference_pow, once per call, or the zero with arg's
-    absprec when every term of arg^k passes the cap."""
+    absprec when every term of arg^k passes the cap; with a series
+    absprec X, the result claims at most X + v, v the least
+    min_valuation() of the arguments, and drops the zeros that covers."""
     if len(args) != len(f.vars):
         raise VariableMismatch("one argument per variable required")
     tgt = args[0].vars
@@ -196,7 +201,11 @@ def reference_compose(f: TruncatedSeries, args: list, cap=None):
             acc = reference_mul(acc, power(used, prev_k), cap)
         return acc
 
-    return rec(f, list(range(len(f.vars))))
+    out = rec(f, list(range(len(f.vars))))
+    v = min(a.min_valuation() for a in args)
+    if f.absprec is None or v is _INF:
+        return out
+    return TruncatedSeries(tctx, tgt, out.coeffs, _minp(out.absprec, f.absprec + v))
 
 
 def reference_reversion(f: TruncatedSeries) -> TruncatedSeries:
@@ -1069,16 +1078,84 @@ def fixed_operand_order_case():
     return f, [a, b], 3
 
 
+def fixed_unused_variable_case():
+    # O(3^0) x1^2 + O(3^1) never uses x0, so no Horner product reads the
+    # argument O(3^0) of x0; the absent x0^k terms O(3^1) still compose to
+    # O(3^1), so the claim is 1 + 0, not exact
+    ctx = Context(p=3, N=4, M=6)
+    f = TruncatedSeries(ctx, ("x0", "x1"),
+                        {(0, 2): PadicRational.zero(ctx, 0)}, 1)
+    v = ("t",)
+    return f, [TruncatedSeries.zero(ctx, v, 0), TruncatedSeries.zero(ctx, v)], None
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(compose_case())
 @example(fixed_compose_case())
 @example(fixed_operand_order_case())
+@example(fixed_unused_variable_case())
 def test_compose_matches_the_stepwise_horner(args):
     # Horner on int terms against Horner on PadicRational series: the
     # same monomials in the same order, triples, absprec and errors
     f, fargs, cap = args
     assert outcome(lambda: f.compose(fargs, cap)) == \
         outcome(lambda: reference_compose(f, fargs, cap))
+
+
+def test_compose_claims_no_more_than_the_absent_terms_allow():
+    # 7 t^2 + O(5^3) at w_1 = x0^5 + 5 x1, (p, N, M) = (5, 8, 8): Horner's
+    # last product multiplies by w_1^2, whose terms within the cap have
+    # valuation 1, so Horner alone claims 4; but 7 t^2 + 125 t, within
+    # G's claims, has the x0^5 coefficient 5^3
+    ctx = Context(p=5, N=8, M=8)
+    xs = ("x0", "x1")
+    w1 = [ghost_series(ctx, xs, xs, 1)]
+    assert TruncatedSeries(ctx, ("t",), {(2,): 7}, 3).compose(w1).absprec == 3
+    moved = TruncatedSeries(ctx, ("t",), {(2,): 7, (1,): 125}, 3).compose(w1)
+    assert moved.get((5, 0)).val == 3
+    f, args, _ = fixed_unused_variable_case()
+    assert f.compose(args).absprec == 1
+
+
+@st.composite
+def perturbed_compose_case(draw):
+    """f with a series absprec X and no constant term (as no log or law
+    has one), arguments of valuation >= 0, and f with c p^X t^e added for
+    up to four monomials e of degree 1..M that f does not store."""
+    ctx = Context(p=draw(st.sampled_from([3, 5, 7])), N=draw(st.integers(2, 8)),
+                  M=draw(st.integers(2, 9)))
+    fv = tuple(f"x{i}" for i in range(draw(st.integers(1, 3))))
+    tv = tuple(f"t{i}" for i in range(draw(st.integers(1, 3))))
+    f = draw(spaced_series(ctx, fv, draw(st.integers(2, 3)), 12, constant=False))
+    X = draw(st.integers(-2, 12))
+    f = TruncatedSeries(ctx, fv, f.coeffs, X)
+    args = []
+    for _ in fv:
+        a = draw(spaced_series(ctx, tv, 1, 5, constant=False))
+        mv = a.min_valuation()
+        args.append(a.shift(-mv) if mv < 0 else a)
+    absent = [e for e in product(range(ctx.M + 1), repeat=len(fv))
+              if 0 < sum(e) <= ctx.M and e not in f.coeffs]
+    assume(absent)
+    added = draw(st.lists(st.sampled_from(absent), min_size=1, max_size=4,
+                          unique=True))
+    moved = TruncatedSeries(ctx, fv, {**f.coeffs, **{
+        e: PadicRational(ctx, draw(st.integers(1, ctx.p ** 4)), X, 40)
+        for e in added}}, X)
+    return f, moved, args
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(perturbed_compose_case())
+def test_compose_claim_holds_for_every_series_within_the_claims(case):
+    # the p^X multiples that f's absprec allows at the monomials it does
+    # not store move each monomial absent from f(args) by a multiple of
+    # p^A, A the absprec f(args) claims
+    f, moved, args = case
+    got, other = f.compose(args), moved.compose(args)
+    for e, c in other.coeffs.items():
+        if e not in got.coeffs:
+            assert got.absprec is not None and c.val >= got.absprec
 
 
 @st.composite
@@ -1174,7 +1251,7 @@ def ghost_level_case(draw):
     coeffs = {e: draw(coefficient(ctx)) for e in keys}
     G = TruncatedSeries(ctx, names, coeffs,
                         draw(st.one_of(st.none(), st.integers(-2, 12))))
-    assume(all(d < p for d, _ in jet._horner_steps(G)))
+    assume(jet._expands(G))
     return (G,) + ghost_level_args(G, i) + (i,)
 
 
@@ -1202,16 +1279,17 @@ def fixed_ghost_level_case(p, N, M, i, coeffs, absprec=None):
     (1, 0): 1, (0, 1): 1, (1, 1): lambda ctx: PadicRational.zero(ctx, 1),
     (2, 1): 2}))
 def test_ghost_levels_match_the_compose(case):
-    # the expansion, where ghost_compose takes it, against G.compose: the
-    # same keys, triples and series absprec, in any key order
+    # ghost_compose expands every case drawn, each Horner step below p;
+    # against G.compose: the same keys, triples and series absprec, in
+    # any key order
     G, variables, blocks, i = case
+    assert jet._expands(G)
     got, want = ghost_level_shapes(G, variables, blocks, i)
     assert (sorted(got[0]), got[1]) == (sorted(want[0]), want[1])
-    if jet._expands(G, i):
-        # keys descending, the last block read first, each from x_0
-        ranked = [variables.index(v) for b in reversed(blocks) for v in b]
-        keys = [[e[n] for n in ranked] for e, *_ in got[0]]
-        assert keys == sorted(keys, reverse=True)
+    # keys descending, the last block read first, each from x_0
+    ranked = [variables.index(v) for b in reversed(blocks) for v in b]
+    keys = [[e[n] for n in ranked] for e, *_ in got[0]]
+    assert keys == sorted(keys, reverse=True)
 
 
 def short_group(p, N, M, a4, a6):
@@ -1244,7 +1322,7 @@ def test_benchmark_ghost_levels_are_expanded_as_composed(group, series, i):
     if series == "law":
         xs, ys = jet_variables(2)
         variables, blocks = xs + ys, (xs, ys)
-    assert jet._expands(G, i)
+    assert jet._expands(G)
     got, want = ghost_level_shapes(G, variables, blocks, i)
     assert got == want
 
@@ -1253,26 +1331,70 @@ def test_horner_steps_choose_between_expansion_and_compose():
     # the short logs at p = 5 step by 2 and 4 (y^2 = x^3 + x + 1) or 4
     # (y^2 = x^3 - x), below p; y^2 = x^3 + 1 steps by 6 and is composed
     def max_step(G):
-        return max(d for d, _ in jet._horner_steps(G))
+        return max(jet._horner_steps(G))
 
     assert max_step(GHOST_GROUPS["E11"]().log) == 4
     assert max_step(GHOST_GROUPS["Em10"]().log) == 4
     E01 = short_group(5, 8, 35, 0, 1)
     assert max_step(E01.log) == 6
-    assert not jet._expands(E01.log, 1)
+    assert not jet._expands(E01.log)
     assert max_step(GHOST_GROUPS["E11-M22"]().law) < 5
     t = TruncatedSeries.variable(Context(p=5, N=8, M=12), ("t",), "t")
-    assert jet._horner_steps(t ** 3 + t ** 9) == [(6, False), (3, True)]
+    assert jet._horner_steps(t ** 3 + t ** 9) == [6, 3]
     # a step of exactly p: Horner's power w_1^5 credits v_5 of its
     # multinomials, so the expansion would claim other digits
     t = TruncatedSeries.variable(Context(p=5, N=8, M=35), ("t",), "t")
     G = t + 3 * t ** 6
-    assert jet._horner_steps(G) == [(5, False), (1, True)]
-    assert not jet._expands(G, 1)
+    assert jet._horner_steps(G) == [5, 1]
+    assert not jet._expands(G)
     xs = ("x0", "x1")
     args = [ghost_series(G.ctx, xs, xs, 1)]
     assert shape(jet._ghost_expand(G, xs, (xs,), args, 1)) != shape(G.compose(args))
     assert shape(jet.ghost_compose(G, xs, (xs,), 1, None)) == shape(G.compose(args))
+
+
+@st.composite
+def mapped_ghost_level_case(draw):
+    """G on 1-2 variables with O(p^w) zeros, negative valuations, relative
+    precisions at most N and absprec None or set, at a level 1 <= i <= 2
+    with p^i > M.  G has no constant term, as no log or law has one, and
+    at least one term: for a G with a constant group, or none at all,
+    Horner reads that group at X, so the compose claims X where the map
+    claims X + 1; both claims are sound, and the compose's is the more
+    cautious one."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    i = draw(st.sampled_from([1, 2]))
+    ctx = Context(p=p, N=draw(st.integers(2, 8)),
+                  M=draw(st.integers(1, min(p ** i - 1, 12))))
+    names = ("t",) if draw(st.booleans()) else ("t1", "t2")
+    keys = draw(st.lists(st.tuples(*[st.integers(0, ctx.M)] * len(names)).filter(
+        lambda e: 0 < sum(e) <= ctx.M), max_size=6, unique=True))
+
+    def rel_at_most_N():
+        if draw(st.integers(0, 4)) == 0:
+            return PadicRational.zero(ctx, draw(st.integers(-3, 5)))
+        return PadicRational(ctx, draw(st.integers(1, p ** 8)),
+                             draw(st.integers(-3, 5)), draw(st.integers(1, ctx.N)))
+
+    G = TruncatedSeries(ctx, names, {e: rel_at_most_N() for e in keys},
+                        draw(st.one_of(st.none(), st.integers(-2, 12))))
+    assume(G.coeffs)
+    return (G,) + ghost_level_args(G, i) + (i,)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mapped_ghost_level_case())
+def test_mapped_ghost_levels_match_the_compose(case):
+    # levels 0..i by ghost_compose, each from the one below, as the jet
+    # law and the log table build them; level i (p^i > M) is mapped, and
+    # gives the compose's keys, triples and series absprec
+    G, variables, blocks, i = case
+    level = None
+    for j in range(i + 1):
+        level = jet.ghost_compose(G, variables, blocks, j, level)
+    got = shape(level)
+    want = shape(G.compose([ghost_series(G.ctx, variables, b, i) for b in blocks]))
+    assert (sorted(got[0]), got[1]) == (sorted(want[0]), want[1])
 
 
 def test_a_square_reads_its_operand_once(monkeypatch):
