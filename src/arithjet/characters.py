@@ -13,8 +13,10 @@ one c-combination of one table per group: each L_i is built once, on
 (x0..xi), and kept in F.log_projection_cache; log_projections reads it
 extended, and the kernel projections Lbar_j = L_j(0, x1..xj) are the same
 table restricted to x0 = 0, each restricted once and kept in
-F.kernel_projection_cache.  Each L_i is built by jet.ghost_compose,
-which states the three routes a level takes.
+F.kernel_projection_cache.  Each L_i is built by jet.ghost_compose:
+L_0 is log_G relabelled, L_i with p^i <= M expanded by the multinomial
+theorem (claiming no less than log_G composed with w_i), and L_i with
+p^i > M mapped from L_(i-1).
 
 The solver's rows need no jet series.  As w_i(x0, 0..0) = x0^(p^i), the x0^j
 coefficient of Theta is sum c_i b_(j/p^i) over p^i | j, for b_k those of

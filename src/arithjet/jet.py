@@ -13,7 +13,8 @@ ghost_solve's powers a^(p^k) of the components are the costly part;
 their squarings run on int terms, building PadicRationals once, for the
 result (arithjet.series).  jet_group_law builds the ghosts
 F(w_i(x), w_i(y)) on all of J^n's variables (x0..xn, y0..yn), one level
-at a time (ghost_compose, which states the three routes a level takes),
+at a time (ghost_compose: relabelled at level 0, expanded by the
+multinomial theorem where p^i <= M, mapped from level i-1 where p^i > M),
 and keeps them in JetGroupLaw.ghosts beside the components they solve
 to.  One verify_jet_identities builds J^2 once, and lateral-homomorphism
 reads the level-1 ghost of N^1's jet law (f is w_1 on (x1, x2)).  At
@@ -48,7 +49,7 @@ from operator import mul
 
 from .context import Context
 from .padic import PadicRational, _padic
-from .series import TruncatedSeries, _addp, _horner_split, _series
+from .series import TruncatedSeries, _addp, _series
 from .formalgroup import FormalGroupLaw
 from .errors import ArithJetError, LengthMismatch
 from .ghost import ghost_map, ghost_solve
@@ -80,41 +81,37 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
                   below: TruncatedSeries | None) -> TruncatedSeries:
     """G(w_i(b_1), ..., w_i(b_r)) on variables, with one block of
     coordinate names b_j = (x_0, x_1, ...) per variable of G; below is
-    the level i-1 series, read when p^i > M.  Each of the three routes
-    gives G.compose of the ghost polynomials key for key: the same keys,
-    the same (unit, val, rel) and series absprec; the relabel also keeps
-    its key order, the map keeps that of level i-1, and the expansion's
-    is below.  These are the routes of every jet law ghost and every log
-    projection L_i.
+    the level i-1 series, read when p^i > M.  This builds every jet law
+    ghost and every log projection L_i, by one route per range of i.
+    Each route gives the series absprec of G.compose of the ghost
+    polynomials, agrees with it on every key to the lesser of the two
+    claims, and claims no less; so the compose lacks only keys whose
+    shorter claim it cannot tell from zero.  The relabel gives the
+    compose key for key.
 
     Level 0: the argument is a bare coordinate, so G is relabelled, in
     the key order of the compose (Horner: descending, the last
     variable's exponent first).
 
-    1 <= i with p^i <= M: expanded (_ghost_expand) when every Horner
-    step of G is below p (_expands), else composed.  The terms
-    p^m x_m^(p^(i-m)) of w_i are powers of distinct coordinates, so each
-    monomial of G(w_i(b_1), ...) comes from one term u p^v t^k of G and
-    one split e of each exponent k over its block's coordinates: it is
-    u * prod multinomial(k; e) * p^(v+s), s = sum_m m e_m the Witt
-    weight, known to v + s + min(r, N+i) for r the term's relative
-    precision (N+i is the coordinates'); an O(p^w) zero of G gives
-    O(p^(w+s)).  That is Horner's claim when each power w_i^d that a
-    Horner step multiplies has unit multinomials, i.e. when every step d
-    (_horner_steps) is below p: an accumulator term, of valuation at
-    least v + s' and claim v + s' + min(r, N+i), times a power term of
-    valuation s'' and claim s'' + N + i claims
-    min(A1 + v2, v1 + A2) = v + s + min(r, N+i), and a sum keeps it.  A
-    step of p or more credits v_p of the power's multinomial
-    (y^2 = x^3 + 1 at p = 5 has a step of 6, every short curve at p = 3
-    one of 4), so such levels are composed.  The series absprec is G's,
-    X: the compose claims X + 0, as x_0^(p^i) has valuation 0, and an
-    O(p^w) zero with w >= X is dropped, as the compose drops it.  Keys
-    come in descending order, the last block read first and each block
-    from x_0.  That is the compose's order on every level of the
-    benchmark's groups, but not for every G: a Horner product whose
-    shorter operand is the accumulator lists its keys accumulator-first,
-    so the compose of, say, 5^-1 u t^4 + 5^5 u' t^8 + O(5^-2) t^9 at
+    1 <= i with p^i <= M: expanded by the multinomial theorem
+    (_ghost_expand).  The terms p^m x_m^(p^(i-m)) of w_i are powers of
+    distinct coordinates, so each monomial of G(w_i(b_1), ...) comes
+    from exactly one term u p^v t^k of G and one split e of each
+    exponent k over its block's coordinates: it is u * c * p^(v+s),
+    c = prod multinomial(k; e) and s = sum_m m e_m the Witt weight.  It
+    is known to v + s + v_p(c) + min(r, N+i), r the term's relative
+    precision and N+i the coordinates'; an O(p^w) zero of G gives
+    O(p^(w+s+v_p(c))).  No other term of G reaches that monomial, so
+    the claim holds for every G within G's claims, and no sound claim
+    is longer.  The series absprec is G's, X: an absent O(p^X) t^k
+    reaches only monomials absent from the result, and composes to
+    O(p^X) or better, as x_0^(p^i) has valuation 0 (the compose claims
+    X + 0 too); an O(p^w) zero with w >= X is dropped.  Keys come in
+    descending order, the last block read first and each block from
+    x_0.  That is the compose's order on every level of the benchmark's
+    groups, but not for every G: a Horner product whose shorter operand
+    is the accumulator lists its keys accumulator-first, so the compose
+    of, say, 5^-1 u t^4 + 5^5 u' t^8 + O(5^-2) t^9 at
     (p, N, M) = (5, 4, 31), level 2, comes out of this order.  No reader
     depends on it: a sum or product of series has the same coefficients
     in any key order.
@@ -124,20 +121,17 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
     x_m moved to x_(m+1) and each coefficient of Witt weight k multiplied
     by p^k: a monomial prod x_m^(e_m) of w_(i-1)^k has
     k = sum_m e_m / p^(i-1-m), summed over the blocks.  Every monomial
-    of w_(i-1)^k determines k, Horner's products and sums keep that
-    grading, and a product's claim min(A1 + v2, v1 + A2) and a sum's
-    min both shift by k on the weight-k terms; the series absprec shifts
-    by one, the valuation of w_i over w_(i-1).  This holds as long as the
-    coordinates' claims (N+i relative digits) never bind, and they do not:
-    log_G is capped at N relative digits and F's law is built from N-digit
-    integers.  An O(p^w) zero that the shifted absprec covers is dropped,
-    as the compose drops it."""
+    of w_(i-1)^k determines k, so each claim of level i-1 shifts by k
+    with its value, and the series absprec shifts by one, the valuation
+    of w_i over w_(i-1).  This holds as long as the coordinates' claims
+    (N+i relative digits) never bind, and they do not: log_G is capped
+    at N relative digits and F's law is built from N-digit integers.  An
+    O(p^w) zero that the shifted absprec covers is dropped, as the
+    compose drops it."""
     ctx, variables = G.ctx, tuple(variables)
     if i and ctx.p ** i <= ctx.M:
         args = [ghost_series(ctx, variables, b, i) for b in blocks]
-        if _expands(G):
-            return _ghost_expand(G, variables, blocks, args, i)
-        return G.compose(args)
+        return _ghost_expand(G, variables, blocks, args, i)
     if i == 0:
         relabelled = G.rename([b[0] for b in blocks]).extend(variables)
         return _series(ctx, variables, dict(sorted(
@@ -159,36 +153,6 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
     return _series(ctx, variables, coeffs, absprec)
 
 
-def _horner_steps(G: TruncatedSeries) -> list[int]:
-    """The steps of G.compose, split as TruncatedSeries._compose_rec
-    splits G (series._horner_split): in the last variable that G uses,
-    the differences of consecutive exponents and the smallest exponent
-    when it is positive; each group of terms that share an exponent is
-    split alike on the variables before it."""
-    steps = []
-
-    def walk(coeffs, active):
-        split = _horner_split(coeffs, active)
-        if split is None:
-            return
-        _, rest, groups = split
-        ks = sorted(groups, reverse=True)
-        steps.extend(a - b for a, b in zip(ks, ks[1:]))
-        if ks[-1]:
-            steps.append(ks[-1])
-        for group in groups.values():
-            walk(group, rest)
-
-    walk(G.coeffs, list(range(len(G.vars))))
-    return steps
-
-
-def _expands(G: TruncatedSeries) -> bool:
-    """Whether ghost_compose builds a level 1 <= i with p^i <= M of G by
-    _ghost_expand: every Horner step is below p (see there for why)."""
-    return all(d < G.ctx.p for d in _horner_steps(G))
-
-
 def _splits(weights, k: int, room: int) -> list[tuple]:
     """The exponent vectors e with sum(e) = k and sum(e_m * weights[m])
     at most room, in descending order; the last weight is 1."""
@@ -204,7 +168,8 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
     """G(args) for the ghost polynomials args = (w_i(b_1), ..., w_i(b_r))
     by the multinomial theorem, term by term of G, keys in descending
     order, the last block read first and each block from x_0; see
-    ghost_compose for why it is the compose."""
+    ghost_compose for why each claim holds and agrees with the
+    compose's."""
     ctx = G.ctx
     p, M = ctx.p, ctx.M
     base = M + 1
@@ -226,7 +191,8 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
 
     def split_rows(j, k):
         # the terms of w_i(b_j)^k within the cap: (degree, packed key,
-        # multinomial times the units, Witt weight s, least rel used)
+        # multinomial times the units with p divided out, Witt weight s
+        # plus the p-powers divided out, least rel used)
         rows = row_memo.get((j, k))
         if rows is None:
             rows = row_memo[(j, k)] = []
@@ -240,6 +206,9 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
                         rel = min(rel, r)
                         deg += em * d
                         key += em * kk
+                while not f % p:  # credit v_p of the multinomial to s
+                    f //= p
+                    s += 1
                 rows.append((deg, key, f, s, rel))
         return rows
 
@@ -254,18 +223,11 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
                       for d2, k2, f2, s2, r2 in split_rows(j, k)
                       if d1 + d2 <= M]
         for _, key, f, s, rel in combos:
-            rel = min(r, rel)
-            y = u * f % pw[rel]
-            if not y:  # an O(p^w) zero of G, or a unit times p^rel
-                w = v + s + (rel if u else 0)
-                if w < X:
-                    coeffs[key] = _padic(ctx, 0, w, 0)
-                continue
-            t = 0
-            while not y % p:
-                y //= p
-                t += 1
-            coeffs[key] = _padic(ctx, y, v + s + t, rel - t)
+            if u:  # u * f is prime to p
+                rel = min(r, rel)
+                coeffs[key] = _padic(ctx, u * f % pw[rel], v + s, rel)
+            elif v + s < X:  # an O(p^w) zero of G
+                coeffs[key] = _padic(ctx, 0, v + s, 0)
     return _series(ctx, variables, {
         tuple([key // w % base for w in weights]): coeffs[key]
         for key in sorted(coeffs, reverse=True)}, G.absprec)

@@ -21,7 +21,8 @@ renaming and extension only carry canonical coefficients over.
 
 Supported operations: ring arithmetic, scalar multiplication, p-power
 shifts, composition (recursive Horner; for a series absprec X the result
-claims at most X + v, v the least valuation of the arguments), reversion
+claims at most X + v, v the least valuation of the arguments, or
+X + cap * v when v < 0), reversion
 of a univariate series, substitution of zero for variables, numeric
 evaluation, derivative and termwise integration of univariate series,
 and residual-valuation comparison for budgeted identity checks.
@@ -187,23 +188,6 @@ def _build(ctx: Context, variables: tuple, packed, cap: int):
         tuple([k // w % base for w in weights]):
             _padic(ctx, x // pw[v - s], v, A - v) if x else _padic(ctx, 0, A, 0)
         for k, _, x, v, A in terms}, absprec)
-
-
-def _horner_split(coeffs: dict, active):
-    """How compose's Horner splits coeffs: the last variable of active
-    that they use, the rest of active, and the terms grouped by that
-    variable's exponent, each with the exponent set to 0; None when they
-    use no variable of active."""
-    used = next((i for i in reversed(active)
-                 if any(e[i] for e in coeffs)), None)
-    if used is None:
-        return None
-    groups: dict[int, dict] = {}
-    for e, c in coeffs.items():
-        ee = list(e)
-        ee[used] = 0
-        groups.setdefault(e[used], {})[tuple(ee)] = c
-    return used, [i for i in active if i != used], groups
 
 
 def _series(ctx: Context, variables: tuple, coeffs: dict, absprec):
@@ -568,10 +552,12 @@ class TruncatedSeries:
         each step acc * arg^k + g is _mul_terms then _add_terms, and only
         the result's PadicRationals are built.
 
-        With a series absprec X, the result claims at most X + v, v the
-        least min_valuation() of the arguments: each absent non-constant
-        monomial O(p^X) t^e of self composes to O(p^(X+v)) or better when
-        v >= 0.  Horner alone can claim more, as its last product
+        With a series absprec X, the result claims at most X + v when
+        the least min_valuation() v of the arguments is >= 0, and at most
+        X + cap * v when it is negative: an absent non-constant monomial
+        O(p^X) t^e of self composes to valuation X + |e| v or more, and
+        only |e| <= cap reaches the result, as the arguments have no
+        constant term.  Horner alone can claim more, as its last product
         multiplies by the smallest power only and a variable that self
         never uses enters no product; the zeros this bound covers are
         dropped."""
@@ -588,6 +574,8 @@ class TruncatedSeries:
         terms, s, absp, _, _ = self._compose_rec(
             list(range(len(self.vars))), args, {}, tctx, cap)
         v = min(a.min_valuation() for a in args)
+        if v < 0:  # an absent t^e, |e| <= cap, composes to X + |e| v or more
+            v *= cap
         if self.absprec is not None and v is not _INF and (
                 absp is None or self.absprec + v < absp):
             absp = self.absprec + v
@@ -598,10 +586,16 @@ class TruncatedSeries:
         """Horner in the last variable of `active` that self uses, as int
         terms; `powers` maps (argument index, k) to args[index]^k at this
         cap."""
-        split = _horner_split(self.coeffs, active)
-        if split is None:  # the constant term, if any, is read as it stands
+        used = next((i for i in reversed(active)
+                     if any(e[i] for e in self.coeffs)), None)
+        if used is None:  # the constant term, if any, is read as it stands
             return _int_terms(self, cap)
-        used, rest, groups = split
+        groups: dict[int, dict] = {}  # exponent of `used` -> terms, it set to 0
+        for e, c in self.coeffs.items():
+            ee = list(e)
+            ee[used] = 0
+            groups.setdefault(e[used], {})[tuple(ee)] = c
+        rest = [i for i in active if i != used]
         arg = args[used]
 
         def power(k):

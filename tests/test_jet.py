@@ -17,7 +17,7 @@ from arithjet.jet import (
 )
 from arithjet.ghost import ghost_map, ghost_solve
 from arithjet.errors import ArithJetError, LengthMismatch
-from test_kernels import reference_kernel_law
+from test_kernels import assert_claims_no_less_than_the_compose, reference_kernel_law
 
 INF = float("inf")
 
@@ -256,7 +256,8 @@ def coefficient_map(f):
 def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
     # u o law = law o (u, u): the first two components of the J^2 law
     # equal the J^1 law of a separately built group, exactly, and the
-    # ghost solve of the composes made on all of J^2's variables
+    # ghost solve of the composes made on all of J^2's variables to its
+    # claims or beyond
     xs, ys = jet_variables(2)
     allv = xs + ys
     J2 = jet_group_law(build(ctx), 2)
@@ -268,17 +269,19 @@ def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
         TruncatedSeries.shift)
     for i in range(2):
         assert coefficient_map(J2.law[i]) == coefficient_map(J1.law[i].extend(allv))
-        assert coefficient_map(J2.law[i]) == coefficient_map(direct[i])
+        assert (sorted(J2.law[i].coeffs), J2.law[i].absprec) == \
+            (sorted(direct[i].coeffs), direct[i].absprec)
+        assert_claims_no_less_than_the_compose(J2.law[i], direct[i])
 
 
 def test_one_verification_composes_each_ghost_level_once(monkeypatch):
     # ghost_compose builds F(w_i(x), w_i(y)) once per level and group: F's
     # law at levels 0-2 for J^2, and N^1's at levels 0-1 for its J^1,
     # whose level 1 check (e) reads again.  At p = 5 only level 1 is built
-    # from w_1, by the multinomial theorem at M = 12 and M = 22 (every
-    # Horner step of both laws is below 5), so nothing is composed.  Level
-    # 0 is the law relabelled and level 2 is level 1 mapped.  n1_group
-    # composes nothing: N^1's law is F's scaled by p, (1/p) F(p t1, p t2).
+    # from w_1, by the multinomial theorem at M = 12 and M = 22, so
+    # nothing is composed.  Level 0 is the law relabelled and level 2 is
+    # level 1 mapped.  n1_group composes nothing: N^1's law is F's scaled
+    # by p, (1/p) F(p t1, p t2).
     groups = {}
     real_n1 = jet.n1_group
 
@@ -330,9 +333,10 @@ JET_GROUPS = {
     for M in (12, 26) for group in JET_GROUPS for n in (1, 2)])
 def test_jet_law_keeps_the_ghost_composes_it_solves(group, n, M):
     # ghosts[i] is F(w_i(x), w_i(y)) composed on all of J^n's variables,
-    # triple for triple, and the ghost map of the law gives it back to
-    # the precision the two claim.  Level 2 is mapped from level 1 at
-    # M = 12 (5^2 > M) and expanded from w_2 at M = 26
+    # with the compose's keys and series absprec, to its claims or beyond,
+    # and the ghost map of the law gives it back to the precision the two
+    # claim.  Level 2 is mapped from level 1 at M = 12 (5^2 > M) and
+    # expanded from w_2 at M = 26
     ctx = Context(p=5, N=8, M=M)
     F = JET_GROUPS[group](ctx)
     J = jet_group_law(F, n)
@@ -343,7 +347,9 @@ def test_jet_law_keeps_the_ghost_composes_it_solves(group, n, M):
         want = F.law.compose([ghost_series(ctx, allv, xs, i),
                               ghost_series(ctx, allv, ys, i)])
         assert J.ghosts[i].vars == allv
-        assert coefficient_map(J.ghosts[i]) == coefficient_map(want)
+        assert (sorted(J.ghosts[i].coeffs), J.ghosts[i].absprec) == \
+            (sorted(want.coeffs), want.absprec)
+        assert_claims_no_less_than_the_compose(J.ghosts[i], want)
     for w, g in zip(ghost_map(ctx.p, list(J.law), TruncatedSeries.shift),
                     J.ghosts):
         assert (w - g).residual_valuation() == INF

@@ -13,12 +13,15 @@ versions must
 agree with them bit for bit: the same monomials in the same order, the
 same (unit, val, rel, ctx.N) per coefficient and the same series absprec.
 A ghost level G(w_i(b_1), ...) that jet.ghost_compose expands by the
-multinomial theorem agrees with G.compose in (unit, val, rel, ctx.N) and
-series absprec, in any monomial order, wherever it is taken, and bit for
-bit, keys in the same order, on the benchmark groups' levels; a level it
-maps from the one below (p^i > M) agrees with G.compose alike.  The
-compose's series absprec holds for every series within its input's
-claims: the absent monomials move by multiples of p^absprec.
+multinomial theorem, or maps from the one below (p^i > M), has
+G.compose's series absprec, agrees with it on every key to the lesser of
+the two claims, and claims no less; on the benchmark groups' levels it
+has the compose's keys, in the compose's order.  The expansion's claims
+hold for every series within its input's claims: G lifted within them
+and composed at ghost polynomials known to 60 digits agrees with every
+key to its claim.  So does the compose's series absprec, also at
+arguments of negative valuation: the absent monomials move by multiples
+of p^absprec.
 The coefficient maps agree with the composes and loops they replaced in
 (unit, val, rel) and series absprec, in any monomial order: the ghost
 polynomial by its monomial loop, N^1's law and Psi_1 by composing with
@@ -69,7 +72,7 @@ from arithjet.errors import (
     ArithJetError, IdentityViolation, NonzeroConstantTerm, PrecisionExhausted,
     VariableMismatch,
 )
-from arithjet.ghost import ghost_solve
+from arithjet.ghost import ghost_map, ghost_solve
 from arithjet.linalg import kernel_lattice, lattice_exponents, solve_padic
 from arithjet.jet import (
     ghost_series, jet_group_law, jet_variables, lateral_frobenius_map,
@@ -153,7 +156,8 @@ def reference_compose(f: TruncatedSeries, args: list, cap=None):
     (k >= 2) by reference_pow, once per call, or the zero with arg's
     absprec when every term of arg^k passes the cap; with a series
     absprec X, the result claims at most X + v, v the least
-    min_valuation() of the arguments, and drops the zeros that covers."""
+    min_valuation() of the arguments (X + cap * v when v < 0), and drops
+    the zeros that covers."""
     if len(args) != len(f.vars):
         raise VariableMismatch("one argument per variable required")
     tgt = args[0].vars
@@ -203,6 +207,8 @@ def reference_compose(f: TruncatedSeries, args: list, cap=None):
 
     out = rec(f, list(range(len(f.vars))))
     v = min(a.min_valuation() for a in args)
+    if v < 0:
+        v *= cap
     if f.absprec is None or v is _INF:
         return out
     return TruncatedSeries(tctx, tgt, out.coeffs, _minp(out.absprec, f.absprec + v))
@@ -1117,10 +1123,22 @@ def test_compose_claims_no_more_than_the_absent_terms_allow():
     assert f.compose(args).absprec == 1
 
 
+def test_compose_claims_cap_times_a_negative_argument_valuation():
+    # t + O(5^3) at 5^-1 s, (p, N, M) = (5, 8, 6): an absent t^e composes
+    # to 5^(3-e) s^e, so the claim is 3 + 6 * (-1), not 3 - 1; adding
+    # 5^3 t^2, within the claims, gives the s^2 coefficient 5^1
+    ctx = Context(p=5, N=8, M=6)
+    arg = [TruncatedSeries(ctx, ("s",), {(1,): PadicRational(ctx, 1, -1)})]
+    f = TruncatedSeries(ctx, ("t",), {(1,): 1}, 3)
+    assert f.compose(arg).absprec == -3
+    moved = TruncatedSeries(ctx, ("t",), {(1,): 1, (2,): 125}, 3).compose(arg)
+    assert moved.get((2,)).val == 1 >= f.compose(arg).absprec
+
+
 @st.composite
 def perturbed_compose_case(draw):
     """f with a series absprec X and no constant term (as no log or law
-    has one), arguments of valuation >= 0, and f with c p^X t^e added for
+    has one), arguments of any valuation, and f with c p^X t^e added for
     up to four monomials e of degree 1..M that f does not store."""
     ctx = Context(p=draw(st.sampled_from([3, 5, 7])), N=draw(st.integers(2, 8)),
                   M=draw(st.integers(2, 9)))
@@ -1129,11 +1147,7 @@ def perturbed_compose_case(draw):
     f = draw(spaced_series(ctx, fv, draw(st.integers(2, 3)), 12, constant=False))
     X = draw(st.integers(-2, 12))
     f = TruncatedSeries(ctx, fv, f.coeffs, X)
-    args = []
-    for _ in fv:
-        a = draw(spaced_series(ctx, tv, 1, 5, constant=False))
-        mv = a.min_valuation()
-        args.append(a.shift(-mv) if mv < 0 else a)
+    args = [draw(spaced_series(ctx, tv, 1, 5, constant=False)) for _ in fv]
     absent = [e for e in product(range(ctx.M + 1), repeat=len(fv))
               if 0 < sum(e) <= ctx.M and e not in f.coeffs]
     assume(absent)
@@ -1209,11 +1223,25 @@ def test_compose_and_power_build_each_output_value_once(monkeypatch):
 # -- ghost levels by the multinomial theorem ------------------------------------
 
 
-def ghost_level_shapes(G: TruncatedSeries, variables, blocks, i: int):
+def ghost_level_and_compose(G: TruncatedSeries, variables, blocks, i: int):
     """Level i of G's ghost by ghost_compose's route, and by the compose."""
     args = [ghost_series(G.ctx, variables, b, i) for b in blocks]
-    return (shape(jet.ghost_compose(G, variables, blocks, i, None)),
-            shape(G.compose(args)))
+    return (jet.ghost_compose(G, variables, blocks, i, None), G.compose(args))
+
+
+def assert_claims_no_less_than_the_compose(got: TruncatedSeries,
+                                           want: TruncatedSeries):
+    """got, a ghost level, against want, its compose: on every key of
+    either (an absent one is O(p^absprec)), values agreeing to the lesser
+    of the two claims and no claim below the compose's.  So with the same
+    series absprec the keys differ only where the compose claims too few
+    digits to tell a term from zero: in O(7^0) t2 + (1 + O(7)) t2^21
+    + O(7^1) at (p, N, M) = (7, 2, 49), level 2, Horner sums 20 * 7^41
+    and 7^41 at y1^7 y2^20 to O(7^42) and drops it, while the expansion
+    credits v_7(21) and keeps 3 * 7^42 + O(7^43)."""
+    for e in got.coeffs.keys() | want.coeffs.keys():
+        c, d = got.get(e), want.get(e)
+        assert (c - d).is_zero() and c.absprec >= d.absprec, e
 
 
 def ghost_level_args(G: TruncatedSeries, i: int):
@@ -1228,30 +1256,18 @@ def ghost_level_args(G: TruncatedSeries, i: int):
 
 @st.composite
 def ghost_level_case(draw):
-    """G on 1-2 variables whose Horner steps are all below p, with O(p^w)
-    zeros, negative valuations, relative precisions above N+i and
-    absprec None or set, at a level 1 <= i <= 2 with p^i <= M: the
-    exponents of each variable climb from below p by steps below p."""
+    """G on 1-2 variables with any exponents, O(p^w) zeros, negative
+    valuations, relative precisions above N+i and absprec None or set,
+    at a level 1 <= i <= 2 with p^i <= M."""
     p = draw(st.sampled_from([3, 5, 7]))
     i = draw(st.sampled_from([1, 2]))
     ctx = Context(p=p, N=draw(st.integers(2, 8)),
                   M=draw(st.integers(p ** i, p ** i + 6)))
-
-    def chain(top):
-        ks = [draw(st.integers(0, p - 1))]
-        for _ in range(draw(st.integers(0, 2))):
-            ks.append(ks[-1] + draw(st.integers(1, p - 1)))
-        return [k for k in ks if k <= top]
-
-    if draw(st.booleans()):
-        names, keys = ("t",), [(k,) for k in chain(ctx.M)]
-    else:
-        names = ("t1", "t2")
-        keys = [(a, b) for b in chain(ctx.M) for a in chain(ctx.M - b)]
-    coeffs = {e: draw(coefficient(ctx)) for e in keys}
-    G = TruncatedSeries(ctx, names, coeffs,
+    names = ("t",) if draw(st.booleans()) else ("t1", "t2")
+    keys = draw(st.lists(st.tuples(*[st.integers(0, ctx.M)] * len(names)).filter(
+        lambda e: sum(e) <= ctx.M), max_size=6, unique=True))
+    G = TruncatedSeries(ctx, names, {e: draw(coefficient(ctx)) for e in keys},
                         draw(st.one_of(st.none(), st.integers(-2, 12))))
-    assume(jet._expands(G))
     return (G,) + ghost_level_args(G, i) + (i,)
 
 
@@ -1271,25 +1287,74 @@ def fixed_ghost_level_case(p, N, M, i, coeffs, absprec=None):
     (4,): lambda ctx: PadicRational(ctx, 333118, -1, 8),
     (8,): lambda ctx: PadicRational(ctx, 1151, 5, 5),
     (9,): lambda ctx: PadicRational.zero(ctx, -2)}))
-# rel 12 above N+i = 4, and binom(5, 1) = 5 eats one relative digit
+# rel 12 above N+i = 4, and binom(5, 1) = 5 is credited to the valuation
 @example(fixed_ghost_level_case(5, 3, 30, 1, {
     (1,): 1, (5,): lambda ctx: PadicRational(ctx, 7, -1, 12)}, 9))
 # an O(3^1) zero on two variables, absprec None
 @example(fixed_ghost_level_case(3, 4, 9, 1, {
     (1, 0): 1, (0, 1): 1, (1, 1): lambda ctx: PadicRational.zero(ctx, 1),
     (2, 1): 2}))
+# a Horner step of exactly p: the power w_1^5 credits v_5 of its
+# multinomials, and the expansion credits them alike
+@example(fixed_ghost_level_case(5, 8, 35, 1, {(1,): 1, (6,): 3}))
+# the compose drops keys that the expansion keeps (see
+# assert_claims_no_less_than_the_compose)
+@example(fixed_ghost_level_case(7, 2, 49, 2, {
+    (0, 1): lambda ctx: PadicRational.zero(ctx, 0),
+    (0, 21): lambda ctx: PadicRational(ctx, 1, 0, 1)}, 1))
 def test_ghost_levels_match_the_compose(case):
-    # ghost_compose expands every case drawn, each Horner step below p;
-    # against G.compose: the same keys, triples and series absprec, in
-    # any key order
     G, variables, blocks, i = case
-    assert jet._expands(G)
-    got, want = ghost_level_shapes(G, variables, blocks, i)
-    assert (sorted(got[0]), got[1]) == (sorted(want[0]), want[1])
+    got, want = ghost_level_and_compose(G, variables, blocks, i)
+    assert got.absprec == want.absprec
+    assert_claims_no_less_than_the_compose(got, want)
     # keys descending, the last block read first, each from x_0
     ranked = [variables.index(v) for b in reversed(blocks) for v in b]
-    keys = [[e[n] for n in ranked] for e, *_ in got[0]]
+    keys = [[e[n] for n in ranked] for e in got.coeffs]
     assert keys == sorted(keys, reverse=True)
+
+
+@st.composite
+def lifted_ghost_level_case(draw):
+    """A ghost_level_case, and G lifted within its claims: the unknown
+    digits of every stored coefficient drawn at random to relative
+    precision 40 (an O(p^w) zero's from p^w on), and c p^X added at up to
+    four monomials G does not store when G has a series absprec X.  The
+    lift has no series absprec: it is one series within G's claims."""
+    G, variables, blocks, i = draw(ghost_level_case())
+    ctx, p = G.ctx, G.ctx.p
+    digits = st.integers(0, p ** 40)
+    coeffs = {e: PadicRational(ctx, c.unit + p ** c.rel * draw(digits), c.val, 40)
+              for e, c in G.coeffs.items()}
+    absent = [e for e in product(range(ctx.M + 1), repeat=len(G.vars))
+              if sum(e) <= ctx.M and e not in G.coeffs]
+    if G.absprec is not None and absent:
+        for e in draw(st.lists(st.sampled_from(absent), max_size=4, unique=True)):
+            coeffs[e] = PadicRational(ctx, draw(st.integers(1, p ** 4)), G.absprec, 40)
+    return G, TruncatedSeries(ctx, G.vars, coeffs), variables, blocks, i
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lifted_ghost_level_case())
+def test_ghost_level_claims_hold_for_every_series_within_the_claims(case):
+    # the lift composed at ghost polynomials whose coordinates claim 60
+    # digits agrees with every key of G's level to that key's claim, and
+    # moves each key absent from the level by a multiple of p^absprec
+    G, lifted, variables, blocks, i = case
+    ctx = G.ctx
+    got = jet.ghost_compose(G, variables, blocks, i, None)
+    args = []
+    for b in blocks:
+        coords = [TruncatedSeries(ctx, variables, {
+            tuple(int(v == name) for v in variables): PadicRational(ctx, 1, 0, 60)})
+            for name in b[:i + 1]]
+        args.append(ghost_map(ctx.p, coords, TruncatedSeries.shift)[i])
+    ref = lifted.compose(args)
+    for e, c in got.coeffs.items():
+        r = ref.get(e)
+        assert r.absprec >= c.absprec and (r - c).is_zero(), e
+    for e, r in ref.coeffs.items():
+        if e not in got.coeffs:
+            assert got.absprec is not None and r.val >= got.absprec, e
 
 
 def short_group(p, N, M, a4, a6):
@@ -1304,6 +1369,8 @@ GHOST_GROUPS = {
     "p7-seed0": lambda: short_group(7, 6, 56, 1, 1),
     "Gm-M22": lambda: FormalGroupLaw.multiplicative(Context(p=5, N=8, M=22)),
     "E11-M22": lambda: short_group(5, 8, 22, 1, 1),
+    "E01": lambda: short_group(5, 8, 35, 0, 1),
+    "E11-p3": lambda: short_group(3, 8, 30, 1, 1),
 }
 
 
@@ -1311,10 +1378,14 @@ GHOST_GROUPS = {
     (group, "log", i) for group in ("E11", "Em10", "Gm", "p7-seed0")
     for i in (1, 2)] + [
     (group, series, 1) for group in ("Gm-M22", "E11-M22")
-    for series in ("law", "N1-law")])
+    for series in ("law", "N1-law")] + [
+    (group, "log", i) for group in ("E01", "E11-p3") for i in (1, 2)])
 def test_benchmark_ghost_levels_are_expanded_as_composed(group, series, i):
-    # the logs of analyze_p5's and analyze_p7's groups, and the J^2 and
-    # N^1 jet laws of jet_p5's, take the expansion, key for key the compose
+    # the logs of analyze_p5's and analyze_p7's groups, the J^2 and N^1
+    # jet laws of jet_p5's, and the logs of y^2 = x^3 + 1 at p = 5 and of
+    # y^2 = x^3 + x + 1 at p = 3 (Horner steps of 6 and 4, at or above p):
+    # expanded, in the compose's key order, and to the compose's claims
+    # or beyond
     F = GHOST_GROUPS[group]()
     G = {"log": lambda: F.log, "law": lambda: F.law,
          "N1-law": lambda: n1_group(F).law}[series]()
@@ -1322,35 +1393,9 @@ def test_benchmark_ghost_levels_are_expanded_as_composed(group, series, i):
     if series == "law":
         xs, ys = jet_variables(2)
         variables, blocks = xs + ys, (xs, ys)
-    assert jet._expands(G)
-    got, want = ghost_level_shapes(G, variables, blocks, i)
-    assert got == want
-
-
-def test_horner_steps_choose_between_expansion_and_compose():
-    # the short logs at p = 5 step by 2 and 4 (y^2 = x^3 + x + 1) or 4
-    # (y^2 = x^3 - x), below p; y^2 = x^3 + 1 steps by 6 and is composed
-    def max_step(G):
-        return max(jet._horner_steps(G))
-
-    assert max_step(GHOST_GROUPS["E11"]().log) == 4
-    assert max_step(GHOST_GROUPS["Em10"]().log) == 4
-    E01 = short_group(5, 8, 35, 0, 1)
-    assert max_step(E01.log) == 6
-    assert not jet._expands(E01.log)
-    assert max_step(GHOST_GROUPS["E11-M22"]().law) < 5
-    t = TruncatedSeries.variable(Context(p=5, N=8, M=12), ("t",), "t")
-    assert jet._horner_steps(t ** 3 + t ** 9) == [6, 3]
-    # a step of exactly p: Horner's power w_1^5 credits v_5 of its
-    # multinomials, so the expansion would claim other digits
-    t = TruncatedSeries.variable(Context(p=5, N=8, M=35), ("t",), "t")
-    G = t + 3 * t ** 6
-    assert jet._horner_steps(G) == [5, 1]
-    assert not jet._expands(G)
-    xs = ("x0", "x1")
-    args = [ghost_series(G.ctx, xs, xs, 1)]
-    assert shape(jet._ghost_expand(G, xs, (xs,), args, 1)) != shape(G.compose(args))
-    assert shape(jet.ghost_compose(G, xs, (xs,), 1, None)) == shape(G.compose(args))
+    got, want = ghost_level_and_compose(G, variables, blocks, i)
+    assert (list(got.coeffs), got.absprec) == (list(want.coeffs), want.absprec)
+    assert_claims_no_less_than_the_compose(got, want)
 
 
 @st.composite
@@ -1387,14 +1432,14 @@ def mapped_ghost_level_case(draw):
 def test_mapped_ghost_levels_match_the_compose(case):
     # levels 0..i by ghost_compose, each from the one below, as the jet
     # law and the log table build them; level i (p^i > M) is mapped, and
-    # gives the compose's keys, triples and series absprec
+    # is the compose's to its claims or beyond
     G, variables, blocks, i = case
     level = None
     for j in range(i + 1):
         level = jet.ghost_compose(G, variables, blocks, j, level)
-    got = shape(level)
-    want = shape(G.compose([ghost_series(G.ctx, variables, b, i) for b in blocks]))
-    assert (sorted(got[0]), got[1]) == (sorted(want[0]), want[1])
+    want = G.compose([ghost_series(G.ctx, variables, b, i) for b in blocks])
+    assert level.absprec == want.absprec
+    assert_claims_no_less_than_the_compose(level, want)
 
 
 def test_a_square_reads_its_operand_once(monkeypatch):
