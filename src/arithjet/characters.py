@@ -14,9 +14,8 @@ one c-combination of one table per group: each L_i is built once, on
 extended, and the kernel projections Lbar_j = L_j(0, x1..xj) are the same
 table restricted to x0 = 0, each restricted once and kept in
 F.kernel_projection_cache.  Each L_i is built by jet.ghost_compose:
-L_0 is log_G relabelled, L_i with p^i <= M expanded by the multinomial
-theorem (claiming no less than log_G composed with w_i), and L_i with
-p^i > M mapped from L_(i-1).
+L_0 is log_G relabelled, and every L_i with i >= 1 is expanded by the
+multinomial theorem (claiming no less than log_G composed with w_i).
 
 The solver's rows need no jet series.  As w_i(x0, 0..0) = x0^(p^i), the x0^j
 coefficient of Theta is sum c_i b_(j/p^i) over p^i | j, for b_k those of
@@ -113,15 +112,14 @@ def _lift_int(x: PadicRational, K: int) -> int:
 def _log_table(F: FormalGroupLaw, n: int) -> list[TruncatedSeries]:
     """F.log_projection_cache filled to L_n; each L_i = log_G(w_i) is built
     once per group, on its own variables (x0..xi), by jet.ghost_compose
-    from log_G and L_(i-1)."""
+    from log_G."""
     if not 0 <= n <= ORDER_CAP + 2:
         raise ArithJetError(f"log projection order n = {n}: need"
                             f" 0 <= n <= {ORDER_CAP + 2}")
     table = F.log_projection_cache
     for i in range(len(table), n + 1):
         xs = tuple(f"x{k}" for k in range(i + 1))
-        table.append(ghost_compose(F.log, xs, (xs,), i,
-                                   table[i - 1] if i else None))
+        table.append(ghost_compose(F.log, xs, (xs,), i))
     return table
 
 

@@ -14,12 +14,11 @@ their squarings run on int terms, building PadicRationals once, for the
 result (arithjet.series).  jet_group_law builds the ghosts
 F(w_i(x), w_i(y)) on all of J^n's variables (x0..xn, y0..yn), one level
 at a time (ghost_compose: relabelled at level 0, expanded by the
-multinomial theorem where p^i <= M, mapped from level i-1 where p^i > M),
-and keeps them in JetGroupLaw.ghosts beside the components they solve
-to.  One verify_jet_identities builds J^2 once, and lateral-homomorphism
-reads the level-1 ghost of N^1's jet law (f is w_1 on (x1, x2)).  At
-p = 5, M < 25 one verify builds level 1 of F's law once and of N^1's
-once.
+multinomial theorem at every level above), and keeps them in
+JetGroupLaw.ghosts beside the components they solve to.  One
+verify_jet_identities builds J^2 once, and lateral-homomorphism reads
+the level-1 ghost of N^1's jet law (f is w_1 on (x1, x2)), so each level
+of F's law and of N^1's is built once.
 
 N^1 = ker(J^1G -> G) needs no compose, only p-scaling: its law is
 (1/p) F(p t1, p t2) and its log is Psi_1 = (1/p) log_G(p t), so the t^e
@@ -77,13 +76,12 @@ def ghost_series(ctx: Context, variables, names, i: int) -> TruncatedSeries:
     return ghost_map(ctx.p, coords, TruncatedSeries.shift)[i]
 
 
-def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
-                  below: TruncatedSeries | None) -> TruncatedSeries:
+def ghost_compose(G: TruncatedSeries, variables, blocks, i: int) -> TruncatedSeries:
     """G(w_i(b_1), ..., w_i(b_r)) on variables, with one block of
-    coordinate names b_j = (x_0, x_1, ...) per variable of G; below is
-    the level i-1 series, read when p^i > M.  This builds every jet law
-    ghost and every log projection L_i, by one route per range of i.
-    Each route gives the series absprec of G.compose of the ghost
+    coordinate names b_j = (x_0, x_1, ...) per variable of G.  This builds
+    every jet law ghost and every log projection L_i: level 0 is G
+    relabelled, and every level i >= 1 is expanded by the multinomial
+    theorem.  Each level has the series absprec of G.compose of the ghost
     polynomials, agrees with it on every key to the lesser of the two
     claims, and claims no less; so the compose lacks only keys whose
     shorter claim it cannot tell from zero.  The relabel gives the
@@ -93,84 +91,39 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int,
     the key order of the compose (Horner: descending, the last
     variable's exponent first).
 
-    1 <= i with p^i <= M: expanded by the multinomial theorem
-    (_ghost_expand).  The terms p^m x_m^(p^(i-m)) of w_i are powers of
-    distinct coordinates, so each monomial of G(w_i(b_1), ...) comes
-    from exactly one term u p^v t^k of G and one split e of each
+    Level i >= 1: the terms p^m x_m^(p^(i-m)) of w_i within the cap are
+    powers of distinct coordinates, so each monomial of G(w_i(b_1), ...)
+    comes from exactly one term u p^v t^k of G and one split e of each
     exponent k over its block's coordinates: it is u * c * p^(v+s),
     c = prod multinomial(k; e) and s = sum_m m e_m the Witt weight.  It
     is known to v + s + v_p(c) + min(r, N+i), r the term's relative
     precision and N+i the coordinates'; an O(p^w) zero of G gives
     O(p^(w+s+v_p(c))).  No other term of G reaches that monomial, so
     the claim holds for every G within G's claims, and no sound claim
-    is longer.  The series absprec is G's, X: an absent O(p^X) t^k
-    reaches only monomials absent from the result, and composes to
-    O(p^X) or better, as x_0^(p^i) has valuation 0 (the compose claims
-    X + 0 too); an O(p^w) zero with w >= X is dropped.  Keys come in
-    descending order, the last block read first and each block from
-    x_0.  That is the compose's order on every level of the benchmark's
-    groups, but not for every G: a Horner product whose shorter operand
-    is the accumulator lists its keys accumulator-first, so the compose
-    of, say, 5^-1 u t^4 + 5^5 u' t^8 + O(5^-2) t^9 at
+    is longer.  The series absprec is X + v, as G.compose claims it: X
+    is G's, and v the least valuation of a term of w_i within the cap,
+    0 where p^i <= M and the least m with p^(i-m) <= M above (v = 1 for
+    L_3 and 2 for L_4 at p = 5, M = 35).  An absent non-constant O(p^X)
+    t^k reaches only monomials absent from the result, at valuation
+    X + v or more; an O(p^w) zero with w >= X + v is dropped.  The
+    precondition, as for the compose's bound: X bounds the absent
+    non-constant monomials of G, and an absent constant term is zero.
+    An O(p^X) constant would compose to O(p^X) alone, so an empty G with
+    absprec 0 at level 1, p > M, claims 1.  No log or law has a constant
+    term.  Keys come in descending order, the last block read first and
+    each block from x_0.  That is the compose's order on every level of
+    the benchmark's groups, but not for every G: a Horner product whose
+    shorter operand is the accumulator lists its keys accumulator-first,
+    so the compose of, say, 5^-1 u t^4 + 5^5 u' t^8 + O(5^-2) t^9 at
     (p, N, M) = (5, 4, 31), level 2, comes out of this order.  No reader
     depends on it: a sum or product of series has the same coefficients
-    in any key order.
-
-    p^i > M: the x_0^(p^i) term of w_i(x) = x_0^(p^i) + p w_(i-1)(x_1..x_i)
-    falls outside the cap, and level i is level i-1 with each coordinate
-    x_m moved to x_(m+1) and each coefficient of Witt weight k multiplied
-    by p^k: a monomial prod x_m^(e_m) of w_(i-1)^k has
-    k = sum_m e_m / p^(i-1-m), summed over the blocks.  Every monomial
-    of w_(i-1)^k determines k, so each claim of level i-1 shifts by k
-    with its value, and the series absprec shifts by one, the valuation
-    of w_i over w_(i-1).  This holds as long as the coordinates' claims
-    (N+i relative digits) never bind, and they do not: log_G is capped
-    at N relative digits and F's law is built from N-digit integers.  An
-    O(p^w) zero that the shifted absprec covers is dropped, as the
-    compose drops it."""
+    in any key order."""
     ctx, variables = G.ctx, tuple(variables)
-    if i and ctx.p ** i <= ctx.M:
-        args = [ghost_series(ctx, variables, b, i) for b in blocks]
-        return _ghost_expand(G, variables, blocks, args, i)
     if i == 0:
         relabelled = G.rename([b[0] for b in blocks]).extend(variables)
         return _series(ctx, variables, dict(sorted(
             relabelled.coeffs.items(), key=lambda t: t[0][::-1], reverse=True)),
             G.absprec)
-    moves = [(below.vars.index(b[m]), variables.index(b[m + 1]),
-              ctx.p ** (i - 1 - m)) for b in blocks for m in range(i)]
-    absprec = _addp(below.absprec, 1)
-    coeffs = {}
-    for e, c in below.coeffs.items():
-        moved = [0] * len(variables)
-        k = 0
-        for src, dst, d in moves:
-            moved[dst] = e[src]
-            k += e[src] // d
-        c = c.shift(k)
-        if c.unit or absprec is None or c.val < absprec:
-            coeffs[tuple(moved)] = c
-    return _series(ctx, variables, coeffs, absprec)
-
-
-def _splits(weights, k: int, room: int) -> list[tuple]:
-    """The exponent vectors e with sum(e) = k and sum(e_m * weights[m])
-    at most room, in descending order; the last weight is 1."""
-    w, rest = weights[0], weights[1:]
-    if not rest:
-        return [(k,)] if k <= room else []
-    return [(e,) + tail for e in range(min(k, room // w), -1, -1)
-            for tail in _splits(rest, k - e, room - e * w)]
-
-
-def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
-                  i: int) -> TruncatedSeries:
-    """G(args) for the ghost polynomials args = (w_i(b_1), ..., w_i(b_r))
-    by the multinomial theorem, term by term of G, keys in descending
-    order, the last block read first and each block from x_0; see
-    ghost_compose for why each claim holds and agrees with the
-    compose's."""
-    ctx = G.ctx
     p, M = ctx.p, ctx.M
     base = M + 1
     # packed keys: the last block's x_0 is the top digit, so descending
@@ -181,12 +134,15 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
     for r, n in enumerate(reversed(ranked)):
         weights[n] = base ** r
     pw = ctx.p_powers(max([ctx.N + i] + [c.rel for c in G.coeffs.values()]))[0]
-    # each argument's terms x_m^(p^(i-m)), m = 0..i, as
+    # each argument's terms x_m^(p^(i-m)) within the cap, as
     # (degree, packed key, unit, val, rel)
     terms = [sorted(((sum(e), sum(map(mul, e, weights)), c.unit, c.val, c.rel)
-                     for e, c in w.coeffs.items()), reverse=True)
-             for w in args]
+                     for e, c in ghost_series(ctx, variables, b, i).coeffs.items()),
+                    reverse=True)
+             for b in blocks]
     degrees = [t[0] for t in terms[0]]  # p^(i-m), alike for every block
+    absprec = _addp(G.absprec, min(t[3] for t in terms[0]))
+    X = _INF if absprec is None else absprec
     row_memo: dict[tuple[int, int], list] = {}
 
     def split_rows(j, k):
@@ -212,7 +168,6 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
                 rows.append((deg, key, f, s, rel))
         return rows
 
-    X = _INF if G.absprec is None else G.absprec
     coeffs = {}
     for e, c in G.coeffs.items():
         u, v, r = c.unit, c.val, c.rel
@@ -230,7 +185,17 @@ def _ghost_expand(G: TruncatedSeries, variables: tuple, blocks, args,
                 coeffs[key] = _padic(ctx, 0, v + s, 0)
     return _series(ctx, variables, {
         tuple([key // w % base for w in weights]): coeffs[key]
-        for key in sorted(coeffs, reverse=True)}, G.absprec)
+        for key in sorted(coeffs, reverse=True)}, absprec)
+
+
+def _splits(weights, k: int, room: int) -> list[tuple]:
+    """The exponent vectors e with sum(e) = k and sum(e_m * weights[m])
+    at most room, in descending order; the last weight is 1."""
+    w, rest = weights[0], weights[1:]
+    if not rest:
+        return [(k,)] if k <= room else []
+    return [(e,) + tail for e in range(min(k, room // w), -1, -1)
+            for tail in _splits(rest, k - e, room - e * w)]
 
 
 @dataclass(frozen=True)
@@ -248,10 +213,7 @@ def jet_group_law(F: FormalGroupLaw, n: int) -> JetGroupLaw:
         raise ArithJetError(f"jet level n = {n}: need 0 <= n <= {JET_LEVEL_CAP}")
     xs, ys = jet_variables(n)
     allv = xs + ys
-    ghosts = []
-    for i in range(n + 1):
-        ghosts.append(ghost_compose(F.law, allv, (xs, ys), i,
-                                    ghosts[i - 1] if i else None))
+    ghosts = [ghost_compose(F.law, allv, (xs, ys), i) for i in range(n + 1)]
     comps = ghost_solve(F.ctx.p, ghosts, TruncatedSeries.shift)
     return JetGroupLaw(law=tuple(comps), ghosts=tuple(ghosts))
 

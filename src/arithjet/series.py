@@ -40,7 +40,8 @@ only its result.  Whatever the kernel, a coefficient must equal the
 PadicRational sum of the PadicRational pairwise products, value and
 precision alike (see TruncatedSeries.__mul__), and evaluation at a point
 the PadicRational sum of the PadicRational terms (see
-TruncatedSeries.evaluate, which reduces through _canonical too).
+TruncatedSeries.evaluate, which reduces its sum once, through the
+validating PadicRational constructor).
 Evaluation reads the terms in increasing valuation, which it gets from
 valuations alone, and stops at the first term whose valuation reaches
 the claim A so far: that term and every later one are 0 mod p^A, and
@@ -123,11 +124,6 @@ def _canonical(ctx: Context, acc: dict, s: int, absp):
         if v < mv:
             mv = v
     return out, s, absp, mv, len(out)
-
-
-def _scaled_padic(ctx: Context, s: int, total: int, A: int) -> PadicRational:
-    """The PadicRational total * p^s known mod p^A, in canonical form."""
-    return _build(ctx, (), _canonical(ctx, {0: [total, A, 0]}, s, None), 0).coeffs[()]
 
 
 def _mul_terms(ctx: Context, a, b, cap: int):
@@ -515,9 +511,11 @@ class TruncatedSeries:
                     A = v + rel
             else:
                 A = v
+        # A >= s: a term read has v < A, and A then falls only to v + rel
+        # or to a later zero's v >= s; with no unit term read, s = A
         s = terms[0][1] if terms else A
         total = sum(u * p ** (v - s) for u, v in terms)
-        return _scaled_padic(ctx, s, total, A)
+        return PadicRational(ctx, total, s, A - s)
 
     # -- calculus (univariate) --------------------------------------------
 

@@ -151,12 +151,11 @@ def test_kernel_projections_are_restricted_once_per_group(monkeypatch, ctx35):
 def test_log_projection_table_extends_to_the_direct_build(ctx35, E11, Em10, E7):
     # each L_i is built on (x0..xi); extended it has the keys, in the same
     # order, and the series absprec of the compose on the wide tuple, and
-    # its claims or beyond.  L_0 is relabelled and every L_i with p^i > M
-    # mapped: L_3 and L_4 at p = 5, M = 35 and p = 7, M = 56; at p = 3,
-    # M = 30, 3^3 <= 30 < 3^4, so L_3 is expanded and L_4 mapped.  The
-    # other levels are expanded by the multinomial theorem, also for
-    # y^2 = x^3 + 1 at p = 5 and for E3, whose logs have Horner steps of
-    # 6 and 4, at or above p
+    # its claims or beyond.  L_0 is relabelled and every other level is
+    # expanded by the multinomial theorem, below the cap and above it
+    # (L_3 and L_4 at p = 5, M = 35 and p = 7, M = 56; L_4 at p = 3,
+    # M = 30), also for y^2 = x^3 + 1 at p = 5 and for E3, whose logs
+    # have Horner steps of 6 and 4, at or above p
     xs = ("x0", "x1", "x2", "x3", "x4")
     E3 = curve(Context(p=3, N=8, M=30), 1, 1)
     E01 = curve(ctx35, 0, 1)
@@ -553,17 +552,17 @@ def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
     # ghost_compose builds each L_i once per group, in order: L_0..L_4
     # for a non-CL curve (diff2 reads Lbar_4; y^2 = x^3 + x + 1 and the
     # supersingular y^2 = x^3 + 1), L_0..L_2 for a CL group.
-    # L_1 and L_2 (1 <= i, p^i <= M at p = 5, M = 35) are expanded from
-    # w_i, and none is composed.  L_0 is log_G relabelled, and L_3, L_4
-    # are mapped from the level below
+    # L_0 is log_G relabelled, and L_1..L_4 are expanded from w_i, below
+    # the cap (L_1, L_2 at p = 5, M = 35) and above it (L_3, L_4); none is
+    # composed
     builds, composes = [], []
     log = None
     real_build, real_compose = characters.ghost_compose, TruncatedSeries.compose
 
-    def built(G, variables, blocks, i, below):
+    def built(G, variables, blocks, i):
         if G is log:
             builds.append(i)
-        return real_build(G, variables, blocks, i, below)
+        return real_build(G, variables, blocks, i)
 
     def composed(self, args, cap=None):
         if self is log:

@@ -277,11 +277,11 @@ def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
 def test_one_verification_composes_each_ghost_level_once(monkeypatch):
     # ghost_compose builds F(w_i(x), w_i(y)) once per level and group: F's
     # law at levels 0-2 for J^2, and N^1's at levels 0-1 for its J^1,
-    # whose level 1 check (e) reads again.  At p = 5 only level 1 is built
-    # from w_1, by the multinomial theorem at M = 12 and M = 22, so
-    # nothing is composed.  Level 0 is the law relabelled and level 2 is
-    # level 1 mapped.  n1_group composes nothing: N^1's law is F's scaled
-    # by p, (1/p) F(p t1, p t2).
+    # whose level 1 check (e) reads again.  Level 0 is the law relabelled,
+    # and levels 1 and 2 are expanded from w_i by the multinomial theorem
+    # at M = 12 and M = 22 (level 2 above the cap, 5^2 > M), so nothing is
+    # composed.  n1_group composes nothing: N^1's law is F's scaled by p,
+    # (1/p) F(p t1, p t2).
     groups = {}
     real_n1 = jet.n1_group
 
@@ -298,10 +298,10 @@ def test_one_verification_composes_each_ghost_level_once(monkeypatch):
                                           ("N1", groups.get("N1")))
                      if H is not None and G is vars(H).get("law")), None)
 
-    def built(G, variables, blocks, i, below):
+    def built(G, variables, blocks, i):
         if name_of(G):
             builds[name_of(G)].append(i)
-        return real_build(G, variables, blocks, i, below)
+        return real_build(G, variables, blocks, i)
 
     def counted(self, args, cap=None):
         if name_of(self):
@@ -335,8 +335,8 @@ def test_jet_law_keeps_the_ghost_composes_it_solves(group, n, M):
     # ghosts[i] is F(w_i(x), w_i(y)) composed on all of J^n's variables,
     # with the compose's keys and series absprec, to its claims or beyond,
     # and the ghost map of the law gives it back to the precision the two
-    # claim.  Level 2 is mapped from level 1 at M = 12 (5^2 > M) and
-    # expanded from w_2 at M = 26
+    # claim.  Level 2 is expanded from w_2 above the cap at M = 12
+    # (5^2 > M) and below it at M = 26
     ctx = Context(p=5, N=8, M=M)
     F = JET_GROUPS[group](ctx)
     J = jet_group_law(F, n)

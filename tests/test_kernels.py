@@ -12,14 +12,15 @@ composed on its own from the restricted ghost polynomial.  The fast
 versions must
 agree with them bit for bit: the same monomials in the same order, the
 same (unit, val, rel, ctx.N) per coefficient and the same series absprec.
-A ghost level G(w_i(b_1), ...) that jet.ghost_compose expands by the
-multinomial theorem, or maps from the one below (p^i > M), has
+A ghost level G(w_i(b_1), ...), i >= 1, that jet.ghost_compose expands
+by the multinomial theorem, below the cap p^i <= M or above it, has
 G.compose's series absprec, agrees with it on every key to the lesser of
 the two claims, and claims no less; on the benchmark groups' levels it
 has the compose's keys, in the compose's order.  The expansion's claims
 hold for every series within its input's claims: G lifted within them
-and composed at ghost polynomials known to 60 digits agrees with every
-key to its claim.  So does the compose's series absprec, also at
+(above the cap, at absent non-constant monomials only) and composed at
+ghost polynomials known to 60 digits agrees with every key to its
+claim.  So does the compose's series absprec, also at
 arguments of negative valuation: the absent monomials move by multiples
 of p^absprec.
 The coefficient maps agree with the composes and loops they replaced in
@@ -147,7 +148,8 @@ def reference_evaluate(f: TruncatedSeries, values: dict) -> PadicRational:
             A = min(A, v)
     s = min((v for _, v in terms), default=A)
     total = sum(u * p ** (v - s) for u, v in terms)
-    return series_module._scaled_padic(ctx, s, total, A)
+    k = min(s, A)  # a zero below every unit term can put A below s
+    return PadicRational(ctx, total * p ** (s - k), k, A - k)
 
 
 def reference_compose(f: TruncatedSeries, args: list, cap=None):
@@ -949,8 +951,26 @@ def fixed_series_and_point(absprec, x_is_zero):
     return f, {"x": x, "y": PadicRational(ctx, 2, 1, 1)}
 
 
+def sum_and_point(cancels):
+    """At p = 5: (1 + O(5^2)) + x at x = -1 known to 6 digits sums to
+    5^6, which cancels mod 5^2 to O(5^2); 3 * 5^-1 x + O(5^-1) y at
+    x = y = 1 has its least unit term at the claim, s = A = -1, and is
+    O(5^-1)."""
+    ctx = Context(p=5, N=6, M=6)
+    one = PadicRational(ctx, 1, 0, 6)
+    if cancels:
+        return (TruncatedSeries(ctx, ("x",), {(0,): PadicRational(ctx, 1, 0, 2),
+                                              (1,): one}),
+                {"x": PadicRational(ctx, -1, 0, 6)})
+    return (TruncatedSeries(ctx, ("x", "y"), {(1, 0): PadicRational(ctx, 3, -1, 4),
+                                              (0, 1): PadicRational.zero(ctx, -1)}),
+            {"x": one, "y": one})
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(series_and_point())
+@example(sum_and_point(True))
+@example(sum_and_point(False))
 @example(fixed_series_and_point(None, True))
 @example(fixed_series_and_point(4, True))
 @example(fixed_series_and_point(None, False))
@@ -989,6 +1009,8 @@ def dense_series_at_p(absprec):
 @given(st.one_of(series_and_point(), series_and_nilpotent_point()))
 @example(dense_series_at_p(None))
 @example(dense_series_at_p(2))
+@example(sum_and_point(True))
+@example(sum_and_point(False))
 @example(fixed_series_and_point(None, True))
 @example(fixed_series_and_point(4, False))
 def test_evaluate_matches_the_all_terms_evaluation(args):
@@ -1226,7 +1248,7 @@ def test_compose_and_power_build_each_output_value_once(monkeypatch):
 def ghost_level_and_compose(G: TruncatedSeries, variables, blocks, i: int):
     """Level i of G's ghost by ghost_compose's route, and by the compose."""
     args = [ghost_series(G.ctx, variables, b, i) for b in blocks]
-    return (jet.ghost_compose(G, variables, blocks, i, None), G.compose(args))
+    return (jet.ghost_compose(G, variables, blocks, i), G.compose(args))
 
 
 def assert_claims_no_less_than_the_compose(got: TruncatedSeries,
@@ -1315,18 +1337,23 @@ def test_ghost_levels_match_the_compose(case):
 
 @st.composite
 def lifted_ghost_level_case(draw):
-    """A ghost_level_case, and G lifted within its claims: the unknown
-    digits of every stored coefficient drawn at random to relative
-    precision 40 (an O(p^w) zero's from p^w on), and c p^X added at up to
-    four monomials G does not store when G has a series absprec X.  The
-    lift has no series absprec: it is one series within G's claims."""
-    G, variables, blocks, i = draw(ghost_level_case())
+    """A ghost_level_case or a mapped_ghost_level_case, and G lifted
+    within its claims: the unknown digits of every stored coefficient
+    drawn at random to relative precision 40 (an O(p^w) zero's from p^w
+    on), and c p^X added at up to four monomials G does not store when G
+    has a series absprec X.  Above the cap (p^i > M) the absent monomials
+    lifted are non-constant, the precondition of ghost_compose's series
+    absprec.  The lift has no series absprec: it is one series within G's
+    claims."""
+    G, variables, blocks, i = draw(st.one_of(ghost_level_case(),
+                                             mapped_ghost_level_case()))
     ctx, p = G.ctx, G.ctx.p
     digits = st.integers(0, p ** 40)
     coeffs = {e: PadicRational(ctx, c.unit + p ** c.rel * draw(digits), c.val, 40)
               for e, c in G.coeffs.items()}
     absent = [e for e in product(range(ctx.M + 1), repeat=len(G.vars))
-              if sum(e) <= ctx.M and e not in G.coeffs]
+              if (sum(e) or p ** i <= ctx.M) and sum(e) <= ctx.M
+              and e not in G.coeffs]
     if G.absprec is not None and absent:
         for e in draw(st.lists(st.sampled_from(absent), max_size=4, unique=True)):
             coeffs[e] = PadicRational(ctx, draw(st.integers(1, p ** 4)), G.absprec, 40)
@@ -1341,7 +1368,7 @@ def test_ghost_level_claims_hold_for_every_series_within_the_claims(case):
     # moves each key absent from the level by a multiple of p^absprec
     G, lifted, variables, blocks, i = case
     ctx = G.ctx
-    got = jet.ghost_compose(G, variables, blocks, i, None)
+    got = jet.ghost_compose(G, variables, blocks, i)
     args = []
     for b in blocks:
         coords = [TruncatedSeries(ctx, variables, {
@@ -1379,13 +1406,17 @@ GHOST_GROUPS = {
     for i in (1, 2)] + [
     (group, series, 1) for group in ("Gm-M22", "E11-M22")
     for series in ("law", "N1-law")] + [
-    (group, "log", i) for group in ("E01", "E11-p3") for i in (1, 2)])
+    (group, "log", i) for group in ("E01", "E11-p3") for i in (1, 2)] + [
+    (group, "log", i) for group in ("E11", "Em10", "Gm", "E01", "p7-seed0")
+    for i in (3, 4)] + [
+    (group, "law", 2) for group in ("Gm-M22", "E11-M22")])
 def test_benchmark_ghost_levels_are_expanded_as_composed(group, series, i):
     # the logs of analyze_p5's and analyze_p7's groups, the J^2 and N^1
     # jet laws of jet_p5's, and the logs of y^2 = x^3 + 1 at p = 5 and of
-    # y^2 = x^3 + x + 1 at p = 3 (Horner steps of 6 and 4, at or above p):
-    # expanded, in the compose's key order, and to the compose's claims
-    # or beyond
+    # y^2 = x^3 + x + 1 at p = 3 (Horner steps of 6 and 4, at or above p);
+    # above the cap, L_3 and L_4 of the analyzed groups and J^2's level 2
+    # at M = 22: expanded, in the compose's key order, and to the
+    # compose's claims or beyond
     F = GHOST_GROUPS[group]()
     G = {"log": lambda: F.log, "law": lambda: F.law,
          "N1-law": lambda: n1_group(F).law}[series]()
@@ -1402,11 +1433,13 @@ def test_benchmark_ghost_levels_are_expanded_as_composed(group, series, i):
 def mapped_ghost_level_case(draw):
     """G on 1-2 variables with O(p^w) zeros, negative valuations, relative
     precisions at most N and absprec None or set, at a level 1 <= i <= 2
-    with p^i > M.  G has no constant term, as no log or law has one, and
-    at least one term: for a G with a constant group, or none at all,
-    Horner reads that group at X, so the compose claims X where the map
-    claims X + 1; both claims are sound, and the compose's is the more
-    cautious one."""
+    above the cap, p^i > M, where w_i lacks x_0^(p^i) and ghost_compose's
+    series absprec is X + v with v >= 1.  G has no constant term, as no
+    log or law has one, and at least one term.  Horner reads a stored
+    constant term, or a G with no term, at X, so the compose claims X:
+    with a stored constant, X + v is sound too and the compose's claim
+    the more cautious; with no term, the absent constant is outside
+    ghost_compose's precondition."""
     p = draw(st.sampled_from([3, 5, 7]))
     i = draw(st.sampled_from([1, 2]))
     ctx = Context(p=p, N=draw(st.integers(2, 8)),
@@ -1430,16 +1463,32 @@ def mapped_ghost_level_case(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(mapped_ghost_level_case())
 def test_mapped_ghost_levels_match_the_compose(case):
-    # levels 0..i by ghost_compose, each from the one below, as the jet
-    # law and the log table build them; level i (p^i > M) is mapped, and
-    # is the compose's to its claims or beyond
+    # level i above the cap (p^i > M) is expanded, and is the compose's to
+    # its claims or beyond, with the compose's series absprec
     G, variables, blocks, i = case
-    level = None
-    for j in range(i + 1):
-        level = jet.ghost_compose(G, variables, blocks, j, level)
-    want = G.compose([ghost_series(G.ctx, variables, b, i) for b in blocks])
+    level, want = ghost_level_and_compose(G, variables, blocks, i)
     assert level.absprec == want.absprec
     assert_claims_no_less_than_the_compose(level, want)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "compose drops a Horner zero that its series absprec covers, with the "
+    "share of a later product, and keeps the product's claim"))
+def test_compose_claims_hold_where_horner_drops_a_covered_zero():
+    # O(3^0) t2^3 + O(3^0) t2^4 + O(3^0) t2^5 + (1 + O(3)) t2^6, series
+    # absprec 1, at J^1's w_1, (p, N, M) = (3, 4, 8): only t2^6 reaches
+    # y0^3 y1^5, as 6 * 3^5 (1 + O(3)) = 2 * 3^6 + O(3^7).  Horner holds
+    # y0^3 y1^2 as 27 + O(27), a zero that absprec 1 covers, drops it, and
+    # claims 3^6 + O(3^7) from the stored pairs alone
+    G, variables, blocks, i = fixed_ghost_level_case(3, 4, 8, 1, {
+        (0, 3): lambda ctx: PadicRational.zero(ctx, 0),
+        (0, 4): lambda ctx: PadicRational.zero(ctx, 0),
+        (0, 5): lambda ctx: PadicRational.zero(ctx, 0),
+        (0, 6): lambda ctx: PadicRational(ctx, 1, 0, 1)}, 1)
+    got, want = ghost_level_and_compose(G, variables, blocks, i)
+    key = (0, 0, 3, 5)
+    assert triples([got.get(key)]) == [(2, 6, 1)]
+    assert (want.get(key) - got.get(key)).is_zero()
 
 
 def test_a_square_reads_its_operand_once(monkeypatch):

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from arithjet.context import Context
 from arithjet.padic import PadicRational
-from arithjet.series import _scaled_padic
 from arithjet.errors import DivisionByZero, ArithJetError
 
 
@@ -225,17 +224,6 @@ def test_trusted_producers_match_the_validating_constructor(args, k, e):
     assert fields(a ** e) == fields(validated(ctx, n ** abs(e), v * abs(e),
                                               v * abs(e) + a.rel))
 
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([3, 5, 7]), st.integers(-5, 5), st.integers(-3, 6),
-       st.integers(-10 ** 12, 10 ** 12), st.integers(0, 4))
-@example(5, 0, 2, 5 ** 3, 1)  # the total cancels mod p^(A-s): O(p^2)
-@example(5, -1, 0, 5, 0)  # A = s: no digit is known, O(p^-1)
-def test_scaled_padic_matches_the_validating_constructor(p, s, d, n, t):
-    ctx = Context(p=p, N=6)
-    total, A = n * p ** t, s + d
-    got = _scaled_padic(ctx, s, total, A)
-    assert fields(got) == fields(validated(ctx, total, s, A))
 
 def test_context_validation():
     with pytest.raises(ArithJetError):
