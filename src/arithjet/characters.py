@@ -67,10 +67,12 @@ sigma = -1, and its order-2 form holds by construction; so
 verify_diff_relation also ties each shift to f at seeded points: the
 shifted series at x in pZ_p^(n+1) against the unshifted one at the exact
 numeric f(x).  One compose stays in the run: restrict_lateral, f* Psi_1
-for the rank-2 matrix, which also checks f* Psi_1 = Lbar_2 / p
-coefficientwise.  A point check sees an error of valuation v in degree k
-as v + k, so the coefficientwise comparison of every shift with the
-compose is in the test suite.  analyze_group builds each lateral object
+for the rank-2 matrix, checked coefficientwise against f* Psi_1 =
+Lbar_2 / p.  The compose expands Psi_1(x1^p + p x2) by the multinomial
+theorem, as it expands Lbar_2, so that check compares two expansions; a
+point check sees an error of valuation v in degree k as v + k, so the
+test suite compares f* Psi_1 and every shift with Horner composition.
+analyze_group builds each lateral object
 once, in verify_diff_relation, and reads its solves and checks from that
 report.  Only elliptic curves and G_m are analysed; other kinds raise
 before any solve.
@@ -478,9 +480,9 @@ def f_star(theta: DeltaCharacter, chi: TruncatedSeries) -> TruncatedSeries:
     f* Lbar_j = Lbar_(j+1); with Lbar_0 = 0 this gives
     f*(iota* Theta) = sum_(i>=1) c_i Lbar_(i+1), a series on N^(n+1) read
     from the kernel table.  The table holds Lbar_(i+1) to one digit more
-    than the compose restrict_lateral(chi) claims, and no independent test
-    backs that digit yet, so the series absprec is capped at chi's, the
-    compose's claim."""
+    than restrict_lateral(chi) claims, by either route of the compose, and
+    no independent test backs that digit yet, so the series absprec is
+    capped at chi's, the compose's claim."""
     ctx = theta.F.ctx
     tail = DeltaCharacter(theta.F, (PadicRational.zero(ctx, ctx.N), *theta.c[1:]))
     out = iota_star(phi_star(tail))
@@ -707,8 +709,8 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     else:
         # basis ([iota* Theta], [f* iota* Theta]); [f* iota* Theta] =
         # gamma_hat [Psi_1]; expand f* Psi_1 = x [iota* Theta] + y [Psi_1]
-        # f* Psi_1 is the one compose of the run; it checks the shift too,
-        # f* Psi_1 = Lbar_2 / p
+        # f* Psi_1 is the one compose of the run (expanded); it checks the
+        # shift too, f* Psi_1 = Lbar_2 / p
         fpsi = restrict_lateral(psi)
         lbar2 = kernel_log_projection(F, 2, fpsi.vars)
         residuals["fstar_shift"] = (fpsi - lbar2.shift(-1)).residual_valuation()

@@ -13,8 +13,8 @@ ghost_solve's powers a^(p^k) of the components are the costly part;
 their squarings run on int terms, building PadicRationals once, for the
 result (arithjet.series).  jet_group_law builds the ghosts
 F(w_i(x), w_i(y)) on all of J^n's variables (x0..xn, y0..yn), one level
-at a time (ghost_compose: relabelled at level 0, expanded by the
-multinomial theorem at every level above), and keeps them in
+at a time (ghost_compose: relabelled at level 0, composed above, where
+the compose expands by the multinomial theorem), and keeps them in
 JetGroupLaw.ghosts beside the components they solve to.  One
 verify_jet_identities builds J^2 once, and lateral-homomorphism reads
 the level-1 ghost of N^1's jet law (f is w_1 on (x1, x2)), so each level
@@ -43,12 +43,10 @@ phi o iota = p, the ghost round trip, the base reduction) is left to tests.
 
 import random
 from dataclasses import dataclass, field
-from math import comb
-from operator import mul
 
 from .context import Context
-from .padic import PadicRational, _padic
-from .series import TruncatedSeries, _addp, _series
+from .padic import PadicRational
+from .series import TruncatedSeries, _series
 from .formalgroup import FormalGroupLaw
 from .errors import ArithJetError, LengthMismatch
 from .ghost import ghost_map, ghost_solve
@@ -78,124 +76,19 @@ def ghost_series(ctx: Context, variables, names, i: int) -> TruncatedSeries:
 
 def ghost_compose(G: TruncatedSeries, variables, blocks, i: int) -> TruncatedSeries:
     """G(w_i(b_1), ..., w_i(b_r)) on variables, with one block of
-    coordinate names b_j = (x_0, x_1, ...) per variable of G.  This builds
-    every jet law ghost and every log projection L_i: level 0 is G
-    relabelled, and every level i >= 1 is expanded by the multinomial
-    theorem.  Each level has the series absprec of G.compose of the ghost
-    polynomials, agrees with it on every key to the lesser of the two
-    claims, and claims no less; so the compose lacks only keys whose
-    shorter claim it cannot tell from zero.  The relabel gives the
-    compose key for key.
-
-    Level 0: the argument is a bare coordinate, so G is relabelled, in
-    the key order of the compose (Horner: descending, the last
-    variable's exponent first).
-
-    Level i >= 1: the terms p^m x_m^(p^(i-m)) of w_i within the cap are
-    powers of distinct coordinates, so each monomial of G(w_i(b_1), ...)
-    comes from exactly one term u p^v t^k of G and one split e of each
-    exponent k over its block's coordinates: it is u * c * p^(v+s),
-    c = prod multinomial(k; e) and s = sum_m m e_m the Witt weight.  It
-    is known to v + s + v_p(c) + min(r, N+i), r the term's relative
-    precision and N+i the coordinates'; an O(p^w) zero of G gives
-    O(p^(w+s+v_p(c))).  No other term of G reaches that monomial, so
-    the claim holds for every G within G's claims, and no sound claim
-    is longer.  The series absprec is X + v, as G.compose claims it: X
-    is G's, and v the least valuation of a term of w_i within the cap,
-    0 where p^i <= M and the least m with p^(i-m) <= M above (v = 1 for
-    L_3 and 2 for L_4 at p = 5, M = 35).  An absent non-constant O(p^X)
-    t^k reaches only monomials absent from the result, at valuation
-    X + v or more; an O(p^w) zero with w >= X + v is dropped.  The
-    precondition, as for the compose's bound: X bounds the absent
-    non-constant monomials of G, and an absent constant term is zero.
-    An O(p^X) constant would compose to O(p^X) alone, so an empty G with
-    absprec 0 at level 1, p > M, claims 1.  No log or law has a constant
-    term.  Keys come in descending order, the last block read first and
-    each block from x_0.  That is the compose's order on every level of
-    the benchmark's groups, but not for every G: a Horner product whose
-    shorter operand is the accumulator lists its keys accumulator-first,
-    so the compose of, say, 5^-1 u t^4 + 5^5 u' t^8 + O(5^-2) t^9 at
-    (p, N, M) = (5, 4, 31), level 2, comes out of this order.  No reader
-    depends on it: a sum or product of series has the same coefficients
-    in any key order."""
-    ctx, variables = G.ctx, tuple(variables)
-    if i == 0:
-        relabelled = G.rename([b[0] for b in blocks]).extend(variables)
-        return _series(ctx, variables, dict(sorted(
-            relabelled.coeffs.items(), key=lambda t: t[0][::-1], reverse=True)),
-            G.absprec)
-    p, M = ctx.p, ctx.M
-    base = M + 1
-    # packed keys: the last block's x_0 is the top digit, so descending
-    # keys are the order above
-    ranked = [variables.index(v) for b in reversed(blocks) for v in b[:i + 1]]
-    ranked += [n for n in range(len(variables)) if n not in ranked]
-    weights = [0] * len(variables)
-    for r, n in enumerate(reversed(ranked)):
-        weights[n] = base ** r
-    pw = ctx.p_powers(max([ctx.N + i] + [c.rel for c in G.coeffs.values()]))[0]
-    # each argument's terms x_m^(p^(i-m)) within the cap, as
-    # (degree, packed key, unit, val, rel)
-    terms = [sorted(((sum(e), sum(map(mul, e, weights)), c.unit, c.val, c.rel)
-                     for e, c in ghost_series(ctx, variables, b, i).coeffs.items()),
-                    reverse=True)
-             for b in blocks]
-    degrees = [t[0] for t in terms[0]]  # p^(i-m), alike for every block
-    absprec = _addp(G.absprec, min(t[3] for t in terms[0]))
-    X = _INF if absprec is None else absprec
-    row_memo: dict[tuple[int, int], list] = {}
-
-    def split_rows(j, k):
-        # the terms of w_i(b_j)^k within the cap: (degree, packed key,
-        # multinomial times the units with p divided out, Witt weight s
-        # plus the p-powers divided out, least rel used)
-        rows = row_memo.get((j, k))
-        if rows is None:
-            rows = row_memo[(j, k)] = []
-            for e in _splits(degrees, k, M):
-                f, left, s, rel, deg, key = 1, k, 0, _INF, 0, 0
-                for em, (d, kk, u, v, r) in zip(e, terms[j]):
-                    if em:
-                        f *= comb(left, em) * u ** em
-                        left -= em
-                        s += em * v
-                        rel = min(rel, r)
-                        deg += em * d
-                        key += em * kk
-                while not f % p:  # credit v_p of the multinomial to s
-                    f //= p
-                    s += 1
-                rows.append((deg, key, f, s, rel))
-        return rows
-
-    coeffs = {}
-    for e, c in G.coeffs.items():
-        u, v, r = c.unit, c.val, c.rel
-        combos = [(0, 0, 1, 0, _INF)]
-        for j, k in enumerate(e):
-            combos = [(d1 + d2, k1 + k2, f1 * f2, s1 + s2, min(r1, r2))
-                      for d1, k1, f1, s1, r1 in combos
-                      for d2, k2, f2, s2, r2 in split_rows(j, k)
-                      if d1 + d2 <= M]
-        for _, key, f, s, rel in combos:
-            if u:  # u * f is prime to p
-                rel = min(r, rel)
-                coeffs[key] = _padic(ctx, u * f % pw[rel], v + s, rel)
-            elif v + s < X:  # an O(p^w) zero of G
-                coeffs[key] = _padic(ctx, 0, v + s, 0)
-    return _series(ctx, variables, {
-        tuple([key // w % base for w in weights]): coeffs[key]
-        for key in sorted(coeffs, reverse=True)}, absprec)
-
-
-def _splits(weights, k: int, room: int) -> list[tuple]:
-    """The exponent vectors e with sum(e) = k and sum(e_m * weights[m])
-    at most room, in descending order; the last weight is 1."""
-    w, rest = weights[0], weights[1:]
-    if not rest:
-        return [(k,)] if k <= room else []
-    return [(e,) + tail for e in range(min(k, room // w), -1, -1)
-            for tail in _splits(rest, k - e, room - e * w)]
+    coordinate names b_j = (x_0, x_1, ...) per variable of G: every jet
+    law ghost and every log projection L_i.  Level 0 is G relabelled, in
+    the compose's key order (descending, the last variable's exponent
+    first), with G's claims.  Level i >= 1 is G.compose of the ghost
+    polynomials, whose terms p^m x_m^(p^(i-m)) within the cap are powers
+    of distinct coordinates, so the compose expands it by the multinomial
+    theorem."""
+    if i:
+        return G.compose([ghost_series(G.ctx, variables, b, i) for b in blocks])
+    relabelled = G.rename([b[0] for b in blocks]).extend(variables)
+    return _series(G.ctx, tuple(variables), dict(sorted(
+        relabelled.coeffs.items(), key=lambda t: t[0][::-1], reverse=True)),
+        G.absprec)
 
 
 @dataclass(frozen=True)

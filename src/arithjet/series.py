@@ -20,12 +20,13 @@ building the result unchecked; negation, shifts, scaling, truncation,
 renaming and extension only carry canonical coefficients over.
 
 Supported operations: ring arithmetic, scalar multiplication, p-power
-shifts, composition (recursive Horner; for a series absprec X the result
+shifts, composition (by the multinomial theorem where the arguments
+allow it, else by recursive Horner; for a series absprec X the result
 claims at most X + v, v the least valuation of the arguments, or
-X + cap * v when v < 0), reversion
-of a univariate series, substitution of zero for variables, numeric
-evaluation, derivative and termwise integration of univariate series,
-and residual-valuation comparison for budgeted identity checks.
+X + cap * v when v < 0), reversion of a univariate series, substitution
+of zero for variables, numeric evaluation, derivative and termwise
+integration of univariate series, and residual-valuation comparison for
+budgeted identity checks.
 
 Products (and so powers, inverses, composition and reversion) run on
 integers in three steps: read a series into int terms (_int_terms, scaled
@@ -33,7 +34,7 @@ by its smallest nonzero valuation, monomials packed into single ints),
 multiply int terms (_mul_terms visits only the pairs within the degree
 cap, _canonical reduces each sum), and build the PadicRationals once
 (_build).  A product reads, multiplies and builds; a power reads once,
-squares on int terms and builds once; a composition keeps its Horner
+squares on int terms and builds once; a Horner composition keeps its
 accumulator and each power arg^k (once per call) on int terms, each step
 acc * arg^k + g an int product and an int sum (_add_terms), and builds
 only its result.  Whatever the kernel, a coefficient must equal the
@@ -55,7 +56,7 @@ g <- g - (f(g) - t) g', its degrees halved down from M
 step is exact Newton).
 """
 
-from math import gcd
+from math import comb, gcd
 from operator import itemgetter, mul
 
 from . import _intpoly
@@ -184,6 +185,36 @@ def _build(ctx: Context, variables: tuple, packed, cap: int):
         tuple([k // w % base for w in weights]):
             _padic(ctx, x // pw[v - s], v, A - v) if x else _padic(ctx, 0, A, 0)
         for k, _, x, v, A in terms}, absprec)
+
+
+def _power_rows(args):
+    """Each argument's terms c x^d as (d, variable index, c), highest
+    degree first, if no argument has a series absprec and each term is a
+    power of a variable no other term uses; else None."""
+    seen, rows = set(), []
+    for a in args:
+        if a.absprec is not None:
+            return None
+        row = []
+        for e, c in a.coeffs.items():
+            used = [n for n, k in enumerate(e) if k]
+            if len(used) != 1 or used[0] in seen:
+                return None
+            seen.add(used[0])
+            row.append((e[used[0]], used[0], c))
+        rows.append(sorted(row, key=itemgetter(0, 1), reverse=True))
+    return rows
+
+
+def _splits(degrees, k: int, room: int) -> list[tuple]:
+    """The exponent vectors e with sum(e) = k and sum(e_m * degrees[m])
+    at most room, in descending order."""
+    if len(degrees) < 2:  # all of k on the one term, or k = 0 on none
+        fits = k * degrees[0] <= room if degrees else not k
+        return [(k,) * len(degrees)] if fits else []
+    d = degrees[0]
+    return [(e,) + tail for e in range(min(k, room // d), -1, -1)
+            for tail in _splits(degrees[1:], k - e, room - e * d)]
 
 
 def _series(ctx: Context, variables: tuple, coeffs: dict, absprec):
@@ -544,11 +575,15 @@ class TruncatedSeries:
 
     def compose(self, args: list, cap=None) -> "TruncatedSeries":
         """Substitute args[i] for self.vars[i]; every argument must share
-        one variable tuple and have zero constant term.  Recursive Horner
-        on int terms: each argument is read once and each power args[i]^k
-        that the steps need is computed once per call (_power_terms),
-        each step acc * arg^k + g is _mul_terms then _add_terms, and only
-        the result's PadicRationals are built.
+        one variable tuple and have zero constant term.  The arguments
+        alone choose the route: the multinomial theorem (_expand) when no
+        argument has a series absprec and each stored argument term is a
+        power c x^d of a variable no other term uses (ghost polynomials of
+        disjoint blocks, the lateral Frobenius x1^p + p x2), else Horner
+        on int terms, which reads each argument once, computes each power
+        args[i]^k its steps need once per call (_power_terms), makes each
+        step acc * arg^k + g by _mul_terms and _add_terms, and builds only
+        the result's PadicRationals.
 
         With a series absprec X, the result claims at most X + v when
         the least min_valuation() v of the arguments is >= 0, and at most
@@ -558,7 +593,8 @@ class TruncatedSeries:
         constant term.  Horner alone can claim more, as its last product
         multiplies by the smallest power only and a variable that self
         never uses enters no product; the zeros this bound covers are
-        dropped."""
+        dropped.  The expansion claims this bound (none without X), so it
+        reads an absent constant term of self as zero."""
         if len(args) != len(self.vars):
             raise VariableMismatch("one argument per variable required")
         tgt = args[0].vars
@@ -569,16 +605,85 @@ class TruncatedSeries:
                 raise NonzeroConstantTerm("composition argument has constant term")
         tctx = args[0].ctx
         cap = tctx.M if cap is None else min(cap, tctx.M)
-        terms, s, absp, _, _ = self._compose_rec(
-            list(range(len(self.vars))), args, {}, tctx, cap)
         v = min(a.min_valuation() for a in args)
         if v < 0:  # an absent t^e, |e| <= cap, composes to X + |e| v or more
             v *= cap
-        if self.absprec is not None and v is not _INF and (
-                absp is None or self.absprec + v < absp):
-            absp = self.absprec + v
+        bound = None if self.absprec is None or v is _INF else self.absprec + v
+        rows = _power_rows(args)
+        if rows is not None:
+            return self._expand(rows, tgt, tctx, cap, bound)
+        terms, s, absp, _, _ = self._compose_rec(
+            list(range(len(self.vars))), args, {}, tctx, cap)
+        if bound is not None and (absp is None or bound < absp):
+            absp = bound
             terms = [t for t in terms if t[2] or t[4] < absp]
         return _build(tctx, tgt, (terms, s, absp, None, None), cap)
+
+    def _expand(self, rows, tgt, tctx, cap, bound) -> "TruncatedSeries":
+        """self(args), rows = _power_rows(args), with series absprec bound,
+        less the O(p^w) zeros that bound covers.  A term u p^v t^k of self and
+        a split e_j of each k_j over the terms c_m x^(d_m) of args[j] give
+        u p^v prod multinomial(k_j; e_j) prod c_m^(e_m) at the monomial
+        prod x^(d_m e_m), which no other term or split reaches.  So its
+        valuation v + s (s the sum of e_m v_p(c_m) and v_p of the
+        multinomials) and its claim v + s + min(r, rel of each c_m used),
+        r the term's relative precision, hold for every self and args
+        within their claims, and no sound claim is longer; an O(p^w)
+        factor gives the zero O(p^(v+s)).  Keys descend in the exponents
+        read from the last argument to the first, each from its highest
+        degree (Horner's order can differ; no reader depends on it)."""
+        p, base = tctx.p, cap + 1
+        top = [n for row in reversed(rows) for _, n, _ in row]  # top digit first
+        low = [n for n in range(len(tgt)) if n not in top] + top[::-1]
+        weights = [base ** low.index(n) for n in range(len(tgt))]
+        pw = tctx.p_powers(max([c.rel for c in self.coeffs.values()] + [
+            c.rel for row in rows for _, _, c in row], default=0))[0]
+        # each argument's terms as (degree, packed key, unit, val, rel)
+        terms = [[(d, d * weights[n], c.unit, c.val, c.rel) for d, n, c in row]
+                 for row in rows]
+        memo: dict[tuple[int, int], list] = {}
+
+        def split_rows(j, k):
+            # args[j]^k within the cap: (degree, packed key, the multinomial
+            # with p divided out times the units, s, least rel used)
+            found = memo.get((j, k))
+            if found is None:
+                found = memo[(j, k)] = []
+                for e in _splits([t[0] for t in terms[j]], k, cap):
+                    m, f, left, s, rel, deg, key = 1, 1, k, 0, _INF, 0, 0
+                    for em, (d, kk, u, v, r) in zip(e, terms[j]):
+                        if em:
+                            m *= comb(left, em)
+                            f *= u ** em
+                            left -= em
+                            s += em * v
+                            rel = min(rel, r)
+                            deg += em * d
+                            key += em * kk
+                    while not m % p:  # credit v_p of the multinomial to s
+                        m //= p
+                        s += 1
+                    found.append((deg, key, m * f, s, rel))
+            return found
+
+        coeffs = {}
+        for e, c in self.coeffs.items():
+            u, v, r = c.unit, c.val, c.rel
+            combos = [(0, 0, 1, 0, _INF)]
+            for j, k in enumerate(e):
+                combos = [(d1 + d2, k1 + k2, f1 * f2, s1 + s2, min(r1, r2))
+                          for d1, k1, f1, s1, r1 in combos
+                          for d2, k2, f2, s2, r2 in split_rows(j, k)
+                          if d1 + d2 <= cap]
+            for _, key, f, s, rel in combos:
+                if u and f:  # u * f is prime to p
+                    rel = min(r, rel)
+                    coeffs[key] = _padic(tctx, u * f % pw[rel], v + s, rel)
+                elif bound is None or v + s < bound:  # an O(p^w) factor
+                    coeffs[key] = _padic(tctx, 0, v + s, 0)
+        return _series(tctx, tgt, {
+            tuple([key // w % base for w in weights]): coeffs[key]
+            for key in sorted(coeffs, reverse=True)}, bound)
 
     def _compose_rec(self, active, args, powers, tctx, cap):
         """Horner in the last variable of `active` that self uses, as int

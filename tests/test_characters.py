@@ -15,13 +15,16 @@ from arithjet.characters import (
     check_point_count, f_star,
 )
 from arithjet import characters, formalgroup
-from arithjet.jet import ghost_series, jet_group_law, n1_group, psi1_series
+from arithjet.jet import (
+    ghost_series, jet_group_law, lateral_frobenius_map, n1_group, psi1_series,
+)
 from arithjet.errors import (
     ArithJetError, IdentityViolation, IntegralityViolation, PrecisionExhausted,
 )
 from test_kernels import (
-    assert_claims_no_less_than_the_compose, reference_kernel_law,
-    reference_kernel_log_projection, reference_restrict_lateral,
+    assert_claims_no_less_than_the_compose, horner_compose, reference_compose,
+    reference_kernel_law, reference_kernel_log_projection,
+    reference_restrict_lateral,
 )
 
 INF = float("inf")
@@ -150,8 +153,8 @@ def test_kernel_projections_are_restricted_once_per_group(monkeypatch, ctx35):
 
 def test_log_projection_table_extends_to_the_direct_build(ctx35, E11, Em10, E7):
     # each L_i is built on (x0..xi); extended it has the keys, in the same
-    # order, and the series absprec of the compose on the wide tuple, and
-    # its claims or beyond.  L_0 is relabelled and every other level is
+    # order, and the series absprec of Horner's compose on the wide tuple,
+    # and its claims or beyond.  L_0 is relabelled and every other level is
     # expanded by the multinomial theorem, below the cap and above it
     # (L_3 and L_4 at p = 5, M = 35 and p = 7, M = 56; L_4 at p = 3,
     # M = 30), also for y^2 = x^3 + 1 at p = 5 and for E3, whose logs
@@ -163,7 +166,7 @@ def test_log_projection_table_extends_to_the_direct_build(ctx35, E11, Em10, E7):
         table = log_projections(F, 4)
         assert len(F.log_projection_cache) == 5
         for i in range(5):
-            want = F.log.compose([ghost_series(F.ctx, xs, xs, i)])
+            want = horner_compose(F.log, [ghost_series(F.ctx, xs, xs, i)])
             assert table[i].vars == xs
             assert list(table[i].coeffs) == list(want.coeffs), (F.ctx.p, i)
             assert table[i].absprec == want.absprec
@@ -382,6 +385,25 @@ def test_f_star_shifts_the_kernel_log_projections(ctx35, E11, Em10, E7):
             assert resid >= claim, (F.kind, F.ctx.p, j, resid, claim)
 
 
+@pytest.mark.parametrize("p, N, M, a4, a6", [
+    (5, 8, 35, None, None), (5, 8, 35, 1, 1), (5, 8, 35, -1, 0),
+    (5, 8, 35, 0, 1), (7, 6, 56, 1, 1), (13, 4, 182, 1, 1)],
+    ids=["Gm", "E11", "Em10", "E01", "E11-p7", "E11-p13"])
+def test_f_star_psi1_matches_the_padic_horner(p, N, M, a4, a6):
+    # f* Psi_1 = Psi_1(x1^p + p x2), which the compose expands by the
+    # multinomial theorem, against Horner on PadicRational series: the
+    # same keys in the same order and series absprec, the same values to
+    # the lesser claim, and no claim shorter (E11 claims more on 20 keys
+    # at p = 5 and on 40 at p = 7)
+    ctx = Context(p=p, N=N, M=M)
+    F = FormalGroupLaw.multiplicative(ctx) if a4 is None else curve(ctx, a4, a6)
+    psi = psi1_series(F)
+    got = restrict_lateral(psi)
+    want = reference_compose(psi, lateral_frobenius_map(ctx, 2))
+    assert (list(got.coeffs), got.absprec) == (list(want.coeffs), want.absprec)
+    assert_claims_no_less_than_the_compose(got, want)
+
+
 def test_f_star_shift_matches_the_composed_pullback(ga11, gam10, ga01, gagm,
                                                     E7):
     # f*(iota* Theta) and f*(iota* phi* Theta) by the index shift equal the
@@ -552,12 +574,13 @@ def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
     # ghost_compose builds each L_i once per group, in order: L_0..L_4
     # for a non-CL curve (diff2 reads Lbar_4; y^2 = x^3 + x + 1 and the
     # supersingular y^2 = x^3 + 1), L_0..L_2 for a CL group.
-    # L_0 is log_G relabelled, and L_1..L_4 are expanded from w_i, below
-    # the cap (L_1, L_2 at p = 5, M = 35) and above it (L_3, L_4); none is
-    # composed
-    builds, composes = [], []
+    # L_0 is log_G relabelled, and L_1..L_4 are composed once each and
+    # expanded from w_i, below the cap (L_1, L_2 at p = 5, M = 35) and
+    # above it (L_3, L_4); none takes Horner
+    builds, composes, horner = [], [], []
     log = None
     real_build, real_compose = characters.ghost_compose, TruncatedSeries.compose
+    real_horner = TruncatedSeries._compose_rec
 
     def built(G, variables, blocks, i):
         if G is log:
@@ -569,17 +592,25 @@ def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
             composes.append(len(args[0].vars) - 1)
         return real_compose(self, args, cap)
 
+    def by_horner(self, *args):
+        if self is log:
+            horner.append(len(args[1][0].vars) - 1)
+        return real_horner(self, *args)
+
     monkeypatch.setattr(characters, "ghost_compose", built)
     monkeypatch.setattr(TruncatedSeries, "compose", composed)
+    monkeypatch.setattr(TruncatedSeries, "_compose_rec", by_horner)
     for F, levels in ((curve(ctx35, 1, 1), 5), (curve(ctx35, 0, 1), 5),
                       (curve(ctx35, -1, 0), 3),
                       (FormalGroupLaw.multiplicative(ctx35), 3)):
         builds.clear()
         composes.clear()
+        horner.clear()
         log = F.log
         analyze_group(F)
         assert builds == list(range(levels)), (F.kind, builds)
-        assert composes == [], (F.kind, composes)
+        assert composes == list(range(1, levels)), (F.kind, composes)
+        assert horner == [], (F.kind, horner)
 
 
 def test_analyze_group_names_a_kind_it_cannot_analyse(Ga, Gm):
@@ -660,6 +691,16 @@ def test_charpoly_nonCL(ga11):
     assert (iso.determinant - 5).is_zero() or \
         (iso.determinant - 5).valuation() >= N - 3
     assert iso.newton_slopes() == [0, 1]
+
+
+def test_charpoly_at_a_large_prime():
+    # y^2 = x^3 + x + 1 at (p, N, M) = (13, 4, 182), ordinary: trace = a_13
+    # and det = 13 mod 13^(N-3), against the point count
+    E = WeierstrassCurve(0, 0, 0, 1, 1, Context(p=13, N=4, M=182))
+    iso = analyze_group(as_group(E)).iso
+    assert iso.hdelta_rank == 2
+    for got, want in ((iso.trace, count_points_ap(E).a_p), (iso.determinant, 13)):
+        assert (got - want).is_zero() or (got - want).valuation() >= 1
 
 
 def test_charpoly_nonCL_second_curve(ctx35):

@@ -17,7 +17,9 @@ from arithjet.jet import (
 )
 from arithjet.ghost import ghost_map, ghost_solve
 from arithjet.errors import ArithJetError, LengthMismatch
-from test_kernels import assert_claims_no_less_than_the_compose, reference_kernel_law
+from test_kernels import (
+    assert_claims_no_less_than_the_compose, horner_compose, reference_kernel_law,
+)
 
 INF = float("inf")
 
@@ -264,8 +266,8 @@ def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
     J1 = jet_group_law(build(ctx), 1)
     F = build(ctx)
     direct = ghost_solve(ctx.p, [
-        F.law.compose([ghost_series(ctx, allv, xs, i),
-                       ghost_series(ctx, allv, ys, i)]) for i in range(2)],
+        horner_compose(F.law, [ghost_series(ctx, allv, xs, i),
+                               ghost_series(ctx, allv, ys, i)]) for i in range(2)],
         TruncatedSeries.shift)
     for i in range(2):
         assert coefficient_map(J2.law[i]) == coefficient_map(J1.law[i].extend(allv))
@@ -278,10 +280,10 @@ def test_one_verification_composes_each_ghost_level_once(monkeypatch):
     # ghost_compose builds F(w_i(x), w_i(y)) once per level and group: F's
     # law at levels 0-2 for J^2, and N^1's at levels 0-1 for its J^1,
     # whose level 1 check (e) reads again.  Level 0 is the law relabelled,
-    # and levels 1 and 2 are expanded from w_i by the multinomial theorem
-    # at M = 12 and M = 22 (level 2 above the cap, 5^2 > M), so nothing is
-    # composed.  n1_group composes nothing: N^1's law is F's scaled by p,
-    # (1/p) F(p t1, p t2).
+    # and levels 1 and 2 are composed once each, expanded from w_i by the
+    # multinomial theorem at M = 12 and M = 22 (level 2 above the cap,
+    # 5^2 > M), so none takes Horner.  n1_group composes nothing: N^1's
+    # law is F's scaled by p, (1/p) F(p t1, p t2).
     groups = {}
     real_n1 = jet.n1_group
 
@@ -291,7 +293,9 @@ def test_one_verification_composes_each_ghost_level_once(monkeypatch):
 
     builds: dict = {}
     composes: dict = {}
+    horner: dict = {}
     real_build, real_compose = jet.ghost_compose, TruncatedSeries.compose
+    real_horner = TruncatedSeries._compose_rec
 
     def name_of(G):
         return next((name for name, H in (("F", groups.get("F")),
@@ -308,18 +312,26 @@ def test_one_verification_composes_each_ghost_level_once(monkeypatch):
             composes[name_of(self)] += 1
         return real_compose(self, args, cap)
 
+    def by_horner(self, *args):
+        if name_of(self):
+            horner[name_of(self)] += 1
+        return real_horner(self, *args)
+
     monkeypatch.setattr(jet, "n1_group", n1_group_kept)
     monkeypatch.setattr(jet, "ghost_compose", built)
     monkeypatch.setattr(TruncatedSeries, "compose", counted)
+    monkeypatch.setattr(TruncatedSeries, "_compose_rec", by_horner)
     for M in (12, 22):
         groups.clear()
         groups["F"] = formal_group_from_curve(
             WeierstrassCurve(0, 0, 0, 1, 1, Context(p=5, N=8, M=M)))
         builds.update(F=[], N1=[])
         composes.update(F=0, N1=0)
+        horner.update(F=0, N1=0)
         assert verify_jet_identities(groups["F"]).ok
         assert builds == {"F": [0, 1, 2], "N1": [0, 1]}, M
-        assert composes == {"F": 0, "N1": 0}, M
+        assert composes == {"F": 2, "N1": 1}, M
+        assert horner == {"F": 0, "N1": 0}, M
 
 
 JET_GROUPS = {
@@ -344,8 +356,8 @@ def test_jet_law_keeps_the_ghost_composes_it_solves(group, n, M):
     allv = xs + ys
     assert len(J.ghosts) == len(J.law) == n + 1
     for i in range(n + 1):
-        want = F.law.compose([ghost_series(ctx, allv, xs, i),
-                              ghost_series(ctx, allv, ys, i)])
+        want = horner_compose(F.law, [ghost_series(ctx, allv, xs, i),
+                                      ghost_series(ctx, allv, ys, i)])
         assert J.ghosts[i].vars == allv
         assert (sorted(J.ghosts[i].coeffs), J.ghosts[i].absprec) == \
             (sorted(want.coeffs), want.absprec)
