@@ -13,9 +13,9 @@ one c-combination of one table per group: each L_i is built once, on
 (x0..xi), and kept in F.log_projection_cache; log_projections reads it
 extended, and the kernel projections Lbar_j = L_j(0, x1..xj) are the same
 table restricted to x0 = 0, each restricted once and kept in
-F.kernel_projection_cache.  Each L_i is built by jet.ghost_compose:
-L_0 is log_G relabelled, and every L_i with i >= 1 is expanded by the
-multinomial theorem (claiming no less than log_G composed with w_i).
+F.kernel_projection_cache.  Each L_i is built by jet.ghost_compose,
+which expands log_G(w_i) by the multinomial theorem (claiming no less
+than Horner's compose of log_G with w_i).
 
 The solver's rows need no jet series.  As w_i(x0, 0..0) = x0^(p^i), the x0^j
 coefficient of Theta is sum c_i b_(j/p^i) over p^i | j, for b_k those of
@@ -66,16 +66,16 @@ gamma = p c_0 b_1 (b_1 = 1) and Lbar_1 = p Psi_1 from the same log, so
 sigma = -1, and its order-2 form holds by construction; so
 verify_diff_relation also ties each shift to f at seeded points: the
 shifted series at x in pZ_p^(n+1) against the unshifted one at the exact
-numeric f(x).  One compose stays in the run: restrict_lateral, f* Psi_1
-for the rank-2 matrix, checked coefficientwise against f* Psi_1 =
-Lbar_2 / p.  The compose expands Psi_1(x1^p + p x2) by the multinomial
-theorem, as it expands Lbar_2, so that check compares two expansions; a
-point check sees an error of valuation v in degree k as v + k, so the
-test suite compares f* Psi_1 and every shift with Horner composition.
-analyze_group builds each lateral object
-once, in verify_diff_relation, and reads its solves and checks from that
-report.  Only elliptic curves and G_m are analysed; other kinds raise
-before any solve.
+numeric f(x).  Beside the log projections, one compose is in the run:
+restrict_lateral, f* Psi_1 for the rank-2 matrix, checked coefficientwise
+against f* Psi_1 = Lbar_2 / p.  The compose expands Psi_1(x1^p + p x2)
+by the multinomial theorem, as it expands Lbar_2, so that check compares
+two expansions; a point check sees an error of valuation v in degree k as
+v + k, so the test suite compares f* Psi_1 and every shift with Horner
+composition.  analyze_group builds each lateral object once, in
+verify_diff_relation, and reads its solves and checks from that report.
+Only elliptic curves and G_m are analysed; other kinds raise before any
+solve.
 """
 
 import random
@@ -87,7 +87,7 @@ from .series import TruncatedSeries
 from .formalgroup import (
     FormalGroupLaw, WeierstrassCurve, formal_group_from_curve,
     elliptic_log_coefficients, multiplicative_log_coefficients,
-    ELLIPTIC, MULTIPLICATIVE,
+    ADDITIVE, ELLIPTIC, MULTIPLICATIVE,
 )
 from .jet import (
     ghost_compose, lateral_frobenius_map, lateral_frobenius_point, psi1_series,
@@ -662,9 +662,12 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     if F.kind not in (ELLIPTIC, MULTIPLICATIVE):
         # their f* solve has a vanishing column, and a larger budget does
         # not help (G_a at N=8, M=35 and at N=12, M=60)
+        why = "" if F.kind != ADDITIVE else (
+            ": G_a is not an abelian scheme, so the smallest sub-isocrystal"
+            " containing Fil^1 is not defined for it")
         raise ArithJetError(
             f"analyze_group needs an elliptic or multiplicative group,"
-            f" got the {F.kind} group")
+            f" got the {F.kind} group{why}")
     ctx = F.ctx
     if ctx.N - 3 < 1:
         # the residual and point-count gates hold mod p^(N - 3)
@@ -709,8 +712,8 @@ def analyze_group(F: FormalGroupLaw) -> GroupAnalysis:
     else:
         # basis ([iota* Theta], [f* iota* Theta]); [f* iota* Theta] =
         # gamma_hat [Psi_1]; expand f* Psi_1 = x [iota* Theta] + y [Psi_1]
-        # f* Psi_1 is the one compose of the run (expanded); it checks the
-        # shift too, f* Psi_1 = Lbar_2 / p
+        # f* Psi_1 is the run's one compose beside the log projections
+        # (expanded); it checks the shift too, f* Psi_1 = Lbar_2 / p
         fpsi = restrict_lateral(psi)
         lbar2 = kernel_log_projection(F, 2, fpsi.vars)
         residuals["fstar_shift"] = (fpsi - lbar2.shift(-1)).residual_valuation()

@@ -332,22 +332,10 @@ def formal_group_from_curve(E: WeierstrassCurve) -> FormalGroupLaw:
         t3 = -t1 - t2 - c2 * c3.inverse()
         if E.a1 == 0 and E.a3 == 0:
             return -t3
-        # inversion series i(t) = -t * (1 - a1 t - a3 w(t))^(-1)
-        ts = TruncatedSeries.variable(ctx, ("t",), "t")
-        wt = w1.set_zero(["t2"]).rename(("t",))
-        inv_series = (-ts) * (TruncatedSeries.const(ctx, ("t",), 1)
-                              - ts.scale(E.a1) - wt.scale(E.a3)).inverse()
-        return inv_series.compose([t3])
+        # the inverse -t / (1 - a1 t - a3 w(t)) at t3, whose w(t3) is the
+        # chord's lam t3 + nu, as the third point lies on it
+        return (-t3) * (TruncatedSeries.const(ctx, v, 1) - t3.scale(E.a1)
+                        - (lam * t3 + nu).scale(E.a3)).inverse()
 
     return FormalGroupLaw(ctx, ELLIPTIC, build_law, log=log, curve=E)
 
-
-def multiplication_by(F: FormalGroupLaw, m: int) -> TruncatedSeries:
-    """[m](t), the multiplication-by-m series of the law."""
-    if m < 1:
-        raise ArithJetError("m >= 1 required")
-    t = TruncatedSeries.variable(F.ctx, ("t",), "t")
-    acc = t
-    for _ in range(m - 1):
-        acc = F.law.compose([acc, t])
-    return acc

@@ -13,7 +13,7 @@ ghost_solve's powers a^(p^k) of the components are the costly part;
 their squarings run on int terms, building PadicRationals once, for the
 result (arithjet.series).  jet_group_law builds the ghosts
 F(w_i(x), w_i(y)) on all of J^n's variables (x0..xn, y0..yn), one level
-at a time (ghost_compose: relabelled at level 0, composed above, where
+at a time (ghost_compose: F composed with the ghost polynomials, which
 the compose expands by the multinomial theorem), and keeps them in
 JetGroupLaw.ghosts beside the components they solve to.  One
 verify_jet_identities builds J^2 once, and lateral-homomorphism reads
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from .context import Context
 from .padic import PadicRational
-from .series import TruncatedSeries, _series
+from .series import TruncatedSeries
 from .formalgroup import FormalGroupLaw
 from .errors import ArithJetError, LengthMismatch
 from .ghost import ghost_map, ghost_solve
@@ -77,18 +77,11 @@ def ghost_series(ctx: Context, variables, names, i: int) -> TruncatedSeries:
 def ghost_compose(G: TruncatedSeries, variables, blocks, i: int) -> TruncatedSeries:
     """G(w_i(b_1), ..., w_i(b_r)) on variables, with one block of
     coordinate names b_j = (x_0, x_1, ...) per variable of G: every jet
-    law ghost and every log projection L_i.  Level 0 is G relabelled, in
-    the compose's key order (descending, the last variable's exponent
-    first), with G's claims.  Level i >= 1 is G.compose of the ghost
-    polynomials, whose terms p^m x_m^(p^(i-m)) within the cap are powers
-    of distinct coordinates, so the compose expands it by the multinomial
-    theorem."""
-    if i:
-        return G.compose([ghost_series(G.ctx, variables, b, i) for b in blocks])
-    relabelled = G.rename([b[0] for b in blocks]).extend(variables)
-    return _series(G.ctx, tuple(variables), dict(sorted(
-        relabelled.coeffs.items(), key=lambda t: t[0][::-1], reverse=True)),
-        G.absprec)
+    law ghost and every log projection L_i.  The terms p^m x_m^(p^(i-m))
+    of the ghost polynomials within the cap are powers of distinct
+    coordinates (x_0 alone at level 0), so the compose expands G by the
+    multinomial theorem."""
+    return G.compose([ghost_series(G.ctx, variables, b, i) for b in blocks])
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from arithjet.context import Context
@@ -17,6 +19,7 @@ from arithjet.characters import (
 from arithjet import characters, formalgroup
 from arithjet.jet import (
     ghost_series, jet_group_law, lateral_frobenius_map, n1_group, psi1_series,
+    verify_jet_identities,
 )
 from arithjet.errors import (
     ArithJetError, IdentityViolation, IntegralityViolation, PrecisionExhausted,
@@ -154,8 +157,8 @@ def test_kernel_projections_are_restricted_once_per_group(monkeypatch, ctx35):
 def test_log_projection_table_extends_to_the_direct_build(ctx35, E11, Em10, E7):
     # each L_i is built on (x0..xi); extended it has the keys, in the same
     # order, and the series absprec of Horner's compose on the wide tuple,
-    # and its claims or beyond.  L_0 is relabelled and every other level is
-    # expanded by the multinomial theorem, below the cap and above it
+    # and its claims or beyond.  Every level is expanded by the
+    # multinomial theorem, L_0 from x0 alone, below the cap and above it
     # (L_3 and L_4 at p = 5, M = 35 and p = 7, M = 56; L_4 at p = 3,
     # M = 30), also for y^2 = x^3 + 1 at p = 5 and for E3, whose logs
     # have Horner steps of 6 and 4, at or above p
@@ -574,9 +577,9 @@ def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
     # ghost_compose builds each L_i once per group, in order: L_0..L_4
     # for a non-CL curve (diff2 reads Lbar_4; y^2 = x^3 + x + 1 and the
     # supersingular y^2 = x^3 + 1), L_0..L_2 for a CL group.
-    # L_0 is log_G relabelled, and L_1..L_4 are composed once each and
-    # expanded from w_i, below the cap (L_1, L_2 at p = 5, M = 35) and
-    # above it (L_3, L_4); none takes Horner
+    # Each L_i is composed once and expanded from w_i, L_0 from x0 alone,
+    # below the cap (L_1, L_2 at p = 5, M = 35) and above it (L_3, L_4);
+    # none takes Horner
     builds, composes, horner = [], [], []
     log = None
     real_build, real_compose = characters.ghost_compose, TruncatedSeries.compose
@@ -609,8 +612,37 @@ def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
         log = F.log
         analyze_group(F)
         assert builds == list(range(levels)), (F.kind, builds)
-        assert composes == list(range(1, levels)), (F.kind, composes)
+        assert composes == list(range(levels)), (F.kind, composes)
         assert horner == [], (F.kind, horner)
+
+
+def test_horner_census_names_only_the_callers_that_need_it(monkeypatch):
+    # the Horner route of compose serves three callers only: reversion's
+    # Newton steps, canonical_lift_test's [p] = exp(p log) and
+    # verify_jet_identities' lateral check f(K2).  Every ghost level and
+    # f* Psi_1 are expansions, and the law of a long form reads the
+    # inverse off the chord without a compose
+    callers = set()
+    real_horner = TruncatedSeries._compose_rec
+    compose_code = TruncatedSeries.compose.__code__
+
+    def by_horner(self, *args):
+        frame = sys._getframe(1)
+        while frame.f_code is not compose_code:
+            frame = frame.f_back
+        callers.add(frame.f_back.f_code.co_name)
+        return real_horner(self, *args)
+
+    monkeypatch.setattr(TruncatedSeries, "_compose_rec", by_horner)
+    analyze_group(curve(Context(p=5, N=8, M=35), 1, 1))
+    classify_CL(curve(Context(p=5, N=8, M=12), 1, 1))
+    ctx8 = Context(p=5, N=8, M=8)
+    for F in (FormalGroupLaw.multiplicative(ctx8), curve(ctx8, 1, 1)):
+        assert verify_jet_identities(F).ok
+    formal_group_from_curve(
+        WeierstrassCurve(1, 1, 1, 1, 1, Context(p=5, N=8, M=20))).law
+    assert callers == {"reversion", "canonical_lift_test",
+                       "verify_jet_identities"}
 
 
 def test_analyze_group_names_a_kind_it_cannot_analyse(Ga, Gm):
@@ -618,6 +650,10 @@ def test_analyze_group_names_a_kind_it_cannot_analyse(Ga, Gm):
         with pytest.raises(ArithJetError, match=kind) as err:
             analyze_group(F)
         assert not isinstance(err.value, PrecisionExhausted)
+    # G_a's error says why: the isocrystal is defined for abelian schemes
+    with pytest.raises(ArithJetError, match="G_a is not an abelian scheme"
+                       ".*sub-isocrystal containing Fil\\^1"):
+        analyze_group(Ga)
 
 
 def test_frobenius_shifts_are_not_rebuilt_as_series(Em10):

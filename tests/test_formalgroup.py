@@ -4,8 +4,8 @@ from arithjet.context import Context
 from arithjet.padic import PadicRational
 from arithjet.series import TruncatedSeries
 from arithjet.formalgroup import (
-    FormalGroupLaw, WeierstrassCurve, count_points_ap, formal_group_from_curve,
-    multiplication_by, parse_curve,
+    FormalGroupLaw, WeierstrassCurve, _chord, count_points_ap,
+    formal_group_from_curve, parse_curve,
 )
 from arithjet.errors import BadReduction, ArithJetError
 
@@ -169,13 +169,54 @@ def test_log_linear_coefficient_and_denominators(ctx):
         assert c.is_zero() or c.val >= -kval
 
 
-def test_multiplication_by_m(ctx):
-    F = formal_group_from_curve(curve(ctx, -1, 0))
-    t = TruncatedSeries.variable(ctx, ("t",), "t")
-    for m in (2, 3):
-        lhs = F.log.compose([multiplication_by(F, m)])
-        rhs = F.log.compose([t]).scale(m)
-        assert (lhs - rhs).residual_valuation() >= ctx.N - 2
+def reference_long_law(E):
+    """The law by the inversion series i(t) = -t (1 - a1 t - a3 w(t))^(-1)
+    composed at the chord's third point t3: the construction that
+    formal_group_from_curve replaces by reading w(t3) off the chord."""
+    ctx, v = E.ctx, ("t1", "t2")
+    w1, lam = _chord(E)
+    t1 = TruncatedSeries.variable(ctx, v, "t1")
+    t2 = TruncatedSeries.variable(ctx, v, "t2")
+    nu = w1 - lam * t1
+    c3 = (TruncatedSeries.const(ctx, v, 1) + lam.scale(E.a2)
+          + (lam * lam).scale(E.a4) + (lam ** 3).scale(E.a6))
+    c2 = (lam.scale(E.a1) + nu.scale(E.a2) + (lam * lam).scale(E.a3)
+          + (lam * nu).scale(2 * E.a4) + (lam * lam * nu).scale(3 * E.a6))
+    t3 = -t1 - t2 - c2 * c3.inverse()
+    ts = TruncatedSeries.variable(ctx, ("t",), "t")
+    wt = w1.set_zero(["t2"]).rename(("t",))
+    inv_series = (-ts) * (TruncatedSeries.const(ctx, ("t",), 1)
+                          - ts.scale(E.a1) - wt.scale(E.a3)).inverse()
+    return inv_series.compose([t3])
+
+
+@pytest.mark.parametrize("a, budget", [
+    ((1, 1, 1, 1, 1), (5, 8, 20)),
+    ((1, 0, 1, 1, 1), (7, 6, 24)),
+    ((1, 0, 0, 2, 3), (5, 8, 20)),
+    ((0, 0, 1, 1, 1), (3, 8, 20)),
+])
+def test_long_form_law_reads_the_inverse_off_the_chord(a, budget, monkeypatch):
+    # the third point lies on w = lam t + nu, so the law needs no compose:
+    # every coefficient and the series absprec agree with the inversion
+    # series composed at t3 (the key order may differ)
+    p, N, M = budget
+    E = WeierstrassCurve(*a, Context(p=p, N=N, M=M))
+    want = reference_long_law(E)
+    composes = []
+    real_compose = TruncatedSeries.compose
+
+    def counted(self, args, cap=None):
+        composes.append(self.vars)
+        return real_compose(self, args, cap)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", counted)
+    got = formal_group_from_curve(E).law
+    assert composes == []
+    assert got.vars == want.vars
+    assert ({e: (c.unit, c.val, c.rel) for e, c in got.coeffs.items()}
+            == {e: (c.unit, c.val, c.rel) for e, c in want.coeffs.items()})
+    assert got.absprec == want.absprec
 
 
 def test_exp_roundtrip_elliptic(ctx):

@@ -279,11 +279,11 @@ def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
 def test_one_verification_composes_each_ghost_level_once(monkeypatch):
     # ghost_compose builds F(w_i(x), w_i(y)) once per level and group: F's
     # law at levels 0-2 for J^2, and N^1's at levels 0-1 for its J^1,
-    # whose level 1 check (e) reads again.  Level 0 is the law relabelled,
-    # and levels 1 and 2 are composed once each, expanded from w_i by the
-    # multinomial theorem at M = 12 and M = 22 (level 2 above the cap,
-    # 5^2 > M), so none takes Horner.  n1_group composes nothing: N^1's
-    # law is F's scaled by p, (1/p) F(p t1, p t2).
+    # whose level 1 check (e) reads again.  Every level is composed once,
+    # expanded from w_i by the multinomial theorem at M = 12 and M = 22
+    # (level 0 from x_0 alone, level 2 above the cap, 5^2 > M), so none
+    # takes Horner.  n1_group composes nothing: N^1's law is F's scaled by
+    # p, (1/p) F(p t1, p t2).
     groups = {}
     real_n1 = jet.n1_group
 
@@ -330,7 +330,7 @@ def test_one_verification_composes_each_ghost_level_once(monkeypatch):
         horner.update(F=0, N1=0)
         assert verify_jet_identities(groups["F"]).ok
         assert builds == {"F": [0, 1, 2], "N1": [0, 1]}, M
-        assert composes == {"F": 2, "N1": 1}, M
+        assert composes == {"F": 3, "N1": 2}, M
         assert horner == {"F": 0, "N1": 0}, M
 
 
