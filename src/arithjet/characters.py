@@ -15,7 +15,7 @@ extended, and the kernel projections Lbar_j = L_j(0, x1..xj) are the same
 table restricted to x0 = 0, each restricted once and kept in
 F.kernel_projection_cache.  Each L_i is built by jet.ghost_compose,
 which expands log_G(w_i) by the multinomial theorem (claiming no less
-than Horner's compose of log_G with w_i).
+than the tests' reference, Horner composition of log_G with w_i).
 
 The solver's rows need no jet series.  As w_i(x0, 0..0) = x0^(p^i), the x0^j
 coefficient of Theta is sum c_i b_(j/p^i) over p^i | j, for b_k those of

@@ -21,7 +21,7 @@ class PrecisionExhausted(ArithJetError):
 
 
 class VariableMismatch(ArithJetError):
-    """Series operands live on different variable tuples."""
+    """Series operands or lookups disagree on the variables or their number."""
 
 
 class NonzeroConstantTerm(ArithJetError):

@@ -21,12 +21,12 @@ renaming and extension only carry canonical coefficients over.
 
 Supported operations: ring arithmetic, scalar multiplication, p-power
 shifts, composition (by the multinomial theorem where the arguments
-allow it, else by recursive Horner; for a series absprec X the result
-claims at most X + v, v the least valuation of the arguments, or
-X + cap * v when v < 0), reversion of a univariate series, substitution
-of zero for variables, numeric evaluation, derivative and termwise
-integration of univariate series, and residual-valuation comparison for
-budgeted identity checks.
+allow it, else as the sum of products that defines it; for a series
+absprec X the result claims at most X + v, v the least valuation of the
+arguments, or X + cap * v when v < 0), reversion of a univariate
+series, substitution of zero for variables, numeric evaluation,
+derivative and termwise integration of univariate series, and
+residual-valuation comparison for budgeted identity checks.
 
 Products (and so powers, inverses, composition and reversion) run on
 integers in three steps: read a series into int terms (_int_terms, scaled
@@ -34,11 +34,10 @@ by its smallest nonzero valuation, monomials packed into single ints),
 multiply int terms (_mul_terms visits only the pairs within the degree
 cap, _canonical reduces each sum), and build the PadicRationals once
 (_build).  A product reads, multiplies and builds; a power reads once,
-squares on int terms and builds once; a Horner composition keeps its
-accumulator and each power arg^k (once per call) on int terms, each step
-acc * arg^k + g an int product and an int sum (_add_terms), and builds
-only its result.  Whatever the kernel, a coefficient must equal the
-PadicRational sum of the PadicRational pairwise products, value and
+squares on int terms and builds once; a sum-of-products composition
+keeps its powers (each once per call), products and sum on int terms and
+builds only its result.  Whatever the kernel, a coefficient must equal
+the PadicRational sum of the PadicRational pairwise products, value and
 precision alike (see TruncatedSeries.__mul__), and evaluation at a point
 the PadicRational sum of the PadicRational terms (see
 TruncatedSeries.evaluate, which reduces its sum once, through the
@@ -217,6 +216,13 @@ def _splits(degrees, k: int, room: int) -> list[tuple]:
             for tail in _splits(degrees[1:], k - e, room - e * d)]
 
 
+def _unit_exponent(variables: tuple, name) -> tuple:
+    """The exponent of the variable name; VariableMismatch names it if absent."""
+    if name not in variables:
+        raise VariableMismatch(f"no variable {name!r} in {variables}")
+    return tuple(int(v == name) for v in variables)
+
+
 def _series(ctx: Context, variables: tuple, coeffs: dict, absprec):
     """The TruncatedSeries with exactly these fields, unchecked: the
     caller holds coeffs in canonical form (module docstring)."""
@@ -265,10 +271,7 @@ class TruncatedSeries:
 
     @classmethod
     def variable(cls, ctx, variables, name):
-        variables = tuple(variables)
-        e = [0] * len(variables)
-        e[variables.index(name)] = 1
-        return cls(ctx, variables, {tuple(e): 1})
+        return cls(ctx, variables, {_unit_exponent(tuple(variables), name): 1})
 
     # -- queries ---------------------------------------------------------
 
@@ -277,9 +280,10 @@ class TruncatedSeries:
         c = self.coeffs.get(expt)
         if c is not None:
             return c
-        if self.absprec is None:
-            return PadicRational.zero(self.ctx, 10 ** 9)
-        return PadicRational.zero(self.ctx, self.absprec)
+        if len(expt) != len(self.vars):
+            raise VariableMismatch(f"exponent of arity {len(expt)} on {self.vars}")
+        absprec = 10 ** 9 if self.absprec is None else self.absprec
+        return PadicRational.zero(self.ctx, absprec)
 
     def constant_term(self) -> PadicRational:
         return self.get(tuple(0 for _ in self.vars))
@@ -470,7 +474,7 @@ class TruncatedSeries:
         variables = tuple(variables)
         if variables == self.vars:
             return self
-        idx = [variables.index(v) for v in self.vars]
+        idx = [_unit_exponent(variables, v).index(1) for v in self.vars]
         coeffs = {}
         for e, c in self.coeffs.items():
             ee = [0] * len(variables)
@@ -493,9 +497,7 @@ class TruncatedSeries:
                        coeffs, self.absprec)
 
     def linear_coefficient(self, name) -> PadicRational:
-        e = [0] * len(self.vars)
-        e[self.vars.index(name)] = 1
-        return self.get(tuple(e))
+        return self.get(_unit_exponent(self.vars, name))
 
     def evaluate(self, values: dict) -> PadicRational:
         """Numeric evaluation; values map every variable to a PadicRational
@@ -517,7 +519,10 @@ class TruncatedSeries:
         as from every term, and only the terms read build unit products."""
         ctx, p = self.ctx, self.ctx.p
         A = 10 ** 9 if self.absprec is None else self.absprec
-        xs = [values[name] for name in self.vars]
+        try:
+            xs = [values[name] for name in self.vars]
+        except KeyError as missing:
+            raise VariableMismatch(f"no value for variable {missing}") from None
         vals = [x.val for x in xs]
         order = sorted([(c.val + sum(map(mul, e, vals)), e, c)
                         for e, c in self.coeffs.items()], key=itemgetter(0))
@@ -579,22 +584,21 @@ class TruncatedSeries:
         alone choose the route: the multinomial theorem (_expand) when no
         argument has a series absprec and each stored argument term is a
         power c x^d of a variable no other term uses (ghost polynomials of
-        disjoint blocks, the lateral Frobenius x1^p + p x2), else Horner
-        on int terms, which reads each argument once, computes each power
-        args[i]^k its steps need once per call (_power_terms), makes each
-        step acc * arg^k + g by _mul_terms and _add_terms, and builds only
-        the result's PadicRationals.
+        disjoint blocks, the lateral Frobenius x1^p + p x2), else the sum
+        of products that defines composition (_sum_of_products), on int
+        terms.  Each key claims what the PadicRational products and sums
+        that define it claim (see __mul__), and self's series absprec
+        enters only at the end, as the bound below, so no zero it covers
+        is dropped while a later product still needs its share.
 
         With a series absprec X, the result claims at most X + v when
         the least min_valuation() v of the arguments is >= 0, and at most
         X + cap * v when it is negative: an absent non-constant monomial
         O(p^X) t^e of self composes to valuation X + |e| v or more, and
         only |e| <= cap reaches the result, as the arguments have no
-        constant term.  Horner alone can claim more, as its last product
-        multiplies by the smallest power only and a variable that self
-        never uses enters no product; the zeros this bound covers are
-        dropped.  The expansion claims this bound (none without X), so it
-        reads an absent constant term of self as zero."""
+        constant term; the zeros this bound covers are dropped.  The
+        expansion claims this bound (none without X), and both routes read
+        an absent constant term of self as zero."""
         if len(args) != len(self.vars):
             raise VariableMismatch("one argument per variable required")
         tgt = args[0].vars
@@ -612,8 +616,7 @@ class TruncatedSeries:
         rows = _power_rows(args)
         if rows is not None:
             return self._expand(rows, tgt, tctx, cap, bound)
-        terms, s, absp, _, _ = self._compose_rec(
-            list(range(len(self.vars))), args, {}, tctx, cap)
+        terms, s, absp, _, _ = self._sum_of_products(args, tctx, cap)
         if bound is not None and (absp is None or bound < absp):
             absp = bound
             terms = [t for t in terms if t[2] or t[4] < absp]
@@ -631,7 +634,7 @@ class TruncatedSeries:
         within their claims, and no sound claim is longer; an O(p^w)
         factor gives the zero O(p^(v+s)).  Keys descend in the exponents
         read from the last argument to the first, each from its highest
-        degree (Horner's order can differ; no reader depends on it)."""
+        degree."""
         p, base = tctx.p, cap + 1
         top = [n for row in reversed(rows) for _, n, _ in row]  # top digit first
         low = [n for n in range(len(tgt)) if n not in top] + top[::-1]
@@ -685,38 +688,34 @@ class TruncatedSeries:
             tuple([key // w % base for w in weights]): coeffs[key]
             for key in sorted(coeffs, reverse=True)}, bound)
 
-    def _compose_rec(self, active, args, powers, tctx, cap):
-        """Horner in the last variable of `active` that self uses, as int
-        terms; `powers` maps (argument index, k) to args[index]^k at this
-        cap."""
-        used = next((i for i in reversed(active)
-                     if any(e[i] for e in self.coeffs)), None)
-        if used is None:  # the constant term, if any, is read as it stands
-            return _int_terms(self, cap)
-        groups: dict[int, dict] = {}  # exponent of `used` -> terms, it set to 0
-        for e, c in self.coeffs.items():
-            ee = list(e)
-            ee[used] = 0
-            groups.setdefault(e[used], {})[tuple(ee)] = c
-        rest = [i for i in active if i != used]
-        arg = args[used]
+    def _sum_of_products(self, args, tctx, cap):
+        """self(args) as int terms: over self's terms c t^e in ascending key
+        order, c * prod args[j]^(e_j) by _mul_terms, j rising, summed by
+        _add_terms; each power once, from the highest built below or squared."""
+        powers = [{} for _ in args]
 
-        def power(k):
-            pw = powers.get((used, k))
-            if pw is None:
-                pw = powers[(used, k)] = (
-                    _int_terms(arg, cap) if k == 1 else arg._power_terms(k, cap))
-            return pw
+        def power(j, k):
+            built = powers[j]
+            if k not in built:
+                below = max((b for b in built if b < k), default=0)
+                if k == 1:
+                    built[k] = _int_terms(args[j], cap)
+                elif below:
+                    built[k] = _mul_terms(tctx, power(j, below),
+                                          power(j, k - below), cap)
+                else:
+                    built[k] = args[j]._power_terms(k, cap)
+            return built[k]
 
-        acc = None
-        for k in sorted(groups, reverse=True):
-            g = _series(self.ctx, self.vars, groups[k], self.absprec)
-            gval = g._compose_rec(rest, args, powers, tctx, cap)
-            acc = gval if acc is None else _add_terms(
-                tctx, _mul_terms(tctx, acc, power(prev_k - k), cap), gval)
-            prev_k = k
-        if prev_k > 0:
-            acc = _mul_terms(tctx, acc, power(prev_k), cap)
+        acc = _canonical(tctx, {}, 0, None)
+        for e, c in sorted(self.coeffs.items()):
+            # c at the constant key, x * p^s with x = 0 for an O(p^w) zero
+            term = ([(0, 0, c.unit, c.val, c.val + c.rel)],
+                    c.val if c.unit else 0, None, c.val, 1)
+            for j, k in enumerate(e):
+                if k:
+                    term = _mul_terms(tctx, term, power(j, k), cap)
+            acc = _add_terms(tctx, acc, term)
         return acc
 
     def reversion(self) -> "TruncatedSeries":

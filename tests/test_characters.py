@@ -25,7 +25,7 @@ from arithjet.errors import (
     ArithJetError, IdentityViolation, IntegralityViolation, PrecisionExhausted,
 )
 from test_kernels import (
-    assert_claims_no_less_than_the_compose, horner_compose, reference_compose,
+    assert_claims_no_less_than_the_compose, reference_compose,
     reference_kernel_law, reference_kernel_log_projection,
     reference_restrict_lateral,
 )
@@ -156,12 +156,13 @@ def test_kernel_projections_are_restricted_once_per_group(monkeypatch, ctx35):
 
 def test_log_projection_table_extends_to_the_direct_build(ctx35, E11, Em10, E7):
     # each L_i is built on (x0..xi); extended it has the keys, in the same
-    # order, and the series absprec of Horner's compose on the wide tuple,
+    # order, and the series absprec of the PadicRational Horner on the wide
+    # tuple,
     # and its claims or beyond.  Every level is expanded by the
     # multinomial theorem, L_0 from x0 alone, below the cap and above it
     # (L_3 and L_4 at p = 5, M = 35 and p = 7, M = 56; L_4 at p = 3,
     # M = 30), also for y^2 = x^3 + 1 at p = 5 and for E3, whose logs
-    # have Horner steps of 6 and 4, at or above p
+    # have exponent gaps of 6 and 4, at or above p
     xs = ("x0", "x1", "x2", "x3", "x4")
     E3 = curve(Context(p=3, N=8, M=30), 1, 1)
     E01 = curve(ctx35, 0, 1)
@@ -169,7 +170,7 @@ def test_log_projection_table_extends_to_the_direct_build(ctx35, E11, Em10, E7):
         table = log_projections(F, 4)
         assert len(F.log_projection_cache) == 5
         for i in range(5):
-            want = horner_compose(F.log, [ghost_series(F.ctx, xs, xs, i)])
+            want = reference_compose(F.log, [ghost_series(F.ctx, xs, xs, i)])
             assert table[i].vars == xs
             assert list(table[i].coeffs) == list(want.coeffs), (F.ctx.p, i)
             assert table[i].absprec == want.absprec
@@ -579,11 +580,11 @@ def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
     # supersingular y^2 = x^3 + 1), L_0..L_2 for a CL group.
     # Each L_i is composed once and expanded from w_i, L_0 from x0 alone,
     # below the cap (L_1, L_2 at p = 5, M = 35) and above it (L_3, L_4);
-    # none takes Horner
-    builds, composes, horner = [], [], []
+    # none takes the sum of products
+    builds, composes, summed = [], [], []
     log = None
     real_build, real_compose = characters.ghost_compose, TruncatedSeries.compose
-    real_horner = TruncatedSeries._compose_rec
+    real_sum = TruncatedSeries._sum_of_products
 
     def built(G, variables, blocks, i):
         if G is log:
@@ -595,45 +596,45 @@ def test_one_analysis_builds_each_log_projection_once(ctx35, monkeypatch):
             composes.append(len(args[0].vars) - 1)
         return real_compose(self, args, cap)
 
-    def by_horner(self, *args):
+    def by_sum(self, args, *rest):
         if self is log:
-            horner.append(len(args[1][0].vars) - 1)
-        return real_horner(self, *args)
+            summed.append(len(args[0].vars) - 1)
+        return real_sum(self, args, *rest)
 
     monkeypatch.setattr(characters, "ghost_compose", built)
     monkeypatch.setattr(TruncatedSeries, "compose", composed)
-    monkeypatch.setattr(TruncatedSeries, "_compose_rec", by_horner)
+    monkeypatch.setattr(TruncatedSeries, "_sum_of_products", by_sum)
     for F, levels in ((curve(ctx35, 1, 1), 5), (curve(ctx35, 0, 1), 5),
                       (curve(ctx35, -1, 0), 3),
                       (FormalGroupLaw.multiplicative(ctx35), 3)):
         builds.clear()
         composes.clear()
-        horner.clear()
+        summed.clear()
         log = F.log
         analyze_group(F)
         assert builds == list(range(levels)), (F.kind, builds)
         assert composes == list(range(levels)), (F.kind, composes)
-        assert horner == [], (F.kind, horner)
+        assert summed == [], (F.kind, summed)
 
 
-def test_horner_census_names_only_the_callers_that_need_it(monkeypatch):
-    # the Horner route of compose serves three callers only: reversion's
-    # Newton steps, canonical_lift_test's [p] = exp(p log) and
+def test_sum_of_products_census_names_only_the_callers_that_need_it(monkeypatch):
+    # the sum-of-products route of compose serves three callers only:
+    # reversion's Newton steps, canonical_lift_test's [p] = exp(p log) and
     # verify_jet_identities' lateral check f(K2).  Every ghost level and
     # f* Psi_1 are expansions, and the law of a long form reads the
     # inverse off the chord without a compose
     callers = set()
-    real_horner = TruncatedSeries._compose_rec
+    real_sum = TruncatedSeries._sum_of_products
     compose_code = TruncatedSeries.compose.__code__
 
-    def by_horner(self, *args):
+    def by_sum(self, *args):
         frame = sys._getframe(1)
         while frame.f_code is not compose_code:
             frame = frame.f_back
         callers.add(frame.f_back.f_code.co_name)
-        return real_horner(self, *args)
+        return real_sum(self, *args)
 
-    monkeypatch.setattr(TruncatedSeries, "_compose_rec", by_horner)
+    monkeypatch.setattr(TruncatedSeries, "_sum_of_products", by_sum)
     analyze_group(curve(Context(p=5, N=8, M=35), 1, 1))
     classify_CL(curve(Context(p=5, N=8, M=12), 1, 1))
     ctx8 = Context(p=5, N=8, M=8)

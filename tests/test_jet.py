@@ -18,7 +18,7 @@ from arithjet.jet import (
 from arithjet.ghost import ghost_map, ghost_solve
 from arithjet.errors import ArithJetError, LengthMismatch
 from test_kernels import (
-    assert_claims_no_less_than_the_compose, horner_compose, reference_kernel_law,
+    assert_claims_no_less_than_the_compose, reference_compose, reference_kernel_law,
 )
 
 INF = float("inf")
@@ -266,8 +266,8 @@ def test_truncated_jet_law_is_the_lower_jet_law(ctx, build):
     J1 = jet_group_law(build(ctx), 1)
     F = build(ctx)
     direct = ghost_solve(ctx.p, [
-        horner_compose(F.law, [ghost_series(ctx, allv, xs, i),
-                               ghost_series(ctx, allv, ys, i)]) for i in range(2)],
+        reference_compose(F.law, [ghost_series(ctx, allv, xs, i),
+                                  ghost_series(ctx, allv, ys, i)]) for i in range(2)],
         TruncatedSeries.shift)
     for i in range(2):
         assert coefficient_map(J2.law[i]) == coefficient_map(J1.law[i].extend(allv))
@@ -282,7 +282,7 @@ def test_one_verification_composes_each_ghost_level_once(monkeypatch):
     # whose level 1 check (e) reads again.  Every level is composed once,
     # expanded from w_i by the multinomial theorem at M = 12 and M = 22
     # (level 0 from x_0 alone, level 2 above the cap, 5^2 > M), so none
-    # takes Horner.  n1_group composes nothing: N^1's law is F's scaled by
+    # takes the sum of products.  n1_group composes nothing: N^1's law is F's scaled by
     # p, (1/p) F(p t1, p t2).
     groups = {}
     real_n1 = jet.n1_group
@@ -293,9 +293,9 @@ def test_one_verification_composes_each_ghost_level_once(monkeypatch):
 
     builds: dict = {}
     composes: dict = {}
-    horner: dict = {}
+    summed: dict = {}
     real_build, real_compose = jet.ghost_compose, TruncatedSeries.compose
-    real_horner = TruncatedSeries._compose_rec
+    real_sum = TruncatedSeries._sum_of_products
 
     def name_of(G):
         return next((name for name, H in (("F", groups.get("F")),
@@ -312,26 +312,26 @@ def test_one_verification_composes_each_ghost_level_once(monkeypatch):
             composes[name_of(self)] += 1
         return real_compose(self, args, cap)
 
-    def by_horner(self, *args):
+    def by_sum(self, *args):
         if name_of(self):
-            horner[name_of(self)] += 1
-        return real_horner(self, *args)
+            summed[name_of(self)] += 1
+        return real_sum(self, *args)
 
     monkeypatch.setattr(jet, "n1_group", n1_group_kept)
     monkeypatch.setattr(jet, "ghost_compose", built)
     monkeypatch.setattr(TruncatedSeries, "compose", counted)
-    monkeypatch.setattr(TruncatedSeries, "_compose_rec", by_horner)
+    monkeypatch.setattr(TruncatedSeries, "_sum_of_products", by_sum)
     for M in (12, 22):
         groups.clear()
         groups["F"] = formal_group_from_curve(
             WeierstrassCurve(0, 0, 0, 1, 1, Context(p=5, N=8, M=M)))
         builds.update(F=[], N1=[])
         composes.update(F=0, N1=0)
-        horner.update(F=0, N1=0)
+        summed.update(F=0, N1=0)
         assert verify_jet_identities(groups["F"]).ok
         assert builds == {"F": [0, 1, 2], "N1": [0, 1]}, M
         assert composes == {"F": 3, "N1": 2}, M
-        assert horner == {"F": 0, "N1": 0}, M
+        assert summed == {"F": 0, "N1": 0}, M
 
 
 JET_GROUPS = {
@@ -356,8 +356,8 @@ def test_jet_law_keeps_the_ghost_composes_it_solves(group, n, M):
     allv = xs + ys
     assert len(J.ghosts) == len(J.law) == n + 1
     for i in range(n + 1):
-        want = horner_compose(F.law, [ghost_series(ctx, allv, xs, i),
-                                      ghost_series(ctx, allv, ys, i)])
+        want = reference_compose(F.law, [ghost_series(ctx, allv, xs, i),
+                                         ghost_series(ctx, allv, ys, i)])
         assert J.ghosts[i].vars == allv
         assert (sorted(J.ghosts[i].coeffs), J.ghosts[i].absprec) == \
             (sorted(want.coeffs), want.absprec)

@@ -45,6 +45,18 @@ def test_variable_mismatch(ctx):
         x + y
 
 
+def test_lookups_name_the_variable_or_arity_they_miss(ctx):
+    f = TruncatedSeries.variable(ctx, ("x",), "x")
+    for lookup, names in ((lambda: f.get((1, 2)), "arity 2"),
+                          (lambda: f.extend(("y", "z")), "'x'"),
+                          (lambda: f.linear_coefficient("y"), "'y'"),
+                          (lambda: TruncatedSeries.variable(ctx, ("x",), "y"), "'y'"),
+                          (lambda: f.evaluate({"y": PadicRational.from_int(ctx, 5)}),
+                           "'x'")):
+        with pytest.raises(VariableMismatch, match=names):
+            lookup()
+
+
 def test_compose_square_of_sum(ctx):
     t = TruncatedSeries.variable(ctx, ("t",), "t")
     f = t * t
