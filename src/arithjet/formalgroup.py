@@ -325,10 +325,11 @@ def formal_group_from_curve(E: WeierstrassCurve) -> FormalGroupLaw:
         t1 = TruncatedSeries.variable(ctx, v, "t1")
         t2 = TruncatedSeries.variable(ctx, v, "t2")
         nu = w1 - lam * t1
+        lam2 = lam * lam
         c3 = (TruncatedSeries.const(ctx, v, 1) + lam.scale(E.a2)
-              + (lam * lam).scale(E.a4) + (lam ** 3).scale(E.a6))
-        c2 = (lam.scale(E.a1) + nu.scale(E.a2) + (lam * lam).scale(E.a3)
-              + (lam * nu).scale(2 * E.a4) + (lam * lam * nu).scale(3 * E.a6))
+              + lam2.scale(E.a4) + (lam2 * lam).scale(E.a6))
+        c2 = (lam.scale(E.a1) + nu.scale(E.a2) + lam2.scale(E.a3)
+              + (lam * nu).scale(2 * E.a4) + (lam2 * nu).scale(3 * E.a6))
         t3 = -t1 - t2 - c2 * c3.inverse()
         if E.a1 == 0 and E.a3 == 0:
             return -t3

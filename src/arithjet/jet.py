@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from .context import Context
 from .padic import PadicRational
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _unit_exponent
 from .formalgroup import FormalGroupLaw
 from .errors import ArithJetError, LengthMismatch
 from .ghost import ghost_map, ghost_solve
@@ -63,14 +63,12 @@ def jet_variables(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def ghost_series(ctx: Context, variables, names, i: int) -> TruncatedSeries:
     """w_i of the coordinates (x_0, ..., x_i) named by names[:i+1], inside
     a larger variable tuple; each coordinate's coefficient 1 claims N+i
-    digits."""
+    digits.  VariableMismatch names a coordinate outside variables."""
     variables = tuple(variables)
     coords = []
     for name in names[:i + 1]:
-        e = [0] * len(variables)
-        e[variables.index(name)] = 1
-        coords.append(TruncatedSeries(
-            ctx, variables, {tuple(e): PadicRational(ctx, 1, 0, ctx.N + i)}))
+        coords.append(TruncatedSeries(ctx, variables, {
+            _unit_exponent(variables, name): PadicRational(ctx, 1, 0, ctx.N + i)}))
     return ghost_map(ctx.p, coords, TruncatedSeries.shift)[i]
 
 

@@ -47,10 +47,14 @@ valuations alone, and stops at the first term whose valuation reaches
 the claim A so far: that term and every later one are 0 mod p^A, and
 their claims cannot lower A, so the skipped terms change neither the
 value nor its precision, and it builds unit products only for the terms
-it read.  A power of a single stored term with no series absprec is an
-exponent shift, c^n t^(n e), not a product chain.  Reversion runs Newton
-iteration on the tracked operations with one compose a step,
-g <- g - (f(g) - t) g', its degrees halved down from M
+it read.  Before that it drops every term c t^e whose degree bound,
+c.val + |e| times the least coordinate valuation (no more than the
+term's valuation), reaches the series absprec: A never exceeds the
+series absprec, so the skip rule would never read such a term, and it
+is neither valued nor sorted.  A power of a single stored term with no
+series absprec is an exponent shift, c^n t^(n e), not a product chain.
+Reversion runs Newton iteration on the tracked operations with one
+compose a step, g <- g - (f(g) - t) g', its degrees halved down from M
 (_intpoly.newton_schedule; see TruncatedSeries.reversion for why the
 step is exact Newton).
 """
@@ -221,6 +225,14 @@ def _unit_exponent(variables: tuple, name) -> tuple:
     if name not in variables:
         raise VariableMismatch(f"no variable {name!r} in {variables}")
     return tuple(int(v == name) for v in variables)
+
+
+def _index_getter(indices: list):
+    """e -> the tuple of e's entries at indices, by itemgetter (which
+    returns a bare entry for one index and needs at least one)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda e: tuple([e[i] for i in indices])
 
 
 def _series(ctx: Context, variables: tuple, coeffs: dict, absprec):
@@ -484,17 +496,17 @@ class TruncatedSeries:
         return _series(self.ctx, variables, coeffs, self.absprec)
 
     def set_zero(self, names) -> "TruncatedSeries":
-        """Substitute 0 for the named variables and drop them."""
+        """Substitute 0 for the named variables and drop them; VariableMismatch
+        names any that is not a variable."""
         names = set(names)
-        keep = [i for i, v in enumerate(self.vars) if v not in names]
-        kill = [i for i, v in enumerate(self.vars) if v in names]
-        coeffs = {}
-        for e, c in self.coeffs.items():
-            if any(e[i] for i in kill):
-                continue
-            coeffs[tuple(e[i] for i in keep)] = c
-        return _series(self.ctx, tuple(self.vars[i] for i in keep),
-                       coeffs, self.absprec)
+        if not names <= set(self.vars):
+            raise VariableMismatch(
+                f"no variable {sorted(names - set(self.vars))} in {self.vars}")
+        keep = _index_getter([i for i, v in enumerate(self.vars) if v not in names])
+        kill = _index_getter([i for i, v in enumerate(self.vars) if v in names])
+        return _series(self.ctx, keep(self.vars), {
+            keep(e): c for e, c in self.coeffs.items() if not any(kill(e))},
+            self.absprec)
 
     def linear_coefficient(self, name) -> PadicRational:
         return self.get(_unit_exponent(self.vars, name))
@@ -516,7 +528,13 @@ class TruncatedSeries:
         read in increasing v, and reading stops at the first v >= A (A as
         read so far).  That term and every later one is 0 mod p^A, and
         its claim, v or more, cannot lower A; so the result is the same
-        as from every term, and only the terms read build unit products."""
+        as from every term, and only the terms read build unit products.
+
+        The degree bound: v >= c.val + low * |e|, low the least coordinate
+        valuation, whatever their signs (no exponent is negative).  A never
+        exceeds the series absprec, so a term whose bound reaches it comes
+        after the stop; it is dropped before the terms are valued and
+        sorted, which changes neither the value nor its claim."""
         ctx, p = self.ctx, self.ctx.p
         A = 10 ** 9 if self.absprec is None else self.absprec
         try:
@@ -524,8 +542,10 @@ class TruncatedSeries:
         except KeyError as missing:
             raise VariableMismatch(f"no value for variable {missing}") from None
         vals = [x.val for x in xs]
+        low = min(vals, default=0)
         order = sorted([(c.val + sum(map(mul, e, vals)), e, c)
-                        for e, c in self.coeffs.items()], key=itemgetter(0))
+                        for e, c in self.coeffs.items()
+                        if c.val + low * sum(e) < A], key=itemgetter(0))
         tables = [{} for _ in xs]  # k -> x.unit^k mod p^(x.rel)
         terms = []  # (unit product, valuation) of the nonzero terms read
         for v, e, c in order:

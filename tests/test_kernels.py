@@ -30,6 +30,9 @@ The coefficient maps agree with the composes and loops they replaced in
 (unit, val, rel) and series absprec, in any monomial order: the ghost
 polynomial by its monomial loop, N^1's law and Psi_1 by composing with
 p*t, and the chord slope of the elliptic law by its products of powers.
+The elliptic law agrees with its chord formulas on PadicRational series
+(reference_law), and set_zero with the loop over terms, key for key and
+in order, in (unit, val, rel) and series absprec.
 Newton reversion agrees with the loop where the loop has a coefficient,
 and keeps the O(p^w) zeros that the loop leaves out; on an input without
 a series absprec it agrees with the Newton step that inverts f'(g), two
@@ -448,6 +451,42 @@ def reference_chord_slope(E: WeierstrassCurve):
                 dd = dd + pows1[i] * pows2[k - 1 - i]
         lam = lam + dd.scale(A)
     return reference_compose(w, [t1]), lam
+
+
+def reference_inverse(f: TruncatedSeries) -> TruncatedSeries:
+    """1/f by the Newton steps of TruncatedSeries.inverse on reference_mul."""
+    cap = f.ctx.M
+    two = TruncatedSeries.const(f.ctx, f.vars, 2)
+    g = TruncatedSeries.const(f.ctx, f.vars, f.constant_term().inverse())
+    for n in _intpoly.newton_schedule(cap + 1, 1):
+        g = reference_mul(g, two - reference_mul(f, g, n - 1), n - 1)
+    return g
+
+
+def reference_law(E: WeierstrassCurve) -> TruncatedSeries:
+    """F(t1, t2) by the chord formulas on PadicRational series: w(t1)
+    (in ascending powers, as _chord's table holds it) and the slope lam
+    from reference_chord_slope, nu = w(t1) - lam t1, the
+    third point t3 = -t1 - t2 - c2 / c3 with each power of lam formed
+    anew (lam^3 by reference_pow), and for a long form the inverse
+    -t / (1 - a1 t - a3 w(t)) at t3, with w(t3) = lam t3 + nu."""
+    ctx = E.ctx
+    w1, lam = reference_chord_slope(E)
+    v = ("t1", "t2")
+    w1 = TruncatedSeries(ctx, v, dict(sorted(w1.coeffs.items())))
+    t1, t2 = (TruncatedSeries.variable(ctx, v, x) for x in v)
+    one = TruncatedSeries.const(ctx, v, 1)
+    nu = w1 - reference_mul(lam, t1)
+    c3 = (one + lam.scale(E.a2) + reference_mul(lam, lam).scale(E.a4)
+          + reference_pow(lam, 3).scale(E.a6))
+    c2 = (lam.scale(E.a1) + nu.scale(E.a2) + reference_mul(lam, lam).scale(E.a3)
+          + reference_mul(lam, nu).scale(2 * E.a4)
+          + reference_mul(reference_mul(lam, lam), nu).scale(3 * E.a6))
+    t3 = -t1 - t2 - reference_mul(c2, reference_inverse(c3))
+    if E.a1 == 0 and E.a3 == 0:
+        return -t3
+    return reference_mul(-t3, reference_inverse(
+        one - t3.scale(E.a1) - (reference_mul(lam, t3) + nu).scale(E.a3)))
 
 
 def reference_kernel_log_projection(F, j: int, variables) -> TruncatedSeries:
@@ -977,9 +1016,47 @@ def test_coefficient_maps_match_the_routes_they_replaced(kind, p):
                 == claims(reference_ghost_series(ctx, xs + ("y0",), xs, i)))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("kind", ["short", "long"])
+def test_law_matches_the_chord_formulas(kind, p):
+    # the elliptic law, whose chord products share one square of the
+    # slope, against the chord formulas on PadicRational series: the same
+    # keys in the same order, (unit, val, rel) and series absprec
+    F = coefficient_map_group(kind, Context(p=p, N=8, M=2 * p + 4))
+    want = reference_law(F.curve)
+    assert list(F.law.coeffs) == list(want.coeffs)
+    assert claims(F.law) == claims(want)
+
+
+def reference_set_zero(f: TruncatedSeries, names) -> TruncatedSeries:
+    """f with 0 for the named variables, by the loop over its terms."""
+    keep = [i for i, v in enumerate(f.vars) if v not in names]
+    coeffs = {}
+    for e, c in f.coeffs.items():
+        if not any(k for v, k in zip(f.vars, e) if v in names):
+            coeffs[tuple(e[i] for i in keep)] = c
+    return TruncatedSeries(f.ctx, tuple(f.vars[i] for i in keep), coeffs,
+                           f.absprec)
+
+
+def test_set_zero_matches_the_term_loop():
+    # a 6-variable J^2 law component restricted by index getters: the
+    # same keys in the same order, (unit, val, rel) and series absprec as
+    # the loop, also with no name, one name, one variable kept or none
+    ctx = Context(p=5, N=8, M=12)
+    c = jet_group_law(formal_group_from_curve(WeierstrassCurve(0, 0, 0, 1, 1, ctx)),
+                      2).law[1]
+    xs, ys = jet_variables(2)
+    for names in (["x0", "y0"], ys, ["x1"], [], xs + ys[:2], xs + ys):
+        got, want = c.set_zero(names), reference_set_zero(c, names)
+        assert got.vars == want.vars, names
+        assert list(got.coeffs) == list(want.coeffs), names
+        assert claims(got) == claims(want), names
+
+
 def test_ghost_series_rejects_a_name_outside_its_variables():
     # such a name is an error, not a coordinate that reads as a constant
-    with pytest.raises(ValueError):
+    with pytest.raises(VariableMismatch, match="'z1'"):
         ghost_series(Context(p=5, N=8, M=12), ("x0", "x1"), ("x0", "z1"), 1)
 
 
@@ -1061,8 +1138,23 @@ def dense_series_at_p(absprec):
     return f, {"t": PadicRational(ctx, 1, 1, 4)}
 
 
+def pruning_series_and_point():
+    """x^3 + y^3 + 2 * 5^-2 x^5 + x^2 y^2 + 3 * 5^-1 x^6 + O(5^4) at x of
+    valuation 1 and y of valuation 2.  The degree bound c.val + |e| * 1
+    drops x^2 y^2 and 5^-1 x^6 (bounds 4 and 5) before sorting; x^3 and
+    5^-2 x^5 (valuation 3) are read, and a bound from the largest
+    coordinate valuation (6 for x^3) or one that left out the negative
+    c.val (5 for 5^-2 x^5) would drop them."""
+    ctx = Context(p=5, N=6, M=6)
+    f = TruncatedSeries(ctx, ("x", "y"), {
+        (3, 0): 1, (0, 3): 1, (5, 0): PadicRational(ctx, 2, -2, 6), (2, 2): 1,
+        (6, 0): PadicRational(ctx, 3, -1, 6)}, 4)
+    return f, {"x": PadicRational(ctx, 7, 1, 6), "y": PadicRational(ctx, 3, 2, 6)}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(series_and_point(), series_and_nilpotent_point()))
+@example(pruning_series_and_point())
 @example(dense_series_at_p(None))
 @example(dense_series_at_p(2))
 @example(sum_and_point(True))
@@ -1070,8 +1162,9 @@ def dense_series_at_p(absprec):
 @example(fixed_series_and_point(None, True))
 @example(fixed_series_and_point(4, False))
 def test_evaluate_matches_the_all_terms_evaluation(args):
-    # the skip rule reads terms in increasing valuation and stops at the
-    # claim; reading every term gives the same (unit, val, rel)
+    # the degree bound drops terms past the series absprec, the skip rule
+    # reads the rest in increasing valuation and stops at the claim;
+    # reading every term gives the same (unit, val, rel)
     f, point = args
     assert triples([f.evaluate(point)]) == triples([reference_evaluate(f, point)])
 

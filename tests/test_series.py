@@ -149,6 +149,15 @@ def test_set_zero_and_extend(ctx):
     assert g == S(ctx, ("x", "y"), {(1, 0): 2})
 
 
+def test_set_zero_names_what_it_cannot_zero(ctx):
+    # a name outside the variables is an error, not a variable that is
+    # already zero, also beside a name that is a variable
+    f = S(ctx, ("x", "y"), {(1, 0): 2, (0, 1): 3})
+    for names in (["z"], ["y", "z"]):
+        with pytest.raises(VariableMismatch, match="'z'"):
+            f.set_zero(names)
+
+
 def test_integral_flag_and_shift(ctx):
     f = S(ctx, ("x",), {(1,): PadicRational.from_int(ctx, 1) / 5})
     assert not f.is_integral()
