@@ -25,10 +25,8 @@ so it is computed here from honest moduli data:
   shorter zero raises PrecisionExhausted.
 """
 
-from dataclasses import dataclass
-
 from . import _intpoly
-from .context import Context
+from .context import Context, Record
 from .padic import PadicRational
 from .series import TruncatedSeries
 from .formalgroup import (
@@ -114,8 +112,9 @@ def _power_sums(c: list[PadicRational], count: int, ctx: Context):
     return out
 
 
-@dataclass
-class CanonicalLiftReport:
+class CanonicalLiftReport(Record):
+    """Whether E is a canonical lift, by v(j(E/C) - j(E)) against a threshold."""
+
     ordinary: bool
     is_cl: bool
     j_distance: float

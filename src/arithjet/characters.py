@@ -79,9 +79,9 @@ solve.
 """
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
+from .context import Record
 from .padic import PadicRational
 from .series import TruncatedSeries
 from .formalgroup import (
@@ -202,8 +202,7 @@ def _combine(c, table) -> TruncatedSeries:
     return out
 
 
-@dataclass(frozen=True)
-class DeltaCharacter:
+class DeltaCharacter(Record, frozen=True):
     """Theta = sum c_i L_i, an additive character of J^nG over Z_p, held as
     its c-vector; its order n is len(c) - 1.  The jet series on (x0..xn)
     is the c-combination of log_projections(F, n), built on first read."""
@@ -224,8 +223,7 @@ class DeltaCharacter:
         return [_lift_int(ci.shift(i), K) for i, ci in enumerate(self.c)]
 
 
-@dataclass
-class CharacterLattice:
+class CharacterLattice(Record):
     """Solved X_n: basis, Frobenius shifts of X_(n-1) and Smith exponents.
     The characters are c-vectors, and a shift is phi_star of a lower one."""
 
@@ -524,8 +522,7 @@ def _point_residual(lhs: TruncatedSeries, chi: TruncatedSeries) -> float:
 # the diff relation
 
 
-@dataclass
-class DiffRelationReport:
+class DiffRelationReport(Record):
     """Residuals of the diff relation, and the lateral objects it was
     checked on: Psi_1 on N^1, iota* Theta on N^n, and f*(iota* Theta) (by
     the index shift, f_star) and iota* phi* Theta on N^(n+1).
@@ -601,8 +598,9 @@ def trace_determinant(m) -> tuple[PadicRational, PadicRational]:
     return m[0][0] + m[1][1], m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-@dataclass
-class IsocrystalData:
+class IsocrystalData(Record):
+    """The delta isocrystal: rank, basis, Frobenius matrix and filtration."""
+
     hdelta_rank: int
     basis: list[str]
     frobenius_matrix: list[list[PadicRational]]
@@ -636,8 +634,9 @@ class IsocrystalData:
         return [Fraction(vd, 2), Fraction(vd, 2)]
 
 
-@dataclass
-class GroupAnalysis:
+class GroupAnalysis(Record):
+    """analyze_group's lattices, primitive character, diff relation and isocrystal."""
+
     F: FormalGroupLaw
     lattices: list[CharacterLattice]
     primitive: CharacterLattice

@@ -3,9 +3,12 @@
 One Context is threaded through every computation.  The base ring is
 R = Z_p with uniformizer p, residue field F_p, and the Frobenius lift on
 scalars is the identity, so q = p throughout.
+
+Record, the base of every record here, replaces dataclasses.dataclass:
+one generic __init__, __repr__ and __eq__ serve every record, where
+dataclass compiles them anew per class (most of a warm-cache import).
 """
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import ArithJetError
@@ -24,8 +27,57 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Context:
+class Record:
+    """Fields from the class's own annotations, in order, defaults from
+    the class body; built by position or keyword, then __post_init__.
+    frozen=True: read-only fields, hashable by them; else unhashable."""
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields
+                         if f in cls.__dict__}
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse_change
+            cls.__hash__ = Record._hash_fields
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        wrong = [f for f in kwargs if f in fields[:len(args)] or f not in fields]
+        missing = [f for f in fields if f not in values]
+        if len(args) > len(fields) or wrong or missing:
+            raise TypeError(f"{type(self).__name__} takes {fields}: {len(args)} by "
+                            f"position, {wrong} unknown or repeated, {missing} missing")
+        # field by field: filling self.__dict__ would slow every ctx.pk read
+        for f in fields:
+            object.__setattr__(self, f, values[f])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _hash_fields(self) -> int:
+        return hash(self._values())
+
+    def _refuse_change(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: "
+                             f"cannot set or delete {name!r}")
+
+
+class Context(Record, frozen=True):
     """p-adic working context.
 
     p: odd prime; N: number of tracked p-adic digits; M: total-degree
@@ -49,9 +101,6 @@ class Context:
             raise ArithJetError("precision N must be >= 2")
         if self.M < 1:
             raise ArithJetError("degree bound M must be >= 1")
-
-    def with_degree(self, M: int) -> "Context":
-        return replace(self, M=M)
 
     def pk(self, k: int) -> int:
         """p^k (k >= 0)."""

@@ -24,11 +24,10 @@ characters.check_point_count and characters._honda_character read, and
 the ordinarity that canonical_lift_test checks its own against.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import _intpoly
-from .context import Context
+from .context import Context, Record
 from .padic import PadicRational, vp
 from .series import TruncatedSeries
 from .errors import BadReduction, ArithJetError
@@ -53,8 +52,7 @@ def parse_curve(spec: str) -> tuple[int, int, int, int, int]:
     raise ArithJetError("curve spec needs 2 (a4,a6) or 5 (a1,..,a6) integers")
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(Record, frozen=True):
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Z_p, good reduction."""
 
     a1: int
@@ -93,8 +91,9 @@ class WeierstrassCurve:
         return count_points_ap(self)
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(Record, frozen=True):
+    """The trace a_p, the count #E(F_p) and the ordinarity of one curve."""
+
     a_p: int
     point_count: int
     ordinary: bool

@@ -42,9 +42,8 @@ phi o iota = p, the ghost round trip, the base reduction) is left to tests.
 """
 
 import random
-from dataclasses import dataclass, field
 
-from .context import Context
+from .context import Context, Record
 from .padic import PadicRational
 from .series import TruncatedSeries, _unit_exponent
 from .formalgroup import FormalGroupLaw
@@ -82,8 +81,7 @@ def ghost_compose(G: TruncatedSeries, variables, blocks, i: int) -> TruncatedSer
     return G.compose([ghost_series(G.ctx, variables, b, i) for b in blocks])
 
 
-@dataclass(frozen=True)
-class JetGroupLaw:
+class JetGroupLaw(Record, frozen=True):
     """law: the components of the J^n law; ghosts: the series
     F(w_i(x), w_i(y)) they are ghost-solved from, i = 0..n."""
     law: tuple[TruncatedSeries, ...]
@@ -183,8 +181,9 @@ def lateral_frobenius_point(p: int, xs) -> list[int]:
 # -- identity verification ---------------------------------------------------
 
 
-@dataclass
-class JetCheck:
+class JetCheck(Record):
+    """One identity's residual valuation against the threshold it must meet."""
+
     name: str
     residual_valuation: float
     threshold: float
@@ -195,11 +194,15 @@ class JetCheck:
         return self.residual_valuation >= self.threshold
 
 
-@dataclass
-class JetIdentityReport:
+class JetIdentityReport(Record):
+    """The identity checks of one group's jet spaces at one context."""
+
     group: str
     ctx: Context
-    checks: list[JetCheck] = field(default_factory=list)
+    checks: list[JetCheck] = None
+
+    def __post_init__(self):
+        self.checks = [] if self.checks is None else self.checks
 
     @property
     def ok(self) -> bool:

@@ -21,9 +21,7 @@ ring homomorphism.  Two evaluation backends are provided:
 Also home to the p-derivation delta(x) = (x - x^p)/p and its axiom checks.
 """
 
-from dataclasses import dataclass, field
-
-from .context import Context
+from .context import Context, Record
 from .padic import PadicRational
 from .exactpoly import ExactPoly
 from .errors import (LengthMismatch, LengthTooShort, ArithJetError,
@@ -45,8 +43,7 @@ def witt_polynomial(p: int, i: int, names: tuple[str, ...]) -> ExactPoly:
     return ghost_map(p, comps, _exact_shift(p))[i]
 
 
-@dataclass(frozen=True)
-class StructurePolySet:
+class StructurePolySet(Record, frozen=True):
     """Universal polynomials for W_n: sum, product, negation, Frobenius."""
 
     p: int
@@ -55,7 +52,7 @@ class StructurePolySet:
     P: tuple[ExactPoly, ...]
     Neg: tuple[ExactPoly, ...]
     Frob: tuple[ExactPoly, ...]
-    vars_xy: tuple[str, ...] = field(repr=False, default=())
+    vars_xy: tuple[str, ...] = ()
 
 
 _struct_cache: dict[tuple[int, int], StructurePolySet] = {}
@@ -255,11 +252,15 @@ def c_pi(x: PadicRational, y: PadicRational) -> PadicRational:
     return (x ** p + y ** p - (x + y) ** p).shift(-1)
 
 
-@dataclass
-class DeltaAxiomReport:
+class DeltaAxiomReport(Record):
+    """The sampled pairs that break a delta-ring axiom at the given precision."""
+
     samples: int
     precision: int
-    failures: list = field(default_factory=list)
+    failures: list = None
+
+    def __post_init__(self):
+        self.failures = [] if self.failures is None else self.failures
 
     @property
     def ok(self) -> bool:

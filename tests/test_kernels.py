@@ -363,7 +363,7 @@ def reference_log(E: WeierstrassCurve, deg: int, digits: int):
 
 def w_series(E: WeierstrassCurve, deg: int) -> TruncatedSeries:
     """w(t) to total degree deg, in a context of degree cap deg."""
-    ctx = E.ctx.with_degree(deg)
+    ctx = Context(E.ctx.p, E.ctx.N, deg)
     coeffs, _ = _w_coefficients(E, deg)
     return TruncatedSeries(ctx, ("t",),
                            {(k,): c for k, c in enumerate(coeffs) if c})
@@ -373,7 +373,7 @@ def reference_series_log(E: WeierstrassCurve) -> TruncatedSeries:
     """The logarithm to degree M by series arithmetic: integrate
     P = (w - t w') / (w (-2 + a1 t + a3 w)), both parts divided by t^3."""
     ctx = E.ctx
-    pad = ctx.with_degree(ctx.M + 4)
+    pad = Context(ctx.p, ctx.N, ctx.M + 4)
     w = w_series(E, ctx.M + 4)
     wq = TruncatedSeries(pad, ("t",), {(e - 3,): c for (e,), c in w.coeffs.items()})
     t = TruncatedSeries.variable(pad, ("t",), "t")
@@ -705,7 +705,7 @@ def monomial_power(draw):
     e = draw(st.tuples(*[st.integers(0, 3)] * len(variables)))
     n = draw(st.integers(2, 5))
     cap = draw(st.integers(max(n * sum(e) - 2, 0), n * sum(e) + 2))
-    ctx = ctx.with_degree(max(ctx.M, cap, sum(e)))
+    ctx = Context(ctx.p, ctx.N, max(ctx.M, cap, sum(e)))
     f = TruncatedSeries(ctx, variables, {e: draw(coefficient(ctx))})
     return f, n, draw(st.sampled_from([None, cap]))
 

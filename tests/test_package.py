@@ -29,6 +29,16 @@ def test_jet_layer_loads_no_witt_ring():
     assert "arithjet.witt" not in loaded and "arithjet.exactpoly" not in loaded
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # every record is a context.Record; dataclass machinery and the
+    # inspect module it imports would cost a cold start several ms
+    code = ("import sys, arithjet.characters, arithjet.jet, arithjet.canonical, "
+            "arithjet.witt; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"
+
+
 def test_console_scripts_resolve():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -244,3 +244,39 @@ def test_context_takes_only_int_budgets():
                          ({"p": 5, "N": True}, "N"), ({"p": True}, "p")):
         with pytest.raises(ArithJetError, match=f"{name} = "):
             Context(**kwargs)
+
+
+def test_records_keep_the_dataclass_semantics():
+    from arithjet.formalgroup import WeierstrassCurve
+    from arithjet.jet import JetCheck, JetIdentityReport
+
+    assert (Context(5).N, Context(5).M) == (8, 12)
+    ctx = Context(5, 8, 35)
+    assert ctx == Context(p=5, N=8, M=35) and ctx != Context(5, 8, 36)
+    assert hash(ctx) == hash(Context(p=5, N=8, M=35))
+    assert {ctx: 1}[Context(p=5, N=8, M=35)] == 1
+    assert {Context(p=5, N=8, M=35): 1}[ctx] == 1
+    E = WeierstrassCurve(0, 0, 0, 1, 1, ctx)
+    for record, name in ((ctx, "p"), (E, "a4")):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == before
+    assert ctx.p_powers(3)[0] == [1, 5, 25, 125]
+    assert E.invariants.a_p == -3  # cached_property fills on a frozen record
+    for args, kwargs in (((), {}), ((5,), {"q": 1}), ((5,), {"p": 5}),
+                         ((5, 8, 12, 1), {})):
+        with pytest.raises(TypeError):
+            Context(*args, **kwargs)
+    a, b = JetIdentityReport("g", ctx), JetIdentityReport(group="g", ctx=ctx)
+    a.add("x", 1.0, 2.0)
+    assert b.checks == [] and len(a.checks) == 1
+    check = JetCheck("x", 1.0, 2.0)
+    with pytest.raises(TypeError):
+        hash(check)
+    assert check == a.checks[0]
+    assert repr(ctx) == "Context(p=5, N=8, M=35)"
+    assert repr(check) == ("JetCheck(name='x', residual_valuation=1.0, "
+                           "threshold=2.0, note='')")
