@@ -4,9 +4,8 @@ One Context is threaded through every computation.  The base ring is
 R = Z_p with uniformizer p, residue field F_p, and the Frobenius lift on
 scalars is the identity, so q = p throughout.
 
-Record, the base of every record here, replaces dataclasses.dataclass:
-one generic __init__, __repr__ and __eq__ serve every record, where
-dataclass compiles them anew per class (most of a warm-cache import).
+Record, the base of every arithjet record, replaces dataclasses.dataclass,
+which generates and compiles methods per class: most of a warm-cache import.
 """
 
 from functools import cached_property
@@ -34,7 +33,7 @@ class Record:
 
     def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = tuple(cls.__annotations__)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields
                          if f in cls.__dict__}
         if frozen:
@@ -42,16 +41,17 @@ class Record:
             cls.__hash__ = Record._hash_fields
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-        wrong = [f for f in kwargs if f in fields[:len(args)] or f not in fields]
-        missing = [f for f in fields if f not in values]
-        if len(args) > len(fields) or wrong or missing:
-            raise TypeError(f"{type(self).__name__} takes {fields}: {len(args)} by "
-                            f"position, {wrong} unknown or repeated, {missing} missing")
         # field by field: filling self.__dict__ would slow every ctx.pk read
-        for f in fields:
-            object.__setattr__(self, f, values[f])
+        fields, defaults, put = self._fields, self._defaults, object.__setattr__
+        for f, value in zip(fields, args):
+            put(self, f, value)
+        for f in fields[len(args):]:
+            if f not in kwargs and f not in defaults:
+                raise TypeError(f"{type(self).__name__} is missing {f!r}")
+            put(self, f, kwargs.pop(f) if f in kwargs else defaults[f])
+        if kwargs or len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}: got "
+                            f"{len(args)} by position, {list(kwargs)} unknown or repeated")
         self.__post_init__()
 
     def __post_init__(self):
