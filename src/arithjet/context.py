@@ -8,8 +8,6 @@ Record, the base of every arithjet record, replaces dataclasses.dataclass,
 which generates and compiles methods per class: most of a warm-cache import.
 """
 
-from functools import cached_property
-
 from .errors import ArithJetError
 
 
@@ -101,14 +99,13 @@ class Context(Record, frozen=True):
             raise ArithJetError("precision N must be >= 2")
         if self.M < 1:
             raise ArithJetError("degree bound M must be >= 1")
+        # set like a field, in order: a direct write to self.__dict__ (as
+        # functools.cached_property makes) would slow every ctx.pk read
+        object.__setattr__(self, "_powers", ([1], {1: 0}))
 
     def pk(self, k: int) -> int:
         """p^k (k >= 0)."""
         return self.p ** k
-
-    @cached_property
-    def _powers(self) -> tuple[list, dict]:
-        return [1], {1: 0}
 
     def p_powers(self, top: int) -> tuple[list, dict]:
         """([1, p, ..., p^k], {p^i: i}) with k >= top: one table per

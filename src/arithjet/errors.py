@@ -1,10 +1,10 @@
 """Exception hierarchy for the toolkit.
 
 Arithmetic raises rather than returning sentinel values.  The verify_*
-functions and witt.check_delta_axioms report a failed identity as an
-entry of their report and raise only on budget problems
-(PrecisionExhausted, AmbiguousRank); analyze_group raises on a failed
-identity (IdentityViolation), so it never returns a wrong isocrystal.
+functions report a failed identity as an entry of their report and raise
+only on budget problems (PrecisionExhausted, AmbiguousRank);
+analyze_group raises on a failed identity (IdentityViolation), so it
+never returns a wrong isocrystal.
 """
 
 
@@ -30,10 +30,6 @@ class NonzeroConstantTerm(ArithJetError):
 
 class NonUnitLinearCoefficient(ArithJetError):
     """Reversion input is not u*t + O(t^2) with u a unit."""
-
-
-class InexactDivision(ArithJetError):
-    """A provably exact integer division left a remainder (logic bug)."""
 
 
 class LengthMismatch(ArithJetError):

@@ -7,7 +7,8 @@ For p-typical Witt components (a_0, ..., a_n) the ghost coordinates are
 and the inverse solves a_i = (w_i - sum_(j<i) p^j a_j^(p^(i-j))) / p^i
 level by level.  Both take ``shift(x, k)``, which multiplies x by p^k;
 a negative k divides by p^(-k), which the caller's ring must do exactly
-(ExactPoly.exact_div over Z, a valuation shift over Q_p coefficients).
+(a checked integer division over Z, as in arithjet.witt, or a valuation
+shift over Q_p coefficients).
 Everything else is the ring's own +, - and **.  This module imports
 nothing, so the jet layer can use it without loading the Witt ring.
 """

@@ -24,9 +24,9 @@ shifts, composition (by the multinomial theorem where the arguments
 allow it, else as the sum of products that defines it; for a series
 absprec X the result claims at most X + v, v the least valuation of the
 arguments, or X + cap * v when v < 0), reversion of a univariate
-series, substitution of zero for variables, numeric evaluation,
-derivative and termwise integration of univariate series, and
-residual-valuation comparison for budgeted identity checks.
+series, substitution of zero for variables, numeric evaluation, the
+derivative of a univariate series, and residual-valuation comparison for
+budgeted identity checks.
 
 Products (and so powers, inverses, composition and reversion) run on
 integers in three steps: read a series into int terms (_int_terms, scaled
@@ -318,13 +318,6 @@ class TruncatedSeries:
     def is_integral(self) -> bool:
         return all(c.val >= 0 for c in self.coeffs.values() if not c.is_zero())
 
-    def effective_precision(self):
-        """Minimum absolute precision over tracked coefficients."""
-        precs = [c.absprec for c in self.coeffs.values()]
-        if self.absprec is not None:
-            precs.append(self.absprec)
-        return min(precs, default=None)
-
     def monomials(self):
         return self.coeffs.keys()
 
@@ -587,15 +580,6 @@ class TruncatedSeries:
                 coeffs[(k - 1,)] = c * k
         return TruncatedSeries(self.ctx, self.vars, coeffs, self.absprec)
 
-    def integrate(self) -> "TruncatedSeries":
-        """Termwise antiderivative with zero constant term; divides the
-        t^k coefficient of the integrand by k+1 (precision tracked)."""
-        self._require_univariate()
-        coeffs = {}
-        for (k,), c in self.coeffs.items():
-            coeffs[(k + 1,)] = c / PadicRational.from_int(self.ctx, k + 1)
-        return TruncatedSeries(self.ctx, self.vars, coeffs, self.absprec)
-
     # -- composition -------------------------------------------------------
 
     def compose(self, args: list, cap=None) -> "TruncatedSeries":
@@ -781,7 +765,7 @@ class TruncatedSeries:
     def residual_valuation(self):
         """Minimum valuation over all monomials; _INF when every tracked
         coefficient vanishes.  On a difference the check is meaningful
-        modulo its effective precision."""
+        modulo the least absprec of its coefficients and series."""
         vals = [c.val for c in self.coeffs.values() if not c.is_zero()]
         return min(vals, default=_INF)
 

@@ -25,7 +25,7 @@ from arithjet.errors import (
     ArithJetError, IdentityViolation, IntegralityViolation, PrecisionExhausted,
 )
 from test_kernels import (
-    assert_claims_no_less_than_the_compose, reference_compose,
+    assert_claims_no_less_than_the_compose, effective_precision, reference_compose,
     reference_kernel_law, reference_kernel_log_projection,
     reference_restrict_lateral,
 )
@@ -385,7 +385,7 @@ def test_f_star_shifts_the_kernel_log_projections(ctx35, E11, Em10, E7):
             img = reference_restrict_lateral(lbar)
             want = kernel_log_projection(F, j + 1, xs)
             resid = (img - want).residual_valuation()
-            claim = img.effective_precision()
+            claim = effective_precision(img)
             assert resid >= claim, (F.kind, F.ctx.p, j, resid, claim)
 
 
@@ -423,7 +423,7 @@ def test_f_star_shift_matches_the_composed_pullback(ga11, gam10, ga01, gagm,
             assert got.vars == want.vars, label
             assert got.absprec == want.absprec, label
             resid = (got - want).residual_valuation()
-            assert resid >= want.effective_precision(), (label, resid)
+            assert resid >= effective_precision(want), (label, resid)
 
 
 # -- diff relation ---------------------------------------------------------------
@@ -847,7 +847,9 @@ def test_charpoly_CL(gam10):
 @pytest.mark.xfail(strict=True, reason=(
     "the CL eigenvalue overclaims by one digit: for y^2 = x^3 - x at p=5,"
     " N=8, M=35 lambda claims O(5^7), lambda^2 - a_p lambda + p has"
-    " valuation 6"))
+    " valuation 6. The deep tower stops at 5^5 = 3125, and by Dwork's"
+    " congruence depth p^j pins the unit root alpha to j digits, so"
+    " lambda = p/alpha to j + 1 = 6 (deep_tower_degree)"))
 def test_CL_eigenvalue_holds_its_claimed_digits(gam10):
     lam = gam10.iso.frobenius_matrix[0][0]
     a_p = count_points_ap(gam10.F.curve).a_p

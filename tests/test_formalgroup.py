@@ -1,11 +1,13 @@
+from math import factorial
+
 import pytest
 
 from arithjet.context import Context
-from arithjet.padic import PadicRational
+from arithjet.padic import PadicRational, vp
 from arithjet.series import TruncatedSeries
 from arithjet.formalgroup import (
     FormalGroupLaw, WeierstrassCurve, _chord, count_points_ap,
-    formal_group_from_curve, parse_curve,
+    elliptic_log_coefficients, formal_group_from_curve, parse_curve,
 )
 from arithjet.errors import BadReduction, ArithJetError
 
@@ -252,6 +254,74 @@ def test_long_form_count():
     inv = count_points_ap(E)
     assert inv.point_count == 7 + 1 - inv.a_p
     assert inv.a_p * inv.a_p <= 4 * 7
+
+
+# -- the log's closed form: the Hasse invariant and Dwork's congruence -------
+
+
+def closed_form_log_numerator(a4: int, a6: int, n: int) -> int:
+    """P_(n-1), the t^(n-1) coefficient of log' in t = -x/y on
+    y^2 = f(x) = x^3 + a4 x + a6: [x^(n-1)] f^((n-1)/2) for odd n, 0 for
+    even n, exactly, by the trinomial theorem over the terms
+    x^(3i) (a4 x)^j a6^l with i + j + l = (n-1)/2 and 3i + j = n - 1."""
+    if n % 2 == 0:
+        return 0
+    m, total = (n - 1) // 2, 0
+    for i in range(m + 1):
+        j = n - 1 - 3 * i
+        l = m - i - j
+        if j >= 0 and l >= 0:
+            total += (factorial(m) // (factorial(i) * factorial(j) * factorial(l))
+                      * a4 ** j * a6 ** l)
+    return total
+
+
+def unit_root(a_p: int, p: int, digits: int) -> int:
+    """The root alpha of T^2 - a_p T + p with alpha = a_p mod p, mod
+    p^digits, by Newton's method from a_p (a_p prime to p)."""
+    mod, alpha = p ** digits, a_p
+    for _ in range(digits.bit_length() + 1):
+        alpha = (alpha - (alpha * alpha - a_p * alpha + p)
+                 * pow(2 * alpha - a_p, -1, mod)) % mod
+    return alpha
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_hasse_invariant_is_a_p_mod_p(p):
+    # P_(p-1) = [x^(p-1)] f^((p-1)/2) = a_p mod p on every curve y^2 = f(x)
+    # with good reduction, supersingular ones (a_p = 0 mod p) included
+    ctx = Context(p=p, N=2)
+    for a4 in range(p):
+        for a6 in range(p):
+            if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
+                continue
+            a_p = count_points_ap(curve(ctx, a4, a6)).a_p
+            assert (closed_form_log_numerator(a4, a6, p) - a_p) % p == 0, (a4, a6)
+
+
+def test_dwork_congruence_pins_the_unit_root_one_digit_a_level():
+    # on an ordinary curve the unit root alpha of T^2 - a_p T + p has
+    # v(P_(p^(j+1)-1) - alpha P_(p^j-1)) >= j + 1 (Dwork, "p-adic cycles",
+    # Publ. Math. IHES 37, 1969): a log tower to depth p^j pins alpha to j
+    # digits.  The closed form agrees with elliptic_log_coefficients at
+    # every tower index; on y^2 = x^3 - x the bound is sharp, so depth
+    # 5^5 = 3125 gives alpha 5 digits and the CL eigenvalue p/alpha 6.
+    p, digits = 5, 8
+    ctx = Context(p=p, N=digits, M=12)
+    depths = {}
+    for a4, a6 in ((1, 1), (-1, 0), (2, 1), (1, 2)):
+        E = curve(ctx, a4, a6)
+        P = [closed_form_log_numerator(a4, a6, p ** j) for j in range(6)]
+        logs = elliptic_log_coefficients(E, [p ** j for j in range(6)], digits)
+        for j, Pj in enumerate(P):
+            want = PadicRational(ctx, Pj, -j, digits)
+            got = logs[p ** j]
+            assert (got.unit, got.val, got.rel) == (want.unit, want.val, want.rel)
+        alpha = unit_root(count_points_ap(E).a_p, p, digits)
+        depths[a4, a6] = [min(vp((P[j + 1] - alpha * P[j]) % p ** digits, p), digits)
+                          for j in range(5)]
+        assert all(v >= j + 1 for j, v in enumerate(depths[a4, a6])), depths
+    assert depths[-1, 0] == [1, 2, 3, 4, 5]
 
 
 # -- parsing ----------------------------------------------------------------

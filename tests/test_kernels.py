@@ -369,6 +369,24 @@ def w_series(E: WeierstrassCurve, deg: int) -> TruncatedSeries:
                            {(k,): c for k, c in enumerate(coeffs) if c})
 
 
+def effective_precision(f: TruncatedSeries):
+    """The least absolute precision over f's stored coefficients and its
+    series absprec; None for a series with neither."""
+    precs = [c.absprec for c in f.coeffs.values()]
+    if f.absprec is not None:
+        precs.append(f.absprec)
+    return min(precs, default=None)
+
+
+def integrate(f: TruncatedSeries) -> TruncatedSeries:
+    """The termwise antiderivative of a univariate series, with zero
+    constant term: the t^k coefficient divided by k+1, precision tracked."""
+    assert len(f.vars) == 1, f.vars
+    coeffs = {(k + 1,): c / PadicRational.from_int(f.ctx, k + 1)
+              for (k,), c in f.coeffs.items()}
+    return TruncatedSeries(f.ctx, f.vars, coeffs, f.absprec)
+
+
 def reference_series_log(E: WeierstrassCurve) -> TruncatedSeries:
     """The logarithm to degree M by series arithmetic: integrate
     P = (w - t w') / (w (-2 + a1 t + a3 w)), both parts divided by t^3."""
@@ -380,7 +398,7 @@ def reference_series_log(E: WeierstrassCurve) -> TruncatedSeries:
     num = wq.scale(-2) - t * wq.derivative()
     den = wq * (TruncatedSeries.const(pad, ("t",), -2) + t.scale(E.a1)
                 + (t ** 3) * wq.scale(E.a3))
-    log = (num * den.inverse()).integrate()
+    log = integrate(num * den.inverse())
     return TruncatedSeries(ctx, ("t",), dict(log.coeffs), log.absprec)
 
 
@@ -519,7 +537,7 @@ def reference_monomial_rows(F, n: int) -> tuple[list[list[int]], int, int]:
     for i, col in enumerate(cols):
         for e, c in col.coeffs.items():
             budget.setdefault(e, [None] * (n + 1))[i] = c
-        mv, ap = col.min_valuation(), col.effective_precision()
+        mv, ap = col.min_valuation(), effective_precision(col)
         if mv is not _INF:
             minval = min(minval, int(mv))
         if ap is not None:

@@ -6,6 +6,7 @@ from arithjet.series import TruncatedSeries
 from arithjet.errors import (
     VariableMismatch, NonzeroConstantTerm, NonUnitLinearCoefficient,
 )
+from test_kernels import effective_precision, integrate
 
 
 def S(ctx, variables, coeffs):
@@ -99,7 +100,7 @@ def test_exact_series_keeps_an_inexact_zero():
     t = TruncatedSeries.variable(ctx, ("t",), "t")
     f = t.scale(PadicRational(ctx, 1, 0, 3)) - t
     assert f.absprec is None and list(f.coeffs) == [(1,)]
-    assert f.get((1,)).is_zero() and f.effective_precision() == 3
+    assert f.get((1,)).is_zero() and effective_precision(f) == 3
     # a power past the cap of the nonzero terms still carries the zero:
     # (O(5^3) t + t^2)^3 has 3 O(5^3) t^5
     assert ((f + t * t) ** 3).get((5,)).absprec == 3
@@ -174,7 +175,7 @@ def test_evaluate_matches_symbolic(ctx):
 
 def test_derivative_integrate_roundtrip(ctx):
     f = S(ctx, ("t",), {(k,): k + 1 for k in range(1, 6)})
-    assert f.derivative().integrate().get((3,)) == f.get((3,))
+    assert integrate(f.derivative()).get((3,)) == f.get((3,))
 
 
 def test_purity(ctx):
