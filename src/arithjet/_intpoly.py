@@ -32,9 +32,6 @@ With ``mod`` given every result coefficient lies in [0, mod); without it
 results are exact integers.
 """
 
-from .errors import DivisionByZero
-
-
 def _halves(count: int, nbytes: int) -> int:
     """The integer whose count slots of nbytes bytes each hold 2^(8 nbytes - 1)."""
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
@@ -121,15 +118,10 @@ def newton_schedule(target: int, known: int) -> list[int]:
     return steps[::-1]
 
 
-def inverse(f: list[int], n: int, mod: int | None = None) -> list[int]:
-    """The first n coefficients of 1/f.  f[0] must be a unit: invertible
-    mod `mod`, or +-1 when exact."""
-    if mod is None:
-        if f[0] not in (1, -1):
-            raise DivisionByZero("exact series inverse needs constant term +-1")
-        g = [f[0]]
-    else:
-        g = [pow(f[0], -1, mod)]
+def inverse(f: list[int], n: int, mod: int) -> list[int]:
+    """The first n coefficients of 1/f mod `mod`; f[0] must be invertible
+    mod `mod`."""
+    g = [pow(f[0], -1, mod)]
     for k in newton_schedule(n, 1):
         g = newton_inverse_step(f, g, k, mod)
     return g

@@ -7,16 +7,14 @@ the parameter t = -x/y, w = -1/y.  w(t) is the root of
 
 found by Newton iteration on integer polynomials (_w_coefficients); the
 chord construction through (t1, w(t1)), (t2, w(t2)) gives the group law
-F(t1, t2).  The formal logarithm integrates the normalized invariant
-differential, which in these parameters is dt/G_w for the curve
-G(t, w) = w - t^3 - ... = 0 (Silverman, AEC, ch. IV.1): log' = 1/G_w(t, w(t)),
-the inverse that the same Newton iteration for w refines at every step.
-The log has one route: elliptic_log_coefficients computes it mod
-p^digits on integers, the deep Frobenius tower reads the coefficients
-it needs as they are, and
-formal_group_from_curve caps it at relative precision N for F.log.  The
-law is computed lazily (the character solver only consumes the
-logarithm).
+F(t1, t2).  The formal logarithm integrates the invariant differential
+dt/G_w of the curve G(t, w) = w - t^3 - ... = 0 (Silverman, AEC, IV.1):
+log' = 1/G_w(t, w(t)), which the Newton iteration for w refines alongside.
+Its one route, elliptic_log_coefficients, works mod p^digits on integers;
+the deep Frobenius tower reads it as it is, and formal_group_from_curve
+caps it at relative precision N.  The tests' oracle, free of w, is its
+closed form: the t^(k-1) coefficient of log' is [x^(k-1)] U_k for U_0 = 0,
+U_1 = 1, U_(k+1) = (a1 x + a3) U_k + f(x) U_(k-1).  The law is built lazily.
 
 Point counts over F_p are exhaustive (one quadratic per x), made once per
 curve (WeierstrassCurve.invariants), giving the trace a_p that

@@ -7,11 +7,26 @@ For p-typical Witt components (a_0, ..., a_n) the ghost coordinates are
 and the inverse solves a_i = (w_i - sum_(j<i) p^j a_j^(p^(i-j))) / p^i
 level by level.  Both take ``shift(x, k)``, which multiplies x by p^k;
 a negative k divides by p^(-k), which the caller's ring must do exactly
-(a checked integer division over Z, as in arithjet.witt, or a valuation
-shift over Q_p coefficients).
-Everything else is the ring's own +, - and **.  This module imports
-nothing, so the jet layer can use it without loading the Witt ring.
+(int_shift's checked division over Z, or a valuation shift over Q_p
+coefficients).
+Everything else is the ring's own +, - and **.  This module imports only
+the error types, so the jet layer can use it without loading the Witt ring.
 """
+
+from .errors import IdentityViolation
+
+
+def int_shift(p: int):
+    """The shift over Z: times p^k, or for k < 0 a division by p^(-k)
+    that must be exact (IdentityViolation otherwise)."""
+    def shift(x: int, k: int) -> int:
+        if k >= 0:
+            return x * p ** k
+        q, r = divmod(x, p ** -k)
+        if r:
+            raise IdentityViolation(f"ghost solve: {x} is not divisible by {p}^{-k}")
+        return q
+    return shift
 
 
 def ghost_map(p: int, comps, shift) -> list:

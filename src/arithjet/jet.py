@@ -48,7 +48,7 @@ from .padic import PadicRational
 from .series import TruncatedSeries, _unit_exponent
 from .formalgroup import FormalGroupLaw
 from .errors import ArithJetError, LengthMismatch
-from .ghost import ghost_map, ghost_solve
+from .ghost import ghost_map, ghost_solve, int_shift
 
 _INF = float("inf")
 
@@ -171,10 +171,9 @@ def jet_point_product(F: FormalGroupLaw, a, b) -> list[PadicRational]:
 def lateral_frobenius_point(p: int, xs) -> list[int]:
     """f(x) for an integer point x = (x_1..x_m) of N^m: the Witt Frobenius
     over Z, exactly (ghost_solve of the ghosts w_1..w_(m-1) of x; each
-    division by p^i is exact since the Witt Frobenius is integral)."""
-    def shift(a, k):
-        return a * p ** k if k >= 0 else a // p ** -k
-
+    division by p^i is exact since the Witt Frobenius is integral, and an
+    inexact one raises IdentityViolation)."""
+    shift = int_shift(p)
     return ghost_solve(p, ghost_map(p, list(xs), shift)[1:], shift)
 
 

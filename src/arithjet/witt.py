@@ -23,22 +23,8 @@ Also home to the p-derivation delta(x) = (x - x^p)/p and C_p.
 
 from .context import Context
 from .padic import PadicRational
-from .errors import (LengthMismatch, LengthTooShort, ArithJetError,
-                     IdentityViolation)
-from .ghost import ghost_map, ghost_solve
-
-
-def _int_shift(p: int):
-    """The ghost-module shift over Z: times p^k, or for k < 0 a division by
-    p^(-k) that must be exact (IdentityViolation otherwise)."""
-    def shift(x: int, k: int) -> int:
-        if k >= 0:
-            return x * p ** k
-        q, r = divmod(x, p ** -k)
-        if r:
-            raise IdentityViolation(f"ghost solve: {x} is not divisible by {p}^{-k}")
-        return q
-    return shift
+from .errors import LengthMismatch, LengthTooShort, ArithJetError
+from .ghost import ghost_map, ghost_solve, int_shift
 
 
 def _lift(c) -> int:
@@ -91,7 +77,7 @@ class WittVector:
 
     def ghost(self):
         """Ghost coordinates (w_0, ..., w_n)."""
-        return tuple(ghost_map(self.ctx.p, self.components, _int_shift(self.ctx.p)))
+        return tuple(ghost_map(self.ctx.p, self.components, int_shift(self.ctx.p)))
 
     # -- arithmetic on the ghost side --------------------------------------
 
@@ -102,7 +88,7 @@ class WittVector:
         among them (module docstring)."""
         for other in others:
             self._chk(other)
-        p, shift = self.ctx.p, _int_shift(self.ctx.p)
+        p, shift = self.ctx.p, int_shift(self.ctx.p)
         vectors = (self,) + others
         ghosts = [ghost_map(p, [_lift(c) for c in v.components], shift)
                   for v in vectors]

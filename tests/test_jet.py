@@ -14,7 +14,7 @@ from arithjet.jet import (
     jet_point_product, random_jet_point, jet_variables,
 )
 from arithjet.ghost import ghost_map, ghost_solve
-from arithjet.errors import ArithJetError, LengthMismatch
+from arithjet.errors import ArithJetError, IdentityViolation, LengthMismatch
 from test_kernels import (
     assert_claims_no_less_than_the_compose, reference_compose, reference_kernel_law,
 )
@@ -151,6 +151,19 @@ def test_lateral_frobenius_point_matches_the_series(p):
                 assert w.absprec >= ctx.N, (m, w)
                 exact = PadicRational.from_int(ctx, g, 2 * ctx.N)
                 assert (exact - w).is_zero(), (m, g, w)
+
+
+def test_a_lateral_frobenius_point_off_the_ghost_image_raises(monkeypatch):
+    # a wrong ghost makes a division by p^i inexact, which must raise
+    # rather than floor to a wrong f(x)
+    def bent(p, comps, shift):
+        ghosts = ghost_map(p, comps, shift)
+        ghosts[-1] += 1
+        return ghosts
+
+    monkeypatch.setattr(jet, "ghost_map", bent)
+    with pytest.raises(IdentityViolation):
+        lateral_frobenius_point(5, [5, 10, 15])
 
 
 def test_lateral_frobenius_phi_fra_gm(ctx):
